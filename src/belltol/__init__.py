@@ -27,6 +27,7 @@ from .errors import (
     DegenerateFunctionalError,
     DomainError,
     ResourceCapError,
+    SolverError,
     UnsupportedFunctionalError,
     ValidationError,
 )

@@ -3,7 +3,8 @@ searches, LP visibilities and combined tolerance brackets, with JSON or CSV
 output that embeds its own run configuration.
 
 Exit codes: 0 success, 2 domain error, 3 unsupported functional, 4 resource
-cap exceeded, 1 internal error.
+cap exceeded, 1 internal error (a SolverError from an LP certificate check,
+or a numerical failure such as numpy's LinAlgError).
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import __version__
 from .bounds import (
@@ -405,6 +408,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"error: resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except np.linalg.LinAlgError as exc:  # a ValueError, but no domain error
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (DomainError, ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

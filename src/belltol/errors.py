@@ -23,3 +23,7 @@ class UnsupportedFunctionalError(BelltolError):
 
 class ResourceCapError(BelltolError):
     """A configured size cap (dimension, enumeration, LP) would be exceeded."""
+
+
+class SolverError(BelltolError):
+    """An LP solution failed its certificate check; no answer is returned."""

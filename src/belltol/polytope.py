@@ -12,19 +12,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ResourceCapError, ValidationError
+from .errors import DomainError, ResourceCapError, SolverError, ValidationError
 from .qvalue import MeasurementAssignment, behavior
 from .scenario import (
     Behavior,
     BellFunctional,
     Scenario,
-    enumerate_strategies,
+    grid_shape,
+    row_layout,
+    slot_shape,
     strategy_count,
 )
-from .states import DensityMatrix, NoiseSpec, mix
+from .states import DensityMatrix, NoiseSpec
 
 DEFAULT_LP_TOL = 1e-9
 DEFAULT_VERTEX_CAP = 100_000
+# A convex-weight certificate must have every weight >= -WEIGHT_NEG_TOL, sum
+# to 1 within WEIGHT_SUM_TOL and rebuild its target within REBUILD_TOL.
+WEIGHT_NEG_TOL = 1e-9
+WEIGHT_SUM_TOL = 1e-8
+REBUILD_TOL = 1e-7
 REFACTOR_EVERY = 64
 
 OPTIMAL = "optimal"
@@ -195,16 +202,6 @@ def simplex_max(lp: LinearProgram, tol: float = DEFAULT_LP_TOL) -> SimplexResult
 # --- local polytope ----------------------------------------------------------
 
 
-def _row_layout(sc: Scenario) -> tuple[dict[tuple[int, ...], int], int]:
-    """Offsets of each joint setting's block in the canonical row order."""
-    offsets = {}
-    pos = 0
-    for s in sorted(sc.joint_settings()):
-        offsets[s] = pos
-        pos += int(np.prod(sc.outcome_counts(s)))
-    return offsets, pos
-
-
 def vertex_matrix(sc: Scenario, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
     """Deterministic behaviors as columns, rows in canonical order."""
     count = strategy_count(sc)
@@ -212,24 +209,32 @@ def vertex_matrix(sc: Scenario, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
         raise ResourceCapError(
             f"{count} deterministic behaviors exceed the LP vertex cap {cap}"
         )
-    offsets, rows = _row_layout(sc)
-    strides = {
-        s: np.cumprod((sc.outcome_counts(s) + (1,))[::-1])[::-1][1:]
-        for s in offsets
-    }
+    offsets, rows = row_layout(sc)
+    grid, cols = grid_shape(sc), np.arange(count)
     d = np.zeros((rows, count))
-    for v, strategy in enumerate(enumerate_strategies(sc, cap=cap)):
-        for s, offset in offsets.items():
-            flat = sum(
-                int(strides[s][p]) * strategy[p][s_p] for p, s_p in enumerate(s)
-            )
-            d[offset + flat, v] = 1.0
+    for s, offset in offsets.items():
+        # each strategy's outcome cell in this joint setting's table
+        cell = np.arange(np.prod(sc.outcome_counts(s))).reshape(slot_shape(sc, s))
+        d[offset + np.broadcast_to(cell, grid).ravel(), cols] = 1.0
     return d
 
 
 def functional_row_vector(f: BellFunctional) -> np.ndarray:
     """Coefficients flattened in the canonical row order."""
     return np.concatenate([f.coeffs[s].ravel() for s in sorted(f.coeffs)])
+
+
+def _check_weights(d: np.ndarray, weights: np.ndarray, target: np.ndarray) -> None:
+    """Raise SolverError unless the LP's weights are a convex combination of
+    the vertex columns that rebuilds the target behavior."""
+    low = float(weights.min())
+    total = float(weights.sum())
+    residual = float(np.max(np.abs(d @ weights - target)))
+    if low < -WEIGHT_NEG_TOL or abs(total - 1.0) > WEIGHT_SUM_TOL or residual > REBUILD_TOL:
+        raise SolverError(
+            f"simplex weights are no local certificate: min {low:.3e}, "
+            f"sum {total!r}, rebuild residual {residual:.3e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -266,6 +271,7 @@ def _membership(
     lp = LinearProgram(c=np.zeros(count), a_eq=a, b_eq=b_eq)
     res = simplex_max(lp, tol=tol)
     if res.status == OPTIMAL:
+        _check_weights(d, res.x, target)
         return LocalityResult(is_local=True, weights=res.x)
     return LocalityResult(is_local=False, farkas=res.farkas)
 
@@ -273,16 +279,13 @@ def _membership(
 def separating_functional(sc: Scenario, farkas: np.ndarray) -> BellFunctional:
     """Bell functional built from a Farkas vector: its value on the rejected
     behavior exceeds its LHV supremum."""
-    offsets, rows = _row_layout(sc)
+    offsets, rows = row_layout(sc)
     if farkas.size != rows + 1:
         raise ValidationError(
             f"Farkas vector has {farkas.size} entries, expected {rows + 1}"
         )
-    coeffs = {}
-    for s, offset in offsets.items():
-        shape = sc.outcome_counts(s)
-        block = farkas[offset:offset + int(np.prod(shape))]
-        coeffs[s] = block.reshape(shape)
+    blocks = np.split(farkas[:rows], list(offsets.values())[1:])
+    coeffs = {s: b.reshape(sc.outcome_counts(s)) for s, b in zip(offsets, blocks)}
     return BellFunctional(scenario=sc, coeffs=coeffs, label="separating")
 
 
@@ -354,7 +357,9 @@ def critical_visibility(
             "(an explicit noise state must be Bell-local)"
         )
     assert res.x is not None
-    beta_star = min(max(float(res.x[count]), 0.0), 1.0)
+    beta = float(res.x[count])
+    _check_weights(d, res.x[:count], b_noise + beta * delta)
+    beta_star = min(max(beta, 0.0), 1.0)
 
     dual_vec = None
     step_used = None
@@ -387,11 +392,3 @@ def lhv_bounds_lp(f: BellFunctional, cap: int = DEFAULT_VERTEX_CAP) -> tuple[flo
     assert sup_res.status == OPTIMAL and inf_res.status == OPTIMAL
     assert sup_res.objective is not None and inf_res.objective is not None
     return float(sup_res.objective), float(-inf_res.objective)
-
-
-def visibility_from_mixture(
-    rho: DensityMatrix, noise: NoiseSpec, meas: MeasurementAssignment, beta: float
-) -> Behavior:
-    """Behavior of the noisy mixture at a given beta (testing convenience)."""
-    zeta = noise.resolve(rho.d, rho.n)
-    return behavior(mix(zeta, rho, beta), meas)

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import DomainError, ResourceCapError, ValidationError
 
 DEFAULT_ENUM_CAP = 10**8
+# Most strategy-grid cells lhv_bounds holds at once (8 MB of float64).
+GRID_BLOCK = 2**20
 
 # A deterministic strategy fixes one outcome index per (party, setting).
 Strategy = tuple[tuple[int, ...], ...]
@@ -86,34 +88,43 @@ class Scenario:
         return itertools.product(*(range(len(p)) for p in self.outcomes))
 
 
+def grid_shape(sc: Scenario) -> tuple[int, ...]:
+    """Shape of the strategy grid: one axis per (party, setting) slot, party
+    by party, sized by the outcome count. Its C-order ravel is the strategy
+    order of ``enumerate_strategies``, the vertex matrix and LP weights."""
+    return tuple(len(values) for party in sc.outcomes for values in party)
+
+
+def slot_shape(sc: Scenario, joint_setting: tuple[int, ...]) -> tuple[int, ...]:
+    """Shape that lays a joint setting's table on the strategy grid: party p's
+    axis on slot (p, s_p), size 1 on every other slot."""
+    shape = [1] * sum(sc.settings)
+    for p, s_p in enumerate(joint_setting):
+        shape[sum(sc.settings[:p]) + s_p] = len(sc.outcomes[p][s_p])
+    return tuple(shape)
+
+
 def strategy_count(sc: Scenario) -> int:
-    count = 1
-    for p, party in enumerate(sc.outcomes):
-        for values in party:
-            count *= len(values)
-    return count
+    return math.prod(grid_shape(sc))
 
 
-def enumerate_strategies(sc: Scenario, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Strategy]:
-    """Yield every deterministic strategy once, lexicographically in the
-    flattened (party, setting) index tuple."""
+def _check_enum_cap(sc: Scenario, cap: int) -> None:
     total = strategy_count(sc)
     if total > cap:
         raise ResourceCapError(
             f"enumeration infeasible: {total} deterministic strategies exceed cap {cap}"
         )
-    ranges = [range(len(values)) for party in sc.outcomes for values in party]
-    widths = sc.settings
 
-    def gen() -> Iterator[Strategy]:
-        for flat in itertools.product(*ranges):
-            out, pos = [], 0
-            for w in widths:
-                out.append(flat[pos:pos + w])
-                pos += w
-            yield tuple(out)
 
-    return gen()
+def enumerate_strategies(sc: Scenario, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Strategy]:
+    """Yield every deterministic strategy once, lexicographically in the
+    flattened (party, setting) index tuple."""
+    _check_enum_cap(sc, cap)
+    ends = list(itertools.accumulate(sc.settings, initial=0))
+    return (
+        tuple(flat[a:b] for a, b in zip(ends, ends[1:]))
+        for flat in itertools.product(*map(range, grid_shape(sc)))
+    )
 
 
 @dataclass(frozen=True)
@@ -213,14 +224,22 @@ class LhvBounds:
 
 
 def lhv_bounds(f: BellFunctional, cap: int = DEFAULT_ENUM_CAP) -> LhvBounds:
-    """Exact LHV constants by full enumeration of deterministic strategies."""
+    """Exact LHV constants: the functional's value on every cell of the strategy
+    grid, summed in ``f.value_at``'s order, a block of whole trailing slots at
+    a time."""
+    sc = f.scenario
+    _check_enum_cap(sc, cap)
+    grid = grid_shape(sc)
+    split = next(k for k in range(len(grid) + 1) if math.prod(grid[k:]) <= GRID_BLOCK)
+    values = np.empty((1,) * split + grid[split:])
+    tables = [table.reshape(slot_shape(sc, s)) for s, table in f.coeffs.items()]
     sup, inf = -math.inf, math.inf
-    for strategy in enumerate_strategies(f.scenario, cap=cap):
-        v = f.value_at(strategy)
-        if v > sup:
-            sup = v
-        if v < inf:
-            inf = v
+    for head in itertools.product(*map(range, grid[:split])):
+        values.fill(0.0)
+        for t in tables:
+            values += t[tuple(slice(i, i + 1) if n > 1 else slice(None)
+                              for i, n in zip(head, t.shape))]
+        sup, inf = max(sup, float(values.max())), min(inf, float(values.min()))
     return LhvBounds(sup=sup, inf=inf, b_lhv=max(abs(sup), abs(inf)))
 
 
@@ -397,8 +416,12 @@ class Behavior:
         return np.concatenate([self.tables[s].ravel() for s in sorted(self.tables)])
 
 
-def behavior_row_count(sc: Scenario) -> int:
-    return sum(int(np.prod(sc.outcome_counts(s))) for s in sc.joint_settings())
+def row_layout(sc: Scenario) -> tuple[dict[tuple[int, ...], int], int]:
+    """Offsets of each joint setting's block in the canonical row order of
+    ``Behavior.vector``, and the total row count."""
+    sizes = {s: math.prod(sc.outcome_counts(s)) for s in sorted(sc.joint_settings())}
+    starts = itertools.accumulate(sizes.values(), initial=0)
+    return dict(zip(sizes, starts)), sum(sizes.values())
 
 
 def deterministic_behavior(sc: Scenario, strategy: Strategy, validate: bool = True) -> Behavior:

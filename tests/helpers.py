@@ -7,11 +7,18 @@ import math
 import numpy as np
 
 from belltol.qvalue import Measurement, MeasurementAssignment
+from belltol.scenario import Scenario
 from belltol.states import DensityMatrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# settings with different outcome counts, a one-outcome setting included
+MIXED_SCENARIO = Scenario((
+    ((1.0, -1.0), (1.0, 0.0, -1.0)),
+    ((1.0,), (1.0, -1.0), (-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0)),
+))
 
 
 def planar_observable(phi: float) -> np.ndarray:

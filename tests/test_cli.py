@@ -238,6 +238,20 @@ def test_exit_code_resource_cap(monkeypatch):
     assert main(["violation", "--state", "ghz:2,4", "--restarts", "1"]) == 4
 
 
+def test_exit_code_numerical_failure(monkeypatch, capsys):
+    import numpy as np
+
+    import belltol.cli
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(belltol.cli, "critical_visibility", singular)
+    code = main(["visibility", "--state", "ghz:2,2", "--restarts", "1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("internal error: Singular matrix")
+
+
 def test_deterministic_output(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["violation", "--state", "ghz:2,2", "--functional", "chsh",

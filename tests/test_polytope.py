@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import chsh_optimal_assignment, mermin3_optimal_assignment
+from helpers import MIXED_SCENARIO, chsh_optimal_assignment, mermin3_optimal_assignment
 
-from belltol.errors import ResourceCapError
+from belltol.errors import ResourceCapError, SolverError
 from belltol.polytope import (
     INFEASIBLE,
     OPTIMAL,
@@ -20,7 +20,7 @@ from belltol.polytope import (
     simplex_max,
     vertex_matrix,
 )
-from belltol.qvalue import behavior, evaluate
+from belltol.qvalue import behavior, evaluate, seesaw
 from belltol.scenario import (
     Scenario,
     chsh,
@@ -30,7 +30,7 @@ from belltol.scenario import (
     mermin,
     uniform_behavior,
 )
-from belltol.states import NoiseSpec, ghz, mix, product_zero, white_noise
+from belltol.states import NoiseSpec, ghz, mix, product_zero, w_state, white_noise
 
 SQRT2 = math.sqrt(2.0)
 
@@ -153,6 +153,15 @@ def test_vertex_matrix_cap():
         vertex_matrix(Scenario.uniform(3, 3, 4), cap=100)
 
 
+def test_vertex_matrix_columns_are_deterministic_behaviors():
+    sc = MIXED_SCENARIO
+    d = vertex_matrix(sc)
+    strategies = list(enumerate_strategies(sc))
+    assert d.shape[1] == len(strategies)
+    for col, strat in zip(d.T, strategies):
+        assert np.array_equal(col, deterministic_behavior(sc, strat).vector())
+
+
 def test_lhv_lp_cross_check():
     for f in (chsh(), mermin(3)):
         sup, inf = lhv_bounds_lp(f)
@@ -166,8 +175,7 @@ def test_lhv_lp_cross_check_random_scenarios():
     shapes = [(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2), (2, 2, 4)]
     from belltol.scenario import BellFunctional
 
-    for parties, settings, outcomes in shapes:
-        sc = Scenario.uniform(parties, settings, outcomes)
+    for sc in [Scenario.uniform(*shape) for shape in shapes] + [MIXED_SCENARIO]:
         coeffs = {
             s: rng.uniform(-1.0, 1.0, sc.outcome_counts(s))
             for s in sc.joint_settings()
@@ -233,3 +241,34 @@ def test_functional_row_vector_order_matches_behavior():
     assert float(functional_row_vector(f) @ b.vector()) == pytest.approx(
         evaluate(f, b), abs=1e-12
     )
+
+
+def assert_local_certificate(weights, sc, target):
+    assert weights.min() >= -1e-9
+    assert abs(weights.sum() - 1.0) <= 1e-8
+    assert np.max(np.abs(vertex_matrix(sc) @ weights - target)) <= 1e-7
+
+
+def test_visibility_w3_certificate_checked():
+    # the native simplex once returned beta* = 1.0 here, with weights summing to 6
+    assign = seesaw(mermin(3), w_state(3), restarts=5, seed=2).assignment
+    try:
+        vis = critical_visibility(w_state(3), NoiseSpec.white(), assign)
+    except SolverError:
+        return
+    assert vis.beta_star != 1.0
+    mixed = mix(white_noise(2, 3), w_state(3), vis.beta_star)
+    assert_local_certificate(vis.weights, vis.scenario, behavior(mixed, assign).vector())
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.25])
+def test_is_local_ghz4_certificate_checked(beta):
+    # "local" used to come with weights summing to between 60 and 1e14
+    assign = seesaw(mermin(4), ghz(2, 4), restarts=5, seed=1).assignment
+    b = behavior(mix(white_noise(2, 4), ghz(2, 4), beta), assign)
+    try:
+        res = is_local(b)
+    except SolverError:
+        return
+    if res.is_local:
+        assert_local_certificate(res.weights, b.scenario, b.vector())

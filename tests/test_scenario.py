@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import MIXED_SCENARIO
+
 from belltol.errors import DomainError, ResourceCapError, ValidationError
 from belltol.scenario import (
+    GRID_BLOCK,
     Behavior,
     BellFunctional,
     Scenario,
@@ -73,10 +76,37 @@ def test_chsh_lhv_bounds():
 
 
 def test_mermin_lhv_bounds():
-    for n in (3, 4):
+    for n in range(3, 8):
         b = lhv_bounds(mermin(n))
         assert (b.sup, b.inf, b.b_lhv) == (2.0, -2.0, 2.0)
     assert brute_force_lhv(mermin(3)) == (2.0, -2.0)
+
+
+def test_lhv_bounds_equal_value_at_loop():
+    # each strategy's tables are added in value_at's order, so the extrema are
+    # equal to the loop's, not merely close
+    rng = np.random.default_rng(7)
+    for sc in (Scenario.uniform(2, 2, 3), Scenario.uniform(3, 2, 2), MIXED_SCENARIO):
+        f = BellFunctional(sc, {
+            s: rng.uniform(-1.0, 1.0, sc.outcome_counts(s)) for s in sc.joint_settings()
+        })
+        values = [f.value_at(strat) for strat in enumerate_strategies(sc)]
+        b = lhv_bounds(f)
+        assert (b.sup, b.inf) == (max(values), min(values))
+
+
+def test_lhv_bounds_cap():
+    with pytest.raises(ResourceCapError, match="enumeration infeasible"):
+        lhv_bounds(mermin(4), cap=100)
+
+
+def test_lhv_bounds_blocked_grid():
+    # 2048 x 2048 strategies: the grid is evaluated in several blocks
+    sc = Scenario.uniform(2, 1, 2048)
+    assert strategy_count(sc) > GRID_BLOCK
+    table = np.random.default_rng(3).uniform(-1.0, 1.0, (2048, 2048))
+    b = lhv_bounds(BellFunctional(sc, {(0, 0): table}))
+    assert (b.sup, b.inf) == (table.max(), table.min())
 
 
 def test_constant_functional():
