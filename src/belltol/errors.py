@@ -18,7 +18,9 @@ class DegenerateFunctionalError(DomainError):
 
 
 class UnsupportedFunctionalError(BelltolError):
-    """The functional is outside the class an algorithm can optimize over."""
+    """The functional is outside the class an algorithm can optimize over: the
+    seesaw needs a (+1, -1) outcome pair at every setting and a functional that
+    is not identically zero."""
 
 
 class ResourceCapError(BelltolError):

@@ -1,5 +1,6 @@
 """Dense complex linear algebra: Kronecker products, Hermitian eigensystems,
-positivity checks and partial traces.
+positivity checks and partial traces; the JSON form of matrices and the
+``save``/``load`` pair of the package's JSON files.
 
 All functions are pure and operate on immutable inputs; matrices are plain
 ``numpy`` complex arrays in row-major layout.
@@ -7,6 +8,7 @@ All functions are pure and operate on immutable inputs; matrices are plain
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -51,6 +53,40 @@ def frozen(m: np.ndarray) -> np.ndarray:
     out = np.array(m, dtype=np.complex128, order="C", copy=True)
     out.setflags(write=False)
     return out
+
+
+def complex_to_json(m: np.ndarray) -> dict:
+    """Row-major flat real and imaginary parts, the JSON form of a matrix."""
+    return {"re": [float(x) for x in m.real.ravel()],
+            "im": [float(x) for x in m.imag.ravel()]}
+
+
+def complex_from_json(data: dict, dim: int, what: str) -> np.ndarray:
+    """The dim x dim matrix written by ``complex_to_json``."""
+    try:
+        re = np.asarray(data["re"], dtype=float)
+        im = np.asarray(data["im"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {what} JSON: {exc}") from exc
+    if re.shape != (dim * dim,) or im.shape != (dim * dim,):
+        raise ValidationError(
+            f"{what} JSON entry count {re.size}/{im.size} does not match dim {dim}"
+        )
+    return (re + 1j * im).reshape(dim, dim)
+
+
+class JsonFile:
+    """``save``/``load`` of a class's ``to_json_dict``/``from_json_dict`` as a
+    UTF-8 JSON file."""
+
+    def save(self, path: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.to_json_dict(), fh)
+
+    @classmethod
+    def load(cls, path: str):
+        with open(path, encoding="utf-8") as fh:
+            return cls.from_json_dict(json.load(fh))
 
 
 def kron(a: np.ndarray, b: np.ndarray, max_dim: int | None = None) -> np.ndarray:

@@ -33,6 +33,8 @@ WEIGHT_NEG_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-8
 REBUILD_TOL = 1e-7
 REFACTOR_EVERY = 64
+# Step above beta* at which critical_visibility probes for a Farkas certificate.
+DUAL_STEP = 1e-6
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -70,8 +72,6 @@ class SimplexResult:
     status: str
     objective: float | None = None
     x: np.ndarray | None = None
-    # dual of the equality constraints at the optimum (original row signs)
-    dual: np.ndarray | None = None
     # Farkas vector y with y @ A <= 0 and y @ b > 0 when infeasible
     farkas: np.ndarray | None = None
 
@@ -191,12 +191,7 @@ def simplex_max(lp: LinearProgram, tol: float = DEFAULT_LP_TOL) -> SimplexResult
     for i, j in enumerate(tab.basis):
         if j < n:
             x[j] = max(tab.x_b[i], 0.0)
-    return SimplexResult(
-        status=OPTIMAL,
-        objective=float(c @ x),
-        x=x,
-        dual=tab.dual(phase2_cost),
-    )
+    return SimplexResult(status=OPTIMAL, objective=float(c @ x), x=x)
 
 
 # --- local polytope ----------------------------------------------------------
@@ -245,20 +240,14 @@ class LocalityResult:
 
 
 def is_local(
-    b: Behavior,
-    sc: Scenario | None = None,
-    tol: float = DEFAULT_LP_TOL,
-    cap: int = DEFAULT_VERTEX_CAP,
+    b: Behavior, tol: float = DEFAULT_LP_TOL, cap: int = DEFAULT_VERTEX_CAP
 ) -> LocalityResult:
     """Decide membership of a behavior in the local polytope by phase-1 simplex.
 
     Returns nonnegative weights over deterministic behaviors when local, and a
     Farkas (separating) vector otherwise.
     """
-    sc = sc or b.scenario
-    if sc.settings != b.scenario.settings:
-        raise ValidationError("scenario does not match the behavior's layout")
-    return _membership(sc, b.vector(), tol=tol, cap=cap)
+    return _membership(b.scenario, b.vector(), tol=tol, cap=cap)
 
 
 def _membership(
@@ -321,7 +310,6 @@ def critical_visibility(
     meas: MeasurementAssignment,
     tol: float = DEFAULT_LP_TOL,
     cap: int = DEFAULT_VERTEX_CAP,
-    dual_step: float = 1e-6,
 ) -> VisibilityResult:
     """Maximal beta with behavior((1-beta) noise + beta rho) still local.
 
@@ -364,11 +352,11 @@ def critical_visibility(
     dual_vec = None
     step_used = None
     if beta_star < 1.0 - tol:
-        probe = b_noise + min(beta_star + dual_step, 1.0) * delta
+        probe = b_noise + min(beta_star + DUAL_STEP, 1.0) * delta
         check = _membership(sc, probe, tol=tol, cap=cap)
         if not check.is_local:
             dual_vec = check.farkas
-            step_used = dual_step
+            step_used = DUAL_STEP
     return VisibilityResult(
         beta_star=beta_star,
         certificate_kind="local-weights",

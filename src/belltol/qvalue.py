@@ -1,14 +1,15 @@
 """Quantum behaviors from states and POVMs, functional evaluation, and seesaw
 lower bounds on the maximal Bell violation.
 
-The seesaw path is restricted to dichotomic (+1/-1) correlation functionals,
-where the optimal single-party update is the closed-form sign-operator step.
+The seesaw takes any functional whose outcomes are (+1, -1) pairs. It expands
+each table exactly into correlators (products of outcome values over subsets
+of sites), where the optimal single-party update is the closed-form
+sign-operator step.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -20,13 +21,23 @@ from .errors import (
     UnsupportedFunctionalError,
     ValidationError,
 )
-from .linalg import as_cmatrix, eig_hermitian, frozen, hermiticity_defect
+from .linalg import (
+    JsonFile,
+    as_cmatrix,
+    complex_from_json,
+    complex_to_json,
+    eig_hermitian,
+    frozen,
+    hermiticity_defect,
+)
 from .scenario import Behavior, BellFunctional, Scenario, lhv_bounds
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-9
 EFFECT_PSD_TOL = 1e-9
 SIGN_EIG_TOL = 1e-12
+# Sweeps per seesaw restart; a restart that reaches it reports converged=False.
+MAX_SWEEPS = 500
 
 
 @dataclass(frozen=True)
@@ -101,7 +112,7 @@ class Measurement:
 
 
 @dataclass(frozen=True)
-class MeasurementAssignment:
+class MeasurementAssignment(JsonFile):
     """One Measurement per (party, setting); all sites share the dimension d."""
 
     measurements: tuple[tuple[Measurement, ...], ...]
@@ -128,15 +139,11 @@ class MeasurementAssignment:
         )
 
     def to_json_dict(self) -> dict:
-        def eff(e: np.ndarray) -> dict:
-            return {"re": [float(x) for x in e.real.ravel()],
-                    "im": [float(x) for x in e.imag.ravel()]}
-
         return {
             "d": self.site_dim,
             "parties": [
                 [
-                    {"effects": [eff(e) for e in m.effects],
+                    {"effects": [complex_to_json(e) for e in m.effects],
                      "outcome_values": list(m.outcome_values)}
                     for m in party
                 ]
@@ -155,25 +162,10 @@ class MeasurementAssignment:
         for party in parties:
             row = []
             for m in party:
-                effects = []
-                for e in m["effects"]:
-                    re = np.asarray(e["re"], dtype=float)
-                    im = np.asarray(e["im"], dtype=float)
-                    if re.size != d * d or im.size != d * d:
-                        raise ValidationError("effect entry count does not match dimension")
-                    effects.append((re + 1j * im).reshape(d, d))
-                row.append(Measurement(tuple(effects), tuple(m["outcome_values"])))
+                effects = tuple(complex_from_json(e, d, "effect") for e in m["effects"])
+                row.append(Measurement(effects, tuple(m["outcome_values"])))
             built.append(tuple(row))
         return cls(tuple(built))
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def load(cls, path: str) -> "MeasurementAssignment":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def _rho_tensor(rho: DensityMatrix) -> np.ndarray:
@@ -271,7 +263,7 @@ def violation_ratio(
 
 @dataclass(frozen=True)
 class CorrelationTerm:
-    """One joint setting of a correlation-form functional: weight times the
+    """One correlator of a functional at one joint setting: weight times the
     product of outcome values over the participating sites."""
 
     setting: tuple[int, ...]
@@ -280,12 +272,15 @@ class CorrelationTerm:
 
 
 def correlation_form(f: BellFunctional) -> list[CorrelationTerm]:
-    """Decompose a functional into correlation terms.
+    """Expand a functional into correlation terms, one per joint setting and
+    subset of participating sites with a nonzero weight.
 
     Requires two outcomes valued (+1, -1) or (-1, +1) at every setting, and
-    every table equal to a weight times a product of outcome values over a
-    subset of sites (constant over the rest). Raises UnsupportedFunctionalError
-    otherwise.
+    raises UnsupportedFunctionalError otherwise. Contracting each table axis
+    with 1/2 [[1, 1], [v0, v1]] is the exact inverse of the correlator
+    expansion (Werner & Wolf, PRA 64, 032112 (2001)), so every such
+    functional has this form; index 1 on an axis means that site
+    participates.
     """
     sc = f.scenario
     for p, party in enumerate(sc.outcomes):
@@ -294,43 +289,16 @@ def correlation_form(f: BellFunctional) -> list[CorrelationTerm]:
                 raise UnsupportedFunctionalError(
                     f"party {p}, setting {s} outcomes {vals} are not a (+1, -1) pair"
                 )
-    terms = []
-    for s, table in f.coeffs.items():
-        n = table.ndim
-        if np.max(np.abs(table)) < 1e-15:
-            continue
-        flat = np.argmax(np.abs(table))
-        ref = tuple(int(i) for i in np.unravel_index(flat, table.shape))
-        participates = []
-        for p in range(n):
-            flipped = list(ref)
-            flipped[p] = 1 - ref[p]
-            ratio = table[tuple(flipped)] / table[ref]
-            if abs(ratio + 1.0) < 1e-9:
-                participates.append(True)
-            elif abs(ratio - 1.0) < 1e-9:
-                participates.append(False)
-            else:
-                raise UnsupportedFunctionalError(
-                    f"table at joint setting {s} does not factor into outcome products"
-                )
-        vals = [sc.outcomes[p][s_p] for p, s_p in enumerate(s)]
-        weight = float(table[ref])
-        for p in range(n):
-            if participates[p]:
-                weight /= vals[p][ref[p]]
-        # verify the factorization against the full table
-        rebuilt = np.full(table.shape, weight)
-        for p in range(n):
-            factor = np.asarray(vals[p]) if participates[p] else np.ones(2)
-            shape = [1] * n
-            shape[p] = 2
-            rebuilt = rebuilt * factor.reshape(shape)
-        if np.max(np.abs(rebuilt - table)) > 1e-9:
-            raise UnsupportedFunctionalError(
-                f"table at joint setting {s} is not of correlation form"
-            )
-        terms.append(CorrelationTerm(s, weight, tuple(participates)))
+    keys = list(f.coeffs)
+    c = np.stack([f.coeffs[s] for s in keys])
+    for p in range(sc.parties):
+        # party p's axis of every table at once, one matrix per joint setting
+        h = 0.5 * np.array([((1.0, 1.0), sc.outcomes[p][s[p]]) for s in keys])
+        c = np.moveaxis(np.einsum("kij,k...j->k...i", h, np.moveaxis(c, p + 1, -1)), -1, p + 1)
+    terms = [
+        CorrelationTerm(keys[k], float(c[(k, *idx)]), tuple(bool(i) for i in idx))
+        for k, *idx in zip(*np.nonzero(np.abs(c) > 1e-15))
+    ]
     if not terms:
         raise UnsupportedFunctionalError("functional is identically zero")
     return terms
@@ -343,6 +311,7 @@ class SeesawResult:
     trace: tuple[float, ...]
     restarts_used: int
     objective: float = 0.0  # signed functional value at the returned assignment
+    converged: bool = True  # False when the returned restart hit MAX_SWEEPS
 
 
 def _haar_basis(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -366,6 +335,15 @@ def sign_operator(h: np.ndarray) -> np.ndarray:
     return (v * signs) @ v.conj().T
 
 
+def _dichotomic(obs: np.ndarray, values: tuple[float, ...]) -> Measurement:
+    """Projective measurement of a +1/-1 observable with its effects in the
+    order of ``values``, a setting's outcome values in the functional."""
+    m = Measurement.dichotomic_from_observable(obs)
+    if values == m.outcome_values:
+        return m
+    return Measurement(m.effects[::-1], values)
+
+
 def _objective(rho_t: np.ndarray, terms: list[CorrelationTerm], obs) -> float:
     total = 0.0
     for t in terms:
@@ -383,7 +361,6 @@ def seesaw(
     restarts: int = 20,
     seed: int = 0,
     sweep_tol: float = 1e-10,
-    max_sweeps: int = 500,
 ) -> SeesawResult:
     """Heuristic lower bound on the maximal violation of ``f`` by ``rho``.
 
@@ -391,7 +368,8 @@ def seesaw(
     the sign of the local operator obtained by contracting the state with the
     other parties' fixed observables; the objective never decreases. Each
     restart draws fresh Haar-random projective observables from a stream
-    seeded by (seed, restart). Returns the best restart.
+    seeded by (seed, restart) and stops when a sweep gains less than
+    ``sweep_tol``, or after MAX_SWEEPS sweeps. Returns the best restart.
     """
     terms = correlation_form(f)
     bounds = lhv_bounds(f)
@@ -409,6 +387,7 @@ def seesaw(
     best_obs: list[list[np.ndarray]] | None = None
     best_trace: tuple[float, ...] = ()
     best_objective = 0.0
+    best_converged = True
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
         obs = [
@@ -417,7 +396,8 @@ def seesaw(
         ]
         value = _objective(rho_t, terms, obs)
         trace = []
-        for _ in range(max_sweeps):
+        converged = False
+        for _ in range(MAX_SWEEPS):
             for party in range(sc.parties):
                 locals_ = [np.zeros((d, d), dtype=np.complex128) for _ in range(sc.settings[party])]
                 touched = [False] * sc.settings[party]
@@ -445,6 +425,7 @@ def seesaw(
                 )
             if new_value - value < sweep_tol:
                 value = new_value
+                converged = True
                 break
             value = new_value
         if abs(value) > best_abs:
@@ -452,12 +433,13 @@ def seesaw(
             best_obs = [list(row) for row in obs]
             best_trace = tuple(trace)
             best_objective = value
+            best_converged = converged
 
     assert best_obs is not None
     assignment = MeasurementAssignment(
         tuple(
-            tuple(Measurement.dichotomic_from_observable(o) for o in row)
-            for row in best_obs
+            tuple(_dichotomic(o, sc.outcomes[p][s]) for s, o in enumerate(row))
+            for p, row in enumerate(best_obs)
         )
     )
     return SeesawResult(
@@ -466,6 +448,7 @@ def seesaw(
         trace=best_trace,
         restarts_used=restarts,
         objective=best_objective,
+        converged=best_converged,
     )
 
 
@@ -484,7 +467,6 @@ def upsilon_lower_bound(
     restarts: int = 20,
     seed: int = 0,
     sweep_tol: float = 1e-10,
-    max_sweeps: int = 500,
 ) -> UpsilonLowerBound:
     """Best seesaw violation over a functional library: a certified lower bound
     on the maximal violation, with the achieving functional's identity."""
@@ -494,8 +476,7 @@ def upsilon_lower_bound(
     best_i = -1
     per = []
     for i, f in enumerate(functional_library):
-        res = seesaw(f, rho, restarts=restarts, seed=seed,
-                     sweep_tol=sweep_tol, max_sweeps=max_sweeps)
+        res = seesaw(f, rho, restarts=restarts, seed=seed, sweep_tol=sweep_tol)
         per.append((f.label or f"functional{i}", res.value))
         if best is None or res.value > best.value:
             best, best_i = res, i

@@ -8,7 +8,6 @@ so evaluation against a behavior is a plain tensor contraction.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -16,6 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceCapError, ValidationError
+from .linalg import JsonFile
 
 DEFAULT_ENUM_CAP = 10**8
 # Most strategy-grid cells lhv_bounds holds at once (8 MB of float64).
@@ -128,7 +128,7 @@ def enumerate_strategies(sc: Scenario, cap: int = DEFAULT_ENUM_CAP) -> Iterator[
 
 
 @dataclass(frozen=True)
-class BellFunctional:
+class BellFunctional(JsonFile):
     """Linear functional on behaviors: one dense coefficient table per joint
     setting, table axes ordered by party."""
 
@@ -196,15 +196,6 @@ class BellFunctional:
             s = tuple(int(tok) - 1 for tok in key.split(","))
             coeffs[s] = np.asarray(table, dtype=float)
         return cls(scenario=sc, coeffs=coeffs, label=str(data.get("label", "")))
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def load(cls, path: str) -> "BellFunctional":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 @dataclass(frozen=True)

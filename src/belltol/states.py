@@ -6,14 +6,21 @@ computational index, which fixes the Kronecker orientation everywhere.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, ResourceCapError, ValidationError
-from .linalg import as_cmatrix, eig_hermitian, frozen, resolve_max_dim
+from .linalg import (
+    JsonFile,
+    as_cmatrix,
+    complex_from_json,
+    complex_to_json,
+    eig_hermitian,
+    frozen,
+    resolve_max_dim,
+)
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -21,7 +28,7 @@ PSD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(JsonFile):
     """Trace-one positive operator on (C^d)^{⊗n}.
 
     Validated on construction: Hermitian within 1e-10 (max entry), unit trace
@@ -61,37 +68,15 @@ class DensityMatrix:
         return float(np.trace(self.matrix @ self.matrix).real)
 
     def to_json_dict(self) -> dict:
-        m = self.matrix
-        return {
-            "d": self.d,
-            "n": self.n,
-            "re": [float(x) for x in m.real.ravel()],
-            "im": [float(x) for x in m.imag.ravel()],
-        }
+        return {"d": self.d, "n": self.n, **complex_to_json(self.matrix)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DensityMatrix":
         try:
             d, n = int(data["d"]), int(data["n"])
-            re, im = data["re"], data["im"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed state JSON: {exc}") from exc
-        dim = d**n
-        if len(re) != dim * dim or len(im) != dim * dim:
-            raise ValidationError(
-                f"state JSON entry count {len(re)}/{len(im)} does not match dim {dim}"
-            )
-        m = (np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)).reshape(dim, dim)
-        return cls(d=d, n=n, matrix=m)
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def load(cls, path: str) -> "DensityMatrix":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls(d=d, n=n, matrix=complex_from_json(data, d**n, "state"))
 
 
 def _check_cap(d: int, n: int, max_dim: int | None) -> int:

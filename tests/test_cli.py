@@ -233,6 +233,25 @@ def test_exit_code_unsupported_functional(tmp_path):
     assert code == 3
 
 
+def test_violation_functional_with_marginal(tmp_path, capsys):
+    import numpy as np
+
+    from belltol.scenario import BellFunctional, chsh
+
+    f = chsh()
+    coeffs = dict(f.coeffs)
+    # CHSH + 0.5 A0: LHV constant 2.5, GHZ value 2 sqrt(2)
+    coeffs[(0, 0)] = coeffs[(0, 0)] + 0.5 * np.array([[1.0, 1.0], [-1.0, -1.0]])
+    path = tmp_path / "f.json"
+    BellFunctional(f.scenario, coeffs, label="chsh+A0").save(str(path))
+    code, data = run_json(capsys, [
+        "violation", "--state", "ghz:2,2", "--functional", f"json:{path}",
+        "--restarts", "5", "--seed", "1",
+    ])
+    assert code == 0
+    assert data["results"]["upsilon_lower_bound"] == pytest.approx(2 * SQRT2 / 2.5, abs=1e-6)
+
+
 def test_exit_code_resource_cap(monkeypatch):
     monkeypatch.setenv("BELLTOL_MAX_DIM", "4")
     assert main(["violation", "--state", "ghz:2,4", "--restarts", "1"]) == 4

@@ -12,11 +12,13 @@ from helpers import (
     random_density,
 )
 
+from belltol import qvalue
 from belltol.errors import (
     DegenerateFunctionalError,
     UnsupportedFunctionalError,
     ValidationError,
 )
+from belltol.polytope import is_local, separating_functional
 from belltol.qvalue import (
     Measurement,
     MeasurementAssignment,
@@ -31,6 +33,8 @@ from belltol.qvalue import (
 from belltol.scenario import (
     BellFunctional,
     Scenario,
+    _mk_weights,
+    _product_table,
     chsh,
     extend_with_passive_parties,
     lhv_bounds,
@@ -184,12 +188,58 @@ def test_correlation_form():
     assert terms[0].participates == (True, False)
 
 
-def test_correlation_form_rejects_non_product():
+def test_correlation_form_expands_joint_probability():
+    # p(+1, +1) = (1 + <A> + <B> + <AB>) / 4
     sc = Scenario.uniform(2, 2, values=(1.0, -1.0))
     tables = {s: np.zeros((2, 2)) for s in sc.joint_settings()}
     tables[(0, 0)] = np.array([[1.0, 0.0], [0.0, 0.0]])  # a joint probability
-    with pytest.raises(UnsupportedFunctionalError):
-        correlation_form(BellFunctional(sc, tables))
+    terms = correlation_form(BellFunctional(sc, tables))
+    assert [(t.setting, t.weight, t.participates) for t in terms] == [
+        ((0, 0), 0.25, (False, False)),
+        ((0, 0), 0.25, (False, True)),
+        ((0, 0), 0.25, (True, False)),
+        ((0, 0), 0.25, (True, True)),
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_correlation_form_mermin_weights(n):
+    terms = correlation_form(mermin(n))
+    expected = {s: 2.0 * c for s, c in _mk_weights(n).items() if c != 0.0}
+    assert len(terms) == len(expected)
+    assert {t.setting: t.weight for t in terms} == expected
+    assert all(t.participates == (True,) * n for t in terms)
+
+
+def random_pm_functional(n: int, rng: np.random.Generator) -> BellFunctional:
+    """Dense random functional, each setting valued (+1, -1) or (-1, +1)."""
+    orders = ((1.0, -1.0), (-1.0, 1.0))
+    sc = Scenario(tuple(
+        tuple(orders[int(rng.integers(2))] for _ in range(int(rng.integers(1, 3))))
+        for _ in range(n)
+    ))
+    return BellFunctional(
+        sc, {s: rng.standard_normal((2,) * n) for s in sc.joint_settings()}
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_correlation_form_random_pm_functionals(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        f = random_pm_functional(n, rng)
+        sc = f.scenario
+        rebuilt = {s: np.zeros((2,) * n) for s in f.coeffs}
+        for t in correlation_form(f):
+            factors = [np.asarray(sc.outcomes[p][s_p]) if t.participates[p] else np.ones(2)
+                       for p, s_p in enumerate(t.setting)]
+            rebuilt[t.setting] += t.weight * _product_table(factors)
+        for s, table in f.coeffs.items():
+            assert np.max(np.abs(rebuilt[s] - table)) <= 1e-12
+        rho = random_density(2, n, rng)
+        res = seesaw(f, rho, restarts=2, seed=int(rng.integers(100)))
+        replay = evaluate(f, behavior(rho, res.assignment))
+        assert res.objective == pytest.approx(replay, abs=1e-9)
 
 
 def test_correlation_form_rejects_many_outcomes():
@@ -236,6 +286,23 @@ def test_seesaw_assignment_reproduces_value():
     assert replay == pytest.approx(res.value, abs=1e-9)
 
 
+def test_seesaw_converged_flag(monkeypatch):
+    assert seesaw(mermin(3), ghz(2, 3), restarts=2, seed=1).converged
+    monkeypatch.setattr(qvalue, "MAX_SWEEPS", 1)
+    res = seesaw(mermin(3), ghz(2, 3), restarts=2, seed=1)
+    assert not res.converged
+    assert len(res.trace) == 1
+
+
+def test_seesaw_on_separating_functional():
+    b = behavior(ghz(2, 2), chsh_optimal_assignment())
+    res = is_local(b)
+    assert not res.is_local
+    g = separating_functional(b.scenario, res.farkas)
+    found = seesaw(g, ghz(2, 2), restarts=5, seed=1)
+    assert found.objective > lhv_bounds(g).sup + 1e-6
+
+
 def test_seesaw_deterministic_in_seed():
     a = seesaw(chsh(), ghz(2, 2), restarts=3, seed=42)
     b = seesaw(chsh(), ghz(2, 2), restarts=3, seed=42)
@@ -273,6 +340,17 @@ def test_assignment_json_roundtrip(tmp_path):
             for e_new, e_old in zip(back.measurements[p][s].effects,
                                     assign.measurements[p][s].effects):
                 assert np.allclose(e_new, e_old)
+
+
+def test_assignment_json_rejects_bad_effects():
+    data = chsh_optimal_assignment().to_json_dict()
+    effect = data["parties"][0][0]["effects"][0]
+    effect["re"] = effect["re"][:3]
+    with pytest.raises(ValidationError, match="entry count"):
+        MeasurementAssignment.from_json_dict(data)
+    del effect["im"]
+    with pytest.raises(ValidationError, match="malformed"):
+        MeasurementAssignment.from_json_dict(data)
 
 
 def test_evaluate_convexity_equality():
