@@ -1,5 +1,6 @@
-"""LP membership of behaviors in the local polytope (vertex representation)
-and exact critical visibilities for fixed measurements.
+"""Critical visibilities for fixed measurements and membership of behaviors in
+the local polytope (vertex representation), from one LP whose dual is the
+checked nonlocality certificate (convex separation, arXiv:1609.05011).
 
 Ships a self-contained two-phase simplex solver with Bland's anti-cycling
 rule and deterministic pivoting, so results are reproducible bit-for-bit on a
@@ -22,6 +23,7 @@ from .scenario import (
     row_layout,
     slot_shape,
     strategy_count,
+    uniform_behavior,
 )
 from .states import DensityMatrix, NoiseSpec
 
@@ -33,8 +35,6 @@ WEIGHT_NEG_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-8
 REBUILD_TOL = 1e-7
 REFACTOR_EVERY = 64
-# Step above beta* at which critical_visibility probes for a Farkas certificate.
-DUAL_STEP = 1e-6
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -72,8 +72,9 @@ class SimplexResult:
     status: str
     objective: float | None = None
     x: np.ndarray | None = None
-    # Farkas vector y with y @ A <= 0 and y @ b > 0 when infeasible
-    farkas: np.ndarray | None = None
+    # optimal dual y: y @ A_eq >= c and y @ b_eq = objective; 0 on the rows
+    # dropped as redundant after phase 1
+    dual: np.ndarray | None = None
 
 
 class _Tableau:
@@ -123,8 +124,11 @@ class _Tableau:
                 return OPTIMAL
             u = self.b_inv @ self.a_ext[:, entering]
             best_row, best_ratio, best_var = -1, np.inf, np.inf
+            # pivots are relative to the column's scale: on an ill-conditioned
+            # basis a round-off entry above tol would leave a singular basis
+            piv_tol = tol * max(1.0, float(np.max(np.abs(u))))
             for i in range(self.m):
-                if u[i] > tol:
+                if u[i] > piv_tol:
                     ratio = self.x_b[i] / u[i]
                     # Bland tie-break: smallest leaving variable index
                     if ratio < best_ratio - 1e-15 or (
@@ -136,17 +140,12 @@ class _Tableau:
             self.pivot(best_row, entering)
             self.x_b = np.maximum(self.x_b, 0.0)
 
-    def dual(self, cost: np.ndarray) -> np.ndarray:
-        y = cost[self.basis] @ self.b_inv
-        return y * self.signs
-
 
 def simplex_max(lp: LinearProgram, tol: float = DEFAULT_LP_TOL) -> SimplexResult:
     """Two-phase primal simplex with Bland's rule.
 
     Infeasible and unbounded instances are reported as statuses, never as
-    exceptions; infeasibility carries a Farkas certificate for the original
-    (unflipped) rows.
+    exceptions. An optimum carries its dual for the original (unflipped) rows.
     """
     a, b, c = lp.a_eq, lp.b_eq, lp.c
     m, n = a.shape
@@ -158,8 +157,7 @@ def simplex_max(lp: LinearProgram, tol: float = DEFAULT_LP_TOL) -> SimplexResult
     assert status == OPTIMAL  # phase 1 is bounded by construction
     infeas = -float(phase1_cost[tab.basis] @ tab.x_b)
     if infeas > tol:
-        y = tab.dual(phase1_cost)
-        return SimplexResult(status=INFEASIBLE, farkas=-y)
+        return SimplexResult(status=INFEASIBLE)
 
     # pivot residual artificials out of the basis; drop redundant rows
     drop_rows: list[int] = []
@@ -173,13 +171,11 @@ def simplex_max(lp: LinearProgram, tol: float = DEFAULT_LP_TOL) -> SimplexResult
             tab.pivot(i, int(candidates[0]))
         else:
             drop_rows.append(i)
+    keep = [i for i in range(m) if i not in drop_rows]
     if drop_rows:
-        keep = [i for i in range(tab.m) if i not in drop_rows]
-        a2 = (tab.a_ext[:, :n] * tab.signs[:, None])[keep]
-        b2 = (tab.b * tab.signs)[keep]
         basis = [tab.basis[i] for i in keep]
         assert all(j < n for j in basis)  # only real columns survive the drop
-        tab = _Tableau(a2, b2)
+        tab = _Tableau(a[keep], b[keep])
         tab.basis = basis
         tab.refactor()
 
@@ -191,7 +187,9 @@ def simplex_max(lp: LinearProgram, tol: float = DEFAULT_LP_TOL) -> SimplexResult
     for i, j in enumerate(tab.basis):
         if j < n:
             x[j] = max(tab.x_b[i], 0.0)
-    return SimplexResult(status=OPTIMAL, objective=float(c @ x), x=x)
+    dual = np.zeros(m)
+    dual[keep] = (phase2_cost[tab.basis] @ tab.b_inv) * tab.signs  # unflip the rows
+    return SimplexResult(status=OPTIMAL, objective=float(c @ x), x=x, dual=dual)
 
 
 # --- local polytope ----------------------------------------------------------
@@ -232,6 +230,59 @@ def _check_weights(d: np.ndarray, weights: np.ndarray, target: np.ndarray) -> No
         )
 
 
+def _check_farkas(d: np.ndarray, farkas: np.ndarray, target: np.ndarray, tol: float) -> None:
+    """Raise SolverError unless F[:-1] @ v <= t + tol, t = -F[-1], on every
+    vertex column v and F[:-1] @ target exceeds both."""
+    f, bound = farkas[:-1], -float(farkas[-1])
+    sup = float(np.max(f @ d))
+    value = float(f @ target)
+    if sup > bound + tol or not value > max(sup, bound):
+        raise SolverError(
+            f"simplex dual is no nonlocality certificate: vertex max {sup!r}, "
+            f"bound {bound!r}, target value {value!r}"
+        )
+
+
+def _membership(
+    sc: Scenario, base: np.ndarray, delta: np.ndarray, tol: float, cap: int
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """The visibility LP: max beta s.t. D @ w - beta * delta = base, sum(w) = 1,
+    w >= 0, 0 <= beta <= 1, for a local base. Returns beta, the weights and,
+    when beta < 1 - tol, the Farkas vector F = -y[:rows + 1] of the LP's dual
+    y: with t = -F[-1], F[:-1] @ v <= t on every vertex, F[:-1] @ delta >= 1
+    and F[:-1] @ base = t - beta, so F[:-1] separates base + b * delta from
+    the local polytope for every b in (beta, 1]."""
+    d = vertex_matrix(sc, cap=cap)
+    rows, count = d.shape
+    # columns: weights, beta, slack of beta <= 1
+    a = np.zeros((rows + 2, count + 2))
+    a[:rows, :count] = d
+    a[:rows, count] = -delta
+    a[rows, :count] = 1.0
+    a[rows + 1, count] = 1.0
+    a[rows + 1, count + 1] = 1.0
+    b_eq = np.concatenate([base, [1.0, 1.0]])
+    c = np.zeros(count + 2)
+    c[count] = 1.0
+
+    res = simplex_max(LinearProgram(c=c, a_eq=a, b_eq=b_eq), tol=tol)
+    if res.status != OPTIMAL:
+        raise DomainError(
+            f"visibility LP ended with status {res.status!r}; at beta = 0 this "
+            "means the noise behavior itself is outside the local polytope "
+            "(an explicit noise state must be Bell-local)"
+        )
+    assert res.x is not None and res.dual is not None
+    beta = float(res.x[count])
+    weights = res.x[:count]
+    _check_weights(d, weights, base + beta * delta)
+    if beta >= 1.0 - tol:
+        return beta, weights, None
+    farkas = -res.dual[: rows + 1]
+    _check_farkas(d, farkas, base + delta, tol)
+    return beta, weights, farkas
+
+
 @dataclass(frozen=True)
 class LocalityResult:
     is_local: bool
@@ -242,32 +293,20 @@ class LocalityResult:
 def is_local(
     b: Behavior, tol: float = DEFAULT_LP_TOL, cap: int = DEFAULT_VERTEX_CAP
 ) -> LocalityResult:
-    """Decide membership of a behavior in the local polytope by phase-1 simplex.
-
-    Returns nonnegative weights over deterministic behaviors when local, and a
-    Farkas (separating) vector otherwise.
-    """
-    return _membership(b.scenario, b.vector(), tol=tol, cap=cap)
-
-
-def _membership(
-    sc: Scenario, target: np.ndarray, tol: float, cap: int
-) -> LocalityResult:
-    d = vertex_matrix(sc, cap=cap)
-    rows, count = d.shape
-    a = np.vstack([d, np.ones((1, count))])
-    b_eq = np.concatenate([target, [1.0]])
-    lp = LinearProgram(c=np.zeros(count), a_eq=a, b_eq=b_eq)
-    res = simplex_max(lp, tol=tol)
-    if res.status == OPTIMAL:
-        _check_weights(d, res.x, target)
-        return LocalityResult(is_local=True, weights=res.x)
-    return LocalityResult(is_local=False, farkas=res.farkas)
+    """Decide membership of a behavior in the local polytope by the visibility
+    LP from the uniform behavior, which is local, towards b: b is local iff
+    beta* >= 1 - tol. Returns weights over deterministic behaviors when local,
+    and the LP's Farkas (separating) vector otherwise."""
+    base = uniform_behavior(b.scenario).vector()
+    _, weights, farkas = _membership(b.scenario, base, b.vector() - base, tol, cap)
+    if farkas is None:
+        return LocalityResult(is_local=True, weights=weights)
+    return LocalityResult(is_local=False, farkas=farkas)
 
 
 def separating_functional(sc: Scenario, farkas: np.ndarray) -> BellFunctional:
     """Bell functional built from a Farkas vector: its value on the rejected
-    behavior exceeds its LHV supremum."""
+    behavior exceeds its LHV supremum, which is -farkas[-1]."""
     offsets, rows = row_layout(sc)
     if farkas.size != rows + 1:
         raise ValidationError(
@@ -286,8 +325,8 @@ class VisibilityResult:
     certificate_kind: str
     weights: np.ndarray | None
     scenario: Scenario
-    # Farkas certificate of nonlocality just above the threshold, when any
-    dual_step: float | None = None
+    # Farkas certificate of nonlocality for every beta in (beta_star, 1];
+    # None when beta_star = 1
     dual: np.ndarray | None = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
@@ -299,7 +338,6 @@ class VisibilityResult:
         if self.weights is not None:
             out["weights"] = [float(w) for w in self.weights]
         if self.dual is not None:
-            out["dual_step"] = self.dual_step
             out["dual"] = [float(v) for v in self.dual]
         return out
 
@@ -314,57 +352,18 @@ def critical_visibility(
     """Maximal beta with behavior((1-beta) noise + beta rho) still local.
 
     The behavior is affine in beta, so a single LP with beta as an extra
-    variable decides the threshold for this fixed measurement assignment.
-    This is a lower bound on the scenario-level critical visibility, which
-    would further optimize over measurements.
+    variable decides the threshold for this fixed measurement assignment, and
+    its dual is the certificate of nonlocality above it. This is a lower
+    bound on the scenario-level critical visibility, which would further
+    optimize over measurements.
     """
     zeta = noise.resolve(rho.d, rho.n)
     b_noise = behavior(zeta, meas).vector()
-    b_signal = behavior(rho, meas).vector()
-    delta = b_signal - b_noise
+    delta = behavior(rho, meas).vector() - b_noise
     sc = meas.scenario()
-
-    d = vertex_matrix(sc, cap=cap)
-    rows, count = d.shape
-    # columns: weights, beta, slack of beta <= 1
-    a = np.zeros((rows + 2, count + 2))
-    a[:rows, :count] = d
-    a[:rows, count] = -delta
-    a[rows, :count] = 1.0
-    a[rows + 1, count] = 1.0
-    a[rows + 1, count + 1] = 1.0
-    b_eq = np.concatenate([b_noise, [1.0, 1.0]])
-    c = np.zeros(count + 2)
-    c[count] = 1.0
-
-    res = simplex_max(LinearProgram(c=c, a_eq=a, b_eq=b_eq), tol=tol)
-    if res.status != OPTIMAL:
-        raise DomainError(
-            f"visibility LP ended with status {res.status!r}; at beta = 0 this "
-            "means the noise behavior itself is outside the local polytope "
-            "(an explicit noise state must be Bell-local)"
-        )
-    assert res.x is not None
-    beta = float(res.x[count])
-    _check_weights(d, res.x[:count], b_noise + beta * delta)
-    beta_star = min(max(beta, 0.0), 1.0)
-
-    dual_vec = None
-    step_used = None
-    if beta_star < 1.0 - tol:
-        probe = b_noise + min(beta_star + DUAL_STEP, 1.0) * delta
-        check = _membership(sc, probe, tol=tol, cap=cap)
-        if not check.is_local:
-            dual_vec = check.farkas
-            step_used = DUAL_STEP
-    return VisibilityResult(
-        beta_star=beta_star,
-        certificate_kind="local-weights",
-        weights=res.x[:count],
-        scenario=sc,
-        dual_step=step_used,
-        dual=dual_vec,
-    )
+    beta, weights, dual = _membership(sc, b_noise, delta, tol, cap)
+    return VisibilityResult(beta_star=min(max(beta, 0.0), 1.0), certificate_kind="local-weights",
+                            weights=weights, scenario=sc, dual=dual)
 
 
 def lhv_bounds_lp(f: BellFunctional, cap: int = DEFAULT_VERTEX_CAP) -> tuple[float, float]:

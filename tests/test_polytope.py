@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from helpers import MIXED_SCENARIO, chsh_optimal_assignment, mermin3_optimal_assignment
 
+from belltol import polytope
 from belltol.errors import ResourceCapError, SolverError
 from belltol.polytope import (
     INFEASIBLE,
@@ -52,13 +54,10 @@ def test_simplex_two_variables():
     assert res.objective == pytest.approx(1.0, abs=1e-12)
 
 
-def test_simplex_infeasible_with_farkas():
+def test_simplex_infeasible():
     res = simplex_max(lp([1.0], [[1.0], [1.0]], [1.0, 2.0]))
     assert res.status == INFEASIBLE
-    a = np.array([[1.0], [1.0]])
-    b = np.array([1.0, 2.0])
-    assert np.all(res.farkas @ a <= 1e-9)
-    assert res.farkas @ b > 1e-9
+    assert res.x is None and res.dual is None
 
 
 def test_simplex_unbounded():
@@ -73,10 +72,19 @@ def test_simplex_negative_rhs():
     assert res.objective == pytest.approx(2.0, abs=1e-9)
 
 
+def assert_optimal_dual(res, c, a, b):
+    """The returned dual is feasible and closes the duality gap."""
+    assert res.dual.shape == (a.shape[0],)
+    assert np.all(res.dual @ a >= c - 1e-8)
+    assert float(res.dual @ b) == pytest.approx(res.objective, abs=1e-8)
+
+
 def test_simplex_redundant_rows():
-    res = simplex_max(lp([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0]))
+    c, a, b = np.array([1.0, 1.0]), np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([1.0, 2.0])
+    res = simplex_max(lp(c, a, b))
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(1.0, abs=1e-9)
+    assert_optimal_dual(res, c, a, b)
 
 
 def brute_force_lp_max(c, a, b, tol=1e-9):
@@ -118,6 +126,7 @@ def test_simplex_random_lps_against_vertex_scan():
         # primal feasibility of the returned solution
         assert np.allclose(a @ res.x, b, atol=1e-8)
         assert np.min(res.x) >= -1e-9
+        assert_optimal_dual(res, c, a, b)
 
 
 def test_vertex_soundness():
@@ -217,12 +226,33 @@ def test_visibility_certificate_weights_reconstruct():
 
 
 def test_visibility_dual_is_separating():
-    vis = critical_visibility(ghz(2, 2), NoiseSpec.white(), chsh_optimal_assignment())
-    assert vis.dual is not None
-    g = separating_functional(vis.scenario, vis.dual)
-    mixed = mix(white_noise(2, 2), ghz(2, 2), vis.beta_star + vis.dual_step)
-    val = evaluate(g, behavior(mixed, chsh_optimal_assignment()))
-    assert val > lhv_bounds(g).sup
+    mk4 = seesaw(mermin(4), ghz(2, 4), restarts=5, seed=1).assignment
+    cases = ((ghz(2, 2), chsh_optimal_assignment()), (ghz(2, 3), mermin3_optimal_assignment()),
+             (ghz(2, 4), mk4))
+    for rho, assign in cases:
+        vis = critical_visibility(rho, NoiseSpec.white(), assign)
+        assert vis.dual is not None
+        assert "dual_step" not in vis.to_json_dict()
+        g = separating_functional(vis.scenario, vis.dual)
+        sup = lhv_bounds(g).sup
+        assert sup == pytest.approx(-vis.dual[-1], abs=1e-9)
+        # one dual separates every beta above beta*, not just one probe
+        for beta in (vis.beta_star + 1e-6, vis.beta_star + 1e-3, 1.0):
+            mixed = mix(white_noise(2, rho.n), rho, beta)
+            assert evaluate(g, behavior(mixed, assign)) > sup
+
+
+def test_visibility_wrong_dual_raises(monkeypatch):
+    # a dual that is no certificate must raise, never be returned
+    def negated(lp, tol=polytope.DEFAULT_LP_TOL):
+        res = simplex_max(lp, tol=tol)
+        return dataclasses.replace(res, dual=-res.dual)
+
+    monkeypatch.setattr(polytope, "simplex_max", negated)
+    with pytest.raises(SolverError):
+        critical_visibility(ghz(2, 2), NoiseSpec.white(), chsh_optimal_assignment())
+    with pytest.raises(SolverError):
+        is_local(behavior(ghz(2, 2), chsh_optimal_assignment()))
 
 
 def test_visibility_monotone_in_beta():
@@ -250,25 +280,38 @@ def assert_local_certificate(weights, sc, target):
 
 
 def test_visibility_w3_certificate_checked():
-    # the native simplex once returned beta* = 1.0 here, with weights summing to 6
+    # the native simplex once returned beta* = 1.0 here, with weights summing to 6,
+    # and then raised SolverError until pivots were taken relative to the column's scale
     assign = seesaw(mermin(3), w_state(3), restarts=5, seed=2).assignment
-    try:
-        vis = critical_visibility(w_state(3), NoiseSpec.white(), assign)
-    except SolverError:
-        return
-    assert vis.beta_star != 1.0
+    vis = critical_visibility(w_state(3), NoiseSpec.white(), assign)
+    assert vis.beta_star == pytest.approx(0.6566083018987842, abs=1e-9)  # HiGHS
     mixed = mix(white_noise(2, 3), w_state(3), vis.beta_star)
     assert_local_certificate(vis.weights, vis.scenario, behavior(mixed, assign).vector())
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.25])
 def test_is_local_ghz4_certificate_checked(beta):
-    # "local" used to come with weights summing to between 60 and 1e14
+    # "local" used to come with weights summing to between 60 and 1e14, and
+    # then the phase-1 membership LP raised SolverError; beta* is 2^-1.5 here
     assign = seesaw(mermin(4), ghz(2, 4), restarts=5, seed=1).assignment
     b = behavior(mix(white_noise(2, 4), ghz(2, 4), beta), assign)
-    try:
-        res = is_local(b)
-    except SolverError:
-        return
-    if res.is_local:
-        assert_local_certificate(res.weights, b.scenario, b.vector())
+    res = is_local(b)
+    assert res.is_local
+    assert_local_certificate(res.weights, b.scenario, b.vector())
+
+
+@pytest.mark.parametrize("case, beta", [("ghz3-yx", 0.2), ("ghz3-yx", 0.5),
+                                        ("w3-mk-seed2", 0.2), ("w3-mk-seed2", 0.6)])
+def test_is_local_answers_local_behaviors(case, beta):
+    # ghz3-yx: the phase-1 membership LP raised LinAlgError('Singular matrix').
+    # w3-mk-seed2: the visibility LP from the uniform behavior pivoted on
+    # round-off into a singular basis, until pivots were taken relative to the
+    # column's scale
+    if case == "ghz3-yx":
+        rho, assign = ghz(2, 3), mermin3_optimal_assignment()
+    else:
+        rho, assign = w_state(3), seesaw(mermin(3), w_state(3), restarts=5, seed=2).assignment
+    b = behavior(mix(white_noise(2, 3), rho, beta), assign)
+    res = is_local(b)
+    assert res.is_local
+    assert_local_certificate(res.weights, b.scenario, b.vector())
