@@ -144,8 +144,10 @@ class _Tableau:
 def simplex_max(lp: LinearProgram, tol: float = DEFAULT_LP_TOL) -> SimplexResult:
     """Two-phase primal simplex with Bland's rule.
 
-    Infeasible and unbounded instances are reported as statuses, never as
-    exceptions. An optimum carries its dual for the original (unflipped) rows.
+    Infeasible and unbounded instances are reported as statuses. A phase 1
+    that ends other than optimal, or leaves an artificial column basic after
+    dropping redundant rows, is a numerical failure and raises SolverError. An
+    optimum carries its dual for the original (unflipped) rows.
     """
     a, b, c = lp.a_eq, lp.b_eq, lp.c
     m, n = a.shape
@@ -154,7 +156,8 @@ def simplex_max(lp: LinearProgram, tol: float = DEFAULT_LP_TOL) -> SimplexResult
     # phase 1: drive artificials to zero
     phase1_cost = np.concatenate([np.zeros(n), -np.ones(m)])
     status = tab.run_bland(phase1_cost, eligible=n + m, tol=tol)
-    assert status == OPTIMAL  # phase 1 is bounded by construction
+    if status != OPTIMAL:
+        raise SolverError(f"phase 1 ended {status!r}, but its objective is bounded by 0")
     infeas = -float(phase1_cost[tab.basis] @ tab.x_b)
     if infeas > tol:
         return SimplexResult(status=INFEASIBLE)
@@ -174,7 +177,8 @@ def simplex_max(lp: LinearProgram, tol: float = DEFAULT_LP_TOL) -> SimplexResult
     keep = [i for i in range(m) if i not in drop_rows]
     if drop_rows:
         basis = [tab.basis[i] for i in keep]
-        assert all(j < n for j in basis)  # only real columns survive the drop
+        if any(j >= n for j in basis):
+            raise SolverError("an artificial column is still basic after the row drop")
         tab = _Tableau(a[keep], b[keep])
         tab.basis = basis
         tab.refactor()

@@ -5,6 +5,13 @@ The seesaw takes any functional whose outcomes are (+1, -1) pairs. It expands
 each table exactly into correlators (products of outcome values over subsets
 of sites), where the optimal single-party update is the closed-form
 sign-operator step.
+
+Both ``behavior`` and the seesaw contract the state with one stack of m
+operators per site, site 0 first, one ``tensordot`` each (``_site_contract``):
+a setting's effects for ``behavior``, [I, O_0, ..., O_(S-1)] for the seesaw,
+whose correlator tensor weighs all terms at once. Site p costs about
+d^(2(n-p)) m_0 ... m_p multiply-adds, so while m < d^2 a table costs
+O(m d^(2n)) and a seesaw sweep n + 1 such contractions, whatever the terms.
 """
 
 from __future__ import annotations
@@ -172,40 +179,28 @@ def _rho_tensor(rho: DensityMatrix) -> np.ndarray:
     return rho.matrix.reshape((rho.d,) * (2 * rho.n))
 
 
-def _expectation(rho_t: np.ndarray, ops: list[np.ndarray | None]) -> float:
-    """tr[rho (O_1 x ... x O_n)] with None meaning identity at that site."""
-    n = len(ops)
-    args: list = [rho_t, list(range(2 * n))]
-    for site, op in enumerate(ops):
-        if op is None:
-            continue
-        args.extend([op, [n + site, site]])
-    # identity sites reduce to a bra/ket index trace: rename the column index
-    # of each such site to its row index
-    ident = [s for s, op in enumerate(ops) if op is None]
-    if ident:
-        sub_in = list(range(2 * n))
-        for s in ident:
-            sub_in[n + s] = s
-        args[1] = sub_in
-    out = np.einsum(*args, [])
-    return complex(out).real
+def _site_contract(
+    rho_t: np.ndarray, stacks: list[np.ndarray], open_site: int | None = None
+) -> np.ndarray:
+    """T[m_1, ..., m_n] = tr[rho (A_1[m_1] x ... x A_n[m_n])] for operator
+    stacks A_p of shape (m_p, d, d), indexed [m, bra, ket].
 
-
-def _local_operator(rho_t: np.ndarray, ops: list[np.ndarray | None], site: int) -> np.ndarray:
-    """K with tr[rho (O_1 x ... A_site ... x O_n)] = tr[K A_site], identity for None."""
-    n = len(ops)
-    sub_in = list(range(2 * n))
-    args: list = [rho_t, sub_in]
-    for s, op in enumerate(ops):
-        if s == site:
+    Sites are contracted in order, one ``tensordot`` each, against the (ket,
+    bra) axis pair of ``rho_t``; the tensor shrinks by d^2 and grows by m_p at
+    every site. An ``open_site`` is skipped: its (ket, bra) pair leads the
+    result, K[k, b] with tr[rho (... x B x ...)] = tr[K B] for an operator B
+    at that site.
+    """
+    n = len(stacks)
+    t = rho_t
+    for site, stack in enumerate(stacks):
+        if site == open_site:
             continue
-        if op is None:
-            sub_in[n + s] = s
-            continue
-        args.extend([op, [n + s, s]])
-    out = np.einsum(*args, [site, n + site])
-    return out
+        # axes left: kets of the open site (when before this one) and of sites
+        # site..n-1, then their bras in the same order, then the m axes so far
+        before = int(open_site is not None and open_site < site)
+        t = np.tensordot(t, stack, axes=([before, n - site + 2 * before], [2, 1]))
+    return t
 
 
 def behavior(rho: DensityMatrix, meas: MeasurementAssignment) -> Behavior:
@@ -217,15 +212,11 @@ def behavior(rho: DensityMatrix, meas: MeasurementAssignment) -> Behavior:
             f"assignment site dimension {meas.site_dim} != state dimension {rho.d}"
         )
     sc = meas.scenario()
-    n = rho.n
     rho_t = _rho_tensor(rho)
+    effects = [[np.stack(m.effects) for m in party] for party in meas.measurements]
     tables = {}
     for s in sc.joint_settings():
-        stacks = [np.stack(meas.measurements[p][s_p].effects) for p, s_p in enumerate(s)]
-        args: list = [rho_t, list(range(2 * n))]
-        for p, stack in enumerate(stacks):
-            args.extend([stack, [2 * n + p, n + p, p]])
-        table = np.einsum(*args, [2 * n + p for p in range(n)]).real
+        table = _site_contract(rho_t, [effects[p][s_p] for p, s_p in enumerate(s)]).real
         # clip roundoff-negative entries at the 1e-12 invariant boundary
         table[(table < 0) & (table > -1e-12)] = 0.0
         tables[s] = table
@@ -233,19 +224,17 @@ def behavior(rho: DensityMatrix, meas: MeasurementAssignment) -> Behavior:
 
 
 def evaluate(f: BellFunctional, b: Behavior) -> float:
-    """Sum over joint settings and outcomes of coefficient times probability."""
-    if f.scenario.settings != b.scenario.settings:
+    """Sum over joint settings and outcomes of coefficient times probability.
+
+    The two scenarios must list the same outcome values in the same order:
+    tables of equal shape over reordered outcomes would pair the wrong
+    entries."""
+    if f.scenario.outcomes != b.scenario.outcomes:
         raise ValidationError(
-            f"functional settings {f.scenario.settings} != behavior settings "
-            f"{b.scenario.settings}"
+            f"functional outcomes {f.scenario.outcomes} != behavior outcomes "
+            f"{b.scenario.outcomes}"
         )
-    total = 0.0
-    for s, table in f.coeffs.items():
-        p = b.tables[s]
-        if p.shape != table.shape:
-            raise ValidationError(f"shape mismatch at joint setting {s}")
-        total += float(np.sum(table * p))
-    return total
+    return sum(float(np.sum(table * b.tables[s])) for s, table in f.coeffs.items())
 
 
 def violation_ratio(
@@ -344,15 +333,31 @@ def _dichotomic(obs: np.ndarray, values: tuple[float, ...]) -> Measurement:
     return Measurement(m.effects[::-1], values)
 
 
-def _objective(rho_t: np.ndarray, terms: list[CorrelationTerm], obs) -> float:
-    total = 0.0
+def _correlator_tensor(terms: list[CorrelationTerm], settings: tuple[int, ...]) -> np.ndarray:
+    """C with objective sum(C * T), T = _site_contract over the stacks
+    [I, O_0, ..., O_(S-1)]: index 0 at a site means the site does not take
+    part, index s + 1 that it measures setting s."""
+    c = np.zeros(tuple(m + 1 for m in settings))
     for t in terms:
-        ops = [
-            obs[p][s_p] if t.participates[p] else None
-            for p, s_p in enumerate(t.setting)
-        ]
-        total += t.weight * _expectation(rho_t, ops)
-    return total
+        c[tuple(s + 1 if on else 0 for s, on in zip(t.setting, t.participates))] += t.weight
+    return c
+
+
+def _objective(rho_t: np.ndarray, c: np.ndarray, stacks: list[np.ndarray]) -> float:
+    return float(np.sum(c * _site_contract(rho_t, stacks).real))
+
+
+def _local_operators(
+    rho_t: np.ndarray, c: np.ndarray, stacks: list[np.ndarray], party: int
+) -> np.ndarray:
+    """K of shape (S + 1, d, d) with objective = sum_s tr[K[s + 1] O_s] +
+    tr[K[0]] in party's observables O_s, the other parties' held fixed."""
+    others = list(range(1, len(stacks)))
+    return np.tensordot(
+        np.moveaxis(c, party, 0),
+        _site_contract(rho_t, stacks, open_site=party),
+        axes=(others, [a + 1 for a in others]),
+    )
 
 
 def seesaw(
@@ -382,42 +387,32 @@ def seesaw(
         raise DomainError(f"restarts must be >= 1, got {restarts}")
     d = rho.d
     rho_t = _rho_tensor(rho)
+    c = _correlator_tensor(terms, sc.settings)
+    eye = np.eye(d, dtype=np.complex128)
 
     best_abs = -1.0
-    best_obs: list[list[np.ndarray]] | None = None
+    best_obs: list[np.ndarray] | None = None
     best_trace: tuple[float, ...] = ()
     best_objective = 0.0
     best_converged = True
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
-        obs = [
-            [_random_observable(d, rng) for _ in range(sc.settings[p])]
+        stacks = [
+            np.stack([eye] + [_random_observable(d, rng) for _ in range(sc.settings[p])])
             for p in range(sc.parties)
         ]
-        value = _objective(rho_t, terms, obs)
+        value = _objective(rho_t, c, stacks)
         trace = []
         converged = False
         for _ in range(MAX_SWEEPS):
             for party in range(sc.parties):
-                locals_ = [np.zeros((d, d), dtype=np.complex128) for _ in range(sc.settings[party])]
-                touched = [False] * sc.settings[party]
-                for t in terms:
-                    if not t.participates[party]:
-                        continue
-                    ops = [
-                        obs[p][s_p] if t.participates[p] else None
-                        for p, s_p in enumerate(t.setting)
-                    ]
-                    k = _local_operator(rho_t, ops, party)
-                    s_here = t.setting[party]
-                    locals_[s_here] = locals_[s_here] + t.weight * k
-                    touched[s_here] = True
-                for s_here, hit in enumerate(touched):
+                locals_ = _local_operators(rho_t, c, stacks, party)
+                for s_here, k in enumerate(locals_[1:], start=1):
                     # a vanishing local operator carries no update direction
                     # (every observable is optimal); keep the current one
-                    if hit and np.max(np.abs(locals_[s_here])) > SIGN_EIG_TOL:
-                        obs[party][s_here] = sign_operator(locals_[s_here])
-            new_value = _objective(rho_t, terms, obs)
+                    if np.max(np.abs(k)) > SIGN_EIG_TOL:
+                        stacks[party][s_here] = sign_operator(k)
+            new_value = _objective(rho_t, c, stacks)
             trace.append(new_value)
             if new_value < value - 1e-12:
                 raise ValidationError(
@@ -430,7 +425,7 @@ def seesaw(
             value = new_value
         if abs(value) > best_abs:
             best_abs = abs(value)
-            best_obs = [list(row) for row in obs]
+            best_obs = [stack[1:] for stack in stacks]
             best_trace = tuple(trace)
             best_objective = value
             best_converged = converged

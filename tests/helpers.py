@@ -71,3 +71,60 @@ def random_assignment(
         tuple(random_povm(d, outcomes, rng) for _ in range(settings))
         for _ in range(parties)
     ))
+
+
+# --- reference contractions ---------------------------------------------------
+# One unordered einsum per correlator term: the tests check qvalue's
+# site-by-site contraction against these.
+
+
+def expectation(rho_t: np.ndarray, ops: list[np.ndarray | None]) -> float:
+    """tr[rho (O_1 x ... x O_n)] with None meaning identity at that site."""
+    n = len(ops)
+    sub_in = list(range(2 * n))
+    args: list = [rho_t, sub_in]
+    for site, op in enumerate(ops):
+        if op is None:
+            # an identity site traces its bra index against its ket index
+            sub_in[n + site] = site
+            continue
+        args.extend([op, [n + site, site]])
+    return complex(np.einsum(*args, [])).real
+
+
+def local_operator(rho_t: np.ndarray, ops: list[np.ndarray | None], site: int) -> np.ndarray:
+    """K with tr[rho (O_1 x ... A_site ... x O_n)] = tr[K A_site], identity for None."""
+    n = len(ops)
+    sub_in = list(range(2 * n))
+    args: list = [rho_t, sub_in]
+    for s, op in enumerate(ops):
+        if s == site:
+            continue
+        if op is None:
+            sub_in[n + s] = s
+            continue
+        args.extend([op, [n + s, s]])
+    return np.einsum(*args, [site, n + site])
+
+
+def pure_state_tables(psi: np.ndarray, meas: MeasurementAssignment) -> dict:
+    """p(m | s) = ||(sqrt(E_1) x ... x sqrt(E_n)) psi||^2 for every joint
+    setting s, applying each site's effect roots to its axis of the state
+    vector."""
+    def root(e: np.ndarray) -> np.ndarray:
+        w, v = np.linalg.eigh(e)
+        return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+    d = meas.site_dim
+    # each (party, setting) stacks its effects' square roots into m * d rows
+    roots = [[np.vstack([root(e) for e in m.effects]) for m in party]
+             for party in meas.measurements]
+    tables = {}
+    for s in meas.scenario().joint_settings():
+        ks = [roots[p][s_p] for p, s_p in enumerate(s)]
+        amp = psi.reshape((d,) * len(ks))
+        for p, k in enumerate(ks):
+            amp = np.moveaxis(np.tensordot(k, amp, axes=([1], [p])), 0, p)
+        shape = [x for k in ks for x in (k.shape[0] // d, d)]
+        tables[s] = np.sum(np.abs(amp.reshape(shape)) ** 2, axis=tuple(range(1, len(shape), 2)))
+    return tables

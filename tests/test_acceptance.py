@@ -185,7 +185,9 @@ def test_criterion_6_property_suites():
 
     # affinity of the functional value in the state
     worst_aff = 0.0
-    f = bt.chsh()
+    # CHSH on the (-1, +1) outcomes of random_povm; reversing both outcome
+    # orders leaves its correlator tables as they are
+    f = BellFunctional(Scenario.uniform(2, 2), bt.chsh().coeffs)
     for _ in range(100):
         zeta = random_density(2, 2, rng)
         rho = random_density(2, 2, rng)

@@ -271,6 +271,16 @@ def test_exit_code_numerical_failure(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("internal error: Singular matrix")
 
 
+def test_exit_code_phase1_failure(monkeypatch, capsys):
+    from belltol import polytope
+
+    monkeypatch.setattr(polytope._Tableau, "run_bland",
+                        lambda self, cost, eligible, tol: polytope.UNBOUNDED)
+    code = main(["visibility", "--state", "ghz:2,2", "--restarts", "1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("internal error: phase 1")
+
+
 def test_deterministic_output(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["violation", "--state", "ghz:2,2", "--functional", "chsh",

@@ -255,6 +255,15 @@ def test_visibility_wrong_dual_raises(monkeypatch):
         is_local(behavior(ghz(2, 2), chsh_optimal_assignment()))
 
 
+def test_phase1_failure_raises(monkeypatch):
+    # phase 1 is bounded by 0; a run that reports otherwise is a numerical failure
+    monkeypatch.setattr(polytope._Tableau, "run_bland", lambda self, cost, eligible, tol: UNBOUNDED)
+    with pytest.raises(SolverError, match="phase 1"):
+        is_local(behavior(ghz(2, 2), chsh_optimal_assignment()))
+    with pytest.raises(SolverError, match="phase 1"):
+        critical_visibility(ghz(2, 2), NoiseSpec.white(), chsh_optimal_assignment())
+
+
 def test_visibility_monotone_in_beta():
     assign = chsh_optimal_assignment()
     vis = critical_visibility(ghz(2, 2), NoiseSpec.white(), assign)

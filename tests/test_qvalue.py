@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from helpers import (
+    MIXED_SCENARIO,
     SX,
     SY,
     chsh_optimal_assignment,
+    expectation,
+    local_operator,
     mermin3_optimal_assignment,
+    pure_state_tables,
     random_assignment,
     random_density,
+    random_povm,
 )
 
 from belltol import qvalue
@@ -42,7 +47,7 @@ from belltol.scenario import (
     product_expectation_functional,
     uniform_behavior,
 )
-from belltol.states import ghz, mix, product_zero, white_noise
+from belltol.states import from_vector, ghz, mix, product_zero, white_noise
 
 SQRT2 = math.sqrt(2.0)
 
@@ -90,6 +95,43 @@ def test_behavior_chsh_correlators():
         assert corr == pytest.approx(sign / SQRT2, abs=1e-9)
 
 
+def ghz_vector(d: int, n: int) -> np.ndarray:
+    psi = np.zeros(d**n, dtype=complex)
+    for j in range(d):
+        psi[int("".join([str(j)] * n), d)] = 1.0 / math.sqrt(d)
+    return psi
+
+
+def assert_pure_tables(psi, rho, meas):
+    b = behavior(rho, meas)
+    want = pure_state_tables(psi, meas)
+    assert set(b.tables) == set(want)
+    for s, table in want.items():
+        assert np.max(np.abs(b.tables[s] - table)) <= 1e-12
+    return len(want)
+
+
+@pytest.mark.parametrize("d, n, outcomes", [(2, 8, 2), (3, 3, 3)])
+def test_behavior_matches_state_vector_ghz(d, n, outcomes):
+    rng = np.random.default_rng(40 + n)
+    psi = ghz_vector(d, n)
+    rho = ghz(d, n)
+    assert np.max(np.abs(rho.matrix - np.outer(psi, psi.conj()))) <= 1e-15
+    meas = random_assignment(d, n, 2, outcomes, rng)
+    assert assert_pure_tables(psi, rho, meas) == 2**n
+
+
+def test_behavior_matches_state_vector_ragged_outcomes():
+    rng = np.random.default_rng(48)
+    meas = MeasurementAssignment(tuple(
+        tuple(Measurement(random_povm(3, len(vals), rng).effects, vals) for vals in party)
+        for party in MIXED_SCENARIO.outcomes
+    ))
+    psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    psi /= np.linalg.norm(psi)
+    assert_pure_tables(psi, from_vector(psi, 3, 2), meas)
+
+
 def test_behavior_dimension_mismatch():
     with pytest.raises(ValidationError):
         behavior(ghz(2, 3), chsh_optimal_assignment())
@@ -98,6 +140,16 @@ def test_behavior_dimension_mismatch():
 def test_evaluate_tsirelson():
     val = evaluate(chsh(), behavior(ghz(2, 2), chsh_optimal_assignment()))
     assert val == pytest.approx(2.0 * SQRT2, abs=1e-9)
+
+
+def test_evaluate_rejects_other_outcome_order():
+    # equal shapes, but outcome index 0 is -1 in f and +1 in b: pairing the
+    # tables would give a wrong number
+    f = product_expectation_functional(Scenario.uniform(2, 2), (0, 0), [0])
+    b = behavior(ghz(2, 2), chsh_optimal_assignment())
+    assert f.scenario.settings == b.scenario.settings
+    with pytest.raises(ValidationError, match="outcomes"):
+        evaluate(f, b)
 
 
 def test_evaluate_deterministic_within_lhv():
@@ -147,7 +199,9 @@ def test_violation_ratio_scale_invariant():
 
 def test_affinity_in_state():
     rng = np.random.default_rng(17)
-    f = chsh()
+    # CHSH on the (-1, +1) outcomes of random_povm; reversing both outcome
+    # orders leaves its correlator tables as they are
+    f = BellFunctional(Scenario.uniform(2, 2), chsh().coeffs)
     for _ in range(10):
         zeta = random_density(2, 2, rng)
         rho = random_density(2, 2, rng)
@@ -242,6 +296,42 @@ def test_correlation_form_random_pm_functionals(n):
         assert res.objective == pytest.approx(replay, abs=1e-9)
 
 
+def terms_ops(t, obs):
+    return [obs[p][s_p] if t.participates[p] else None for p, s_p in enumerate(t.setting)]
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4)])
+def test_site_contraction_matches_per_term_reference(d, n):
+    rng = np.random.default_rng(200 + 10 * d + n)
+    rho_t = random_density(d, n, rng).matrix.reshape((d,) * (2 * n))
+    subset = sorted(int(p) for p in rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+    marginal = product_expectation_functional(
+        Scenario.uniform(n, 2, values=(1.0, -1.0)), tuple(int(s) for s in rng.integers(2, size=n)),
+        subset,
+    )
+    functionals = [mermin(n), marginal]
+    if n <= 4:
+        functionals.append(random_pm_functional(n, rng))
+    for f in functionals:
+        settings = f.scenario.settings
+        terms = correlation_form(f)
+        c = qvalue._correlator_tensor(terms, settings)
+        obs = [[qvalue._random_observable(d, rng) for _ in range(m)] for m in settings]
+        stacks = [np.stack([np.eye(d), *row]) for row in obs]
+
+        want = sum(t.weight * expectation(rho_t, terms_ops(t, obs)) for t in terms)
+        assert abs(qvalue._objective(rho_t, c, stacks) - want) <= 1e-12
+        for party in range(n):
+            got = qvalue._local_operators(rho_t, c, stacks, party)
+            assert got.shape == (settings[party] + 1, d, d)
+            for s in range(settings[party]):
+                want = np.zeros((d, d), dtype=complex)
+                for t in terms:
+                    if t.participates[party] and t.setting[party] == s:
+                        want += t.weight * local_operator(rho_t, terms_ops(t, obs), party)
+                assert np.max(np.abs(got[s + 1] - want)) <= 1e-12
+
+
 def test_correlation_form_rejects_many_outcomes():
     sc = Scenario.uniform(2, 2, 3)
     tables = {s: np.zeros((3, 3)) for s in sc.joint_settings()}
@@ -265,6 +355,12 @@ def test_seesaw_monotone_trace():
     res = seesaw(mermin(3), ghz(2, 3), restarts=4, seed=7)
     diffs = np.diff(np.array(res.trace))
     assert np.all(diffs >= -1e-12)
+
+
+def test_seesaw_mermin8_ghz8():
+    res = seesaw(mermin(8), ghz(2, 8), restarts=2, seed=5)
+    assert res.value == pytest.approx(2.0**3.5, abs=1e-9)
+    assert res.converged
 
 
 def test_seesaw_white_noise():
