@@ -93,12 +93,10 @@ class BoundInterval:
 
 @dataclass(frozen=True)
 class ToleranceReport:
-    """Bracketing intervals for the maximal violation Y, the noise tolerance T
-    and the maximal tolerable noise M of one (family, d, n, s, meas) tuple.
-
-    Endpoints are tied together: T = 2/(1+Y) endpoint-for-endpoint (upper Y
-    gives lower T) and M = 1 - T endpoint-wise.
-    """
+    """Bracketing interval for the maximal violation Y of one (family, d, n,
+    s, meas) tuple, and the noise tolerance T and maximal tolerable noise M
+    it implies: T = 2/(1+Y) endpoint-for-endpoint (upper Y gives lower T) and
+    M = 1 - T endpoint-wise."""
 
     family: str
     d: int
@@ -106,25 +104,19 @@ class ToleranceReport:
     s: float
     meas_type: str
     upsilon: BoundInterval
-    tolerance: BoundInterval
-    max_noise: BoundInterval
     k: int | None = None
-    asymptotic_note: float | None = None
     notes: tuple[str, ...] = field(default=())
 
-    def __post_init__(self) -> None:
-        pairs = (
-            (self.tolerance.lower, tolerance_from_violation(self.upsilon.upper)),
-            (self.tolerance.upper, tolerance_from_violation(self.upsilon.lower)),
-            (self.max_noise.lower, 1.0 - self.tolerance.upper),
-            (self.max_noise.upper, 1.0 - self.tolerance.lower),
-        )
-        for got, want in pairs:
-            if abs(got - want) > 1e-12:
-                raise DomainError(
-                    f"inconsistent report: {got!r} vs {want!r} violates the "
-                    "tolerance/noise identities"
-                )
+    @property
+    def tolerance(self) -> BoundInterval:
+        ups = self.upsilon
+        return BoundInterval(tolerance_from_violation(ups.upper),
+                             tolerance_from_violation(ups.lower), ups.active_term)
+
+    @property
+    def max_noise(self) -> BoundInterval:
+        tol = self.tolerance
+        return BoundInterval(1.0 - tol.upper, 1.0 - tol.lower, tol.active_term)
 
     @property
     def regime(self) -> str:
@@ -132,6 +124,7 @@ class ToleranceReport:
 
     def row(self) -> dict:
         """Flat mapping for CSV/JSON sweep tables."""
+        tol, noise = self.tolerance, self.max_noise
         return {
             "family": self.family,
             "d": self.d,
@@ -141,44 +134,14 @@ class ToleranceReport:
             "meas_type": self.meas_type,
             "upsilon_lo": self.upsilon.lower,
             "upsilon_hi": self.upsilon.upper,
-            "tol_lo": self.tolerance.lower,
-            "tol_hi": self.tolerance.upper,
-            "noise_lo": self.max_noise.lower,
-            "noise_hi": self.max_noise.upper,
+            "tol_lo": tol.lower,
+            "tol_hi": tol.upper,
+            "noise_lo": noise.lower,
+            "noise_hi": noise.upper,
             "active_term": self.upsilon.active_term,
             "regime": self.regime,
             "notes": "; ".join(self.notes),
         }
-
-
-def report_from_upsilon(
-    family: str,
-    d: int,
-    n: int,
-    s: float,
-    meas_type: str,
-    upsilon_lo: float,
-    upsilon_hi: float,
-    active_term: str,
-    k: int | None = None,
-    asymptotic_note: float | None = None,
-    notes: tuple[str, ...] = (),
-) -> ToleranceReport:
-    """Assemble a consistent report from a violation interval."""
-    ups = BoundInterval(upsilon_lo, upsilon_hi, active_term=active_term)
-    tol = BoundInterval(
-        tolerance_from_violation(upsilon_hi),
-        tolerance_from_violation(upsilon_lo),
-        active_term=active_term,
-    )
-    noise = BoundInterval(
-        1.0 - tol.upper, 1.0 - tol.lower, active_term=active_term
-    )
-    return ToleranceReport(
-        family=family, d=d, n=n, s=s, meas_type=meas_type,
-        upsilon=ups, tolerance=tol, max_noise=noise, k=k,
-        asymptotic_note=asymptotic_note, notes=notes,
-    )
 
 
 def _min_term(terms: dict[str, float]) -> tuple[float, str]:
@@ -232,9 +195,9 @@ def generic_noise_bounds(d: int, n: int, s, mt: str) -> ToleranceReport:
     state. Only an upper violation bound exists in this generality, so the
     violation interval starts at the trivial 1."""
     hi, term = generic_upsilon_upper(d, n, s, mt)
-    return report_from_upsilon(
+    return ToleranceReport(
         family="generic", d=d, n=n, s=_check_settings(s), meas_type=_check_meas(mt),
-        upsilon_lo=1.0, upsilon_hi=hi, active_term=term,
+        upsilon=BoundInterval(1.0, hi, term),
     )
 
 
@@ -283,9 +246,9 @@ def ghz_noise_bounds(d: int, n: int, s, mt: str) -> ToleranceReport:
                  "2^((n-1)/2) of the n-qubit maximally correlated state",)
     if (d, n, s, mt) == (3, 3, 2, PROJECTIVE):
         notes = notes + (GHZ_33_DISCREPANCY_NOTE,)
-    return report_from_upsilon(
+    return ToleranceReport(
         family="ghz", d=d, n=n, s=_check_settings(s), meas_type=_check_meas(mt),
-        upsilon_lo=lo, upsilon_hi=hi, active_term=term, notes=notes,
+        upsilon=BoundInterval(lo, hi, term), notes=notes,
     )
 
 
@@ -302,10 +265,9 @@ def ghz_qubit_exact(n: int) -> ToleranceReport:
         raise DomainError(f"n must be >= 2, got {n}")
     lo = _fpow(2.0, (n - 1) / 2.0)
     hi = 1.0 + _fpow(2.0, n - 1)
-    return report_from_upsilon(
+    return ToleranceReport(
         family="ghz", d=2, n=n, s=S_INF, meas_type=GENERALIZED,
-        upsilon_lo=lo, upsilon_hi=hi, active_term="1+2^(n-1)(d-1)",
-        asymptotic_note=ghz_qubit_asymptotic(n),
+        upsilon=BoundInterval(lo, hi, "1+2^(n-1)(d-1)"),
         notes=("violation lower endpoint: exact two-setting projective value "
                "2^((n-1)/2) of the n-qubit maximally correlated state",),
     )
@@ -338,10 +300,9 @@ def dicke_bounds(n: int, k: int) -> ToleranceReport:
         raise DomainError(f"k must be in 1..{n - 1}, got {k}")
     lo = _dicke_upsilon_lower(n, k)
     hi = _fpow(3.0, n - 1)
-    return report_from_upsilon(
+    return ToleranceReport(
         family="dicke" if k != 1 else "w", d=2, n=n, s=S_INF, meas_type=GENERALIZED,
-        upsilon_lo=lo, upsilon_hi=hi, active_term="3^(n-1)", k=k,
-        notes=(DICKE_LOWER_NOTE,),
+        upsilon=BoundInterval(lo, hi, "3^(n-1)"), k=k, notes=(DICKE_LOWER_NOTE,),
     )
 
 

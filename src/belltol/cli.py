@@ -28,6 +28,7 @@ from .bounds import (
     ToleranceReport,
     family_report,
     sweep_reports,
+    tolerance_from_violation,
 )
 from .errors import (
     BelltolError,
@@ -70,6 +71,19 @@ def _sig9(x):
     if isinstance(x, (list, tuple)):
         return [_sig9(v) for v in x]
     return x
+
+
+def _printed_assignment(assignment: MeasurementAssignment) -> dict:
+    """Assignment JSON with every effect entry rounded to 12 decimal places
+    and -0.0 printed as 0.0, so round-off in entries that are 0 does not
+    change stdout. ``MeasurementAssignment.save`` keeps full precision."""
+    data = assignment.to_json_dict()
+    for party in data["parties"]:
+        for m in party:
+            for e in m["effects"]:
+                for part in ("re", "im"):
+                    e[part] = [round(x, 12) + 0.0 for x in e[part]]
+    return data
 
 
 def _parse_int_list(text: str, allow_inf: bool = False) -> list:
@@ -222,7 +236,7 @@ def cmd_violation(args: argparse.Namespace) -> int:
             {"functional": name, "value": val} for name, val in found.per_functional
         ],
         "sweeps": len(found.result.trace),
-        "assignment": found.result.assignment.to_json_dict(),
+        "assignment": _printed_assignment(found.result.assignment),
     }
     config = {
         "subcommand": "violation",
@@ -281,7 +295,7 @@ def cmd_tolerance(args: argparse.Namespace) -> int:
     found = upsilon_lower_bound(
         state, library, restarts=args.restarts, seed=args.seed
     )
-    seesaw_tol_upper = 2.0 / (1.0 + max(found.value, 1.0))
+    seesaw_tol_upper = tolerance_from_violation(max(found.value, 1.0))
 
     warning = None
     formula: ToleranceReport | None = None

@@ -14,7 +14,8 @@ class ValidationError(BelltolError, ValueError):
 
 
 class DegenerateFunctionalError(DomainError):
-    """The functional's LHV constant is zero, so violation ratios are undefined."""
+    """The functional is constant on the local polytope, so violation ratios
+    are undefined."""
 
 
 class UnsupportedFunctionalError(BelltolError):

@@ -372,14 +372,14 @@ def critical_visibility(
 
 def lhv_bounds_lp(f: BellFunctional, cap: int = DEFAULT_VERTEX_CAP) -> tuple[float, float]:
     """(sup, inf) of a functional over the local polytope via the LP route,
-    for cross-checking the enumeration path."""
-    d = vertex_matrix(f.scenario, cap=cap)
-    values = functional_row_vector(f) @ d
-    count = values.size
-    a = np.ones((1, count))
-    b_eq = np.array([1.0])
-    sup_res = simplex_max(LinearProgram(c=values, a_eq=a, b_eq=b_eq))
-    inf_res = simplex_max(LinearProgram(c=-values, a_eq=a, b_eq=b_eq))
-    assert sup_res.status == OPTIMAL and inf_res.status == OPTIMAL
-    assert sup_res.objective is not None and inf_res.objective is not None
-    return float(sup_res.objective), float(-inf_res.objective)
+    for cross-checking the enumeration path. Raises SolverError unless both
+    LPs end optimal."""
+    values = functional_row_vector(f) @ vertex_matrix(f.scenario, cap=cap)
+    a, b_eq = np.ones((1, values.size)), np.array([1.0])
+    objectives = []
+    for c in (values, -values):
+        res = simplex_max(LinearProgram(c=c, a_eq=a, b_eq=b_eq))
+        if res.status != OPTIMAL:
+            raise SolverError(f"LHV extremum LP ended {res.status!r} on a nonempty polytope")
+        objectives.append(float(res.objective))
+    return objectives[0], -objectives[1]

@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateFunctionalError,
-    DomainError,
-    UnsupportedFunctionalError,
-    ValidationError,
-)
+from .errors import DomainError, UnsupportedFunctionalError, ValidationError
 from .linalg import (
     JsonFile,
     as_cmatrix,
@@ -240,11 +235,9 @@ def evaluate(f: BellFunctional, b: Behavior) -> float:
 def violation_ratio(
     f: BellFunctional, rho: DensityMatrix, meas: MeasurementAssignment
 ) -> float:
-    """|functional value| / LHV constant for a fixed measurement assignment."""
-    bounds = lhv_bounds(f)
-    if bounds.b_lhv <= 0.0:
-        raise DegenerateFunctionalError("functional has zero LHV constant")
-    return abs(evaluate(f, behavior(rho, meas))) / bounds.b_lhv
+    """Violation ratio (``LhvBounds.violation``) of the functional's value for a
+    fixed measurement assignment."""
+    return lhv_bounds(f).violation(evaluate(f, behavior(rho, meas)))
 
 
 # --- seesaw -----------------------------------------------------------------
@@ -295,7 +288,7 @@ def correlation_form(f: BellFunctional) -> list[CorrelationTerm]:
 
 @dataclass(frozen=True)
 class SeesawResult:
-    value: float
+    value: float  # violation ratio of the objective, LhvBounds.violation
     assignment: MeasurementAssignment
     trace: tuple[float, ...]
     restarts_used: int
@@ -374,12 +367,14 @@ def seesaw(
     other parties' fixed observables; the objective never decreases. Each
     restart draws fresh Haar-random projective observables from a stream
     seeded by (seed, restart) and stops when a sweep gains less than
-    ``sweep_tol``, or after MAX_SWEEPS sweeps. Returns the best restart.
+    ``sweep_tol``, or after MAX_SWEEPS sweeps. Returns the restart with the
+    largest objective; its ``value`` is the objective's violation ratio
+    against the functional's LHV range, so adding a constant to ``f`` leaves
+    it unchanged. The search only raises ``f``: to look below its LHV range,
+    pass ``f.scaled(-1)``.
     """
     terms = correlation_form(f)
     bounds = lhv_bounds(f)
-    if bounds.b_lhv <= 0.0:
-        raise DegenerateFunctionalError("functional has zero LHV constant")
     sc = f.scenario
     if sc.parties != rho.n:
         raise ValidationError(f"functional has {sc.parties} parties, state has {rho.n}")
@@ -390,10 +385,9 @@ def seesaw(
     c = _correlator_tensor(terms, sc.settings)
     eye = np.eye(d, dtype=np.complex128)
 
-    best_abs = -1.0
+    best_objective = -math.inf
     best_obs: list[np.ndarray] | None = None
     best_trace: tuple[float, ...] = ()
-    best_objective = 0.0
     best_converged = True
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
@@ -423,8 +417,7 @@ def seesaw(
                 converged = True
                 break
             value = new_value
-        if abs(value) > best_abs:
-            best_abs = abs(value)
+        if value > best_objective:
             best_obs = [stack[1:] for stack in stacks]
             best_trace = tuple(trace)
             best_objective = value
@@ -438,7 +431,7 @@ def seesaw(
         )
     )
     return SeesawResult(
-        value=best_abs / bounds.b_lhv,
+        value=bounds.violation(best_objective),
         assignment=assignment,
         trace=best_trace,
         restarts_used=restarts,
@@ -451,7 +444,6 @@ def seesaw(
 class UpsilonLowerBound:
     value: float
     best_label: str
-    best_index: int
     result: SeesawResult
     per_functional: tuple[tuple[str, float], ...]
 
@@ -478,8 +470,7 @@ def upsilon_lower_bound(
     assert best is not None
     label = functional_library[best_i].label or f"functional{best_i}"
     return UpsilonLowerBound(
-        value=best.value, best_label=label, best_index=best_i,
-        result=best, per_functional=tuple(per),
+        value=best.value, best_label=label, result=best, per_functional=tuple(per),
     )
 
 

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceCapError, ValidationError
+from .errors import DegenerateFunctionalError, DomainError, ResourceCapError, ValidationError
 from .linalg import JsonFile
 
 DEFAULT_ENUM_CAP = 10**8
@@ -200,18 +200,30 @@ class BellFunctional(JsonFile):
 
 @dataclass(frozen=True)
 class LhvBounds:
-    """Exact extrema of a functional over deterministic strategies."""
+    """Exact extrema of a functional over deterministic strategies, and the
+    violation ratio measured against that LHV range."""
 
     sup: float
     inf: float
-    b_lhv: float
 
     def __post_init__(self) -> None:
         if self.inf > self.sup + 1e-12:
             raise ValidationError(f"inf {self.inf} exceeds sup {self.sup}")
-        expected = max(abs(self.sup), abs(self.inf))
-        if abs(self.b_lhv - expected) > 1e-12:
-            raise ValidationError(f"b_lhv {self.b_lhv} != max(|sup|, |inf|) = {expected}")
+
+    @property
+    def b_lhv(self) -> float:
+        """LHV constant max(|sup|, |inf|)."""
+        return max(abs(self.sup), abs(self.inf))
+
+    def violation(self, value: float) -> float:
+        """Violation ratio Y = |value - mid| / half of the LHV range [inf, sup],
+        mid = (sup + inf)/2 and half = (sup - inf)/2: invariant under adding a
+        constant to the functional or scaling it, and |value| / b_lhv when the
+        range is symmetric about 0. Y > 1 exactly when value is not local."""
+        half = (self.sup - self.inf) / 2.0
+        if half <= 0.0:
+            raise DegenerateFunctionalError("functional is constant on the local polytope")
+        return abs(value - (self.sup + self.inf) / 2.0) / half
 
 
 def lhv_bounds(f: BellFunctional, cap: int = DEFAULT_ENUM_CAP) -> LhvBounds:
@@ -231,7 +243,7 @@ def lhv_bounds(f: BellFunctional, cap: int = DEFAULT_ENUM_CAP) -> LhvBounds:
             values += t[tuple(slice(i, i + 1) if n > 1 else slice(None)
                               for i, n in zip(head, t.shape))]
         sup, inf = max(sup, float(values.max())), min(inf, float(values.min()))
-    return LhvBounds(sup=sup, inf=inf, b_lhv=max(abs(sup), abs(inf)))
+    return LhvBounds(sup=sup, inf=inf)
 
 
 def _product_table(values: Sequence[Sequence[float]]) -> np.ndarray:
@@ -342,13 +354,11 @@ class Behavior:
     """Joint outcome probability tables, one per joint setting.
 
     Construction validates normalization (1e-9), nonnegativity (1e-12) and
-    nonsignaling (1e-9); pass ``validate=False`` only for data known sound by
-    construction.
+    nonsignaling (1e-9).
     """
 
     scenario: Scenario
     tables: dict[tuple[int, ...], np.ndarray]
-    validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         sc = self.scenario
@@ -369,9 +379,8 @@ class Behavior:
             t.setflags(write=False)
             canon[s] = t
         object.__setattr__(self, "tables", canon)
-        if self.validate:
-            self._check_distribution()
-            self._check_nonsignaling()
+        self._check_distribution()
+        self._check_nonsignaling()
 
     def _check_distribution(self, neg_tol: float = 1e-12, sum_tol: float = 1e-9) -> None:
         for s, t in self.tables.items():
@@ -415,14 +424,14 @@ def row_layout(sc: Scenario) -> tuple[dict[tuple[int, ...], int], int]:
     return dict(zip(sizes, starts)), sum(sizes.values())
 
 
-def deterministic_behavior(sc: Scenario, strategy: Strategy, validate: bool = True) -> Behavior:
+def deterministic_behavior(sc: Scenario, strategy: Strategy) -> Behavior:
     """Point-mass behavior of one deterministic strategy."""
     tables = {}
     for s in sc.joint_settings():
         t = np.zeros(sc.outcome_counts(s))
         t[tuple(strategy[p][s_p] for p, s_p in enumerate(s))] = 1.0
         tables[s] = t
-    return Behavior(scenario=sc, tables=tables, validate=validate)
+    return Behavior(scenario=sc, tables=tables)
 
 
 def uniform_behavior(sc: Scenario) -> Behavior:

@@ -14,6 +14,7 @@ from belltol.polytope import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    SimplexResult,
     critical_visibility,
     functional_row_vector,
     is_local,
@@ -262,6 +263,14 @@ def test_phase1_failure_raises(monkeypatch):
         is_local(behavior(ghz(2, 2), chsh_optimal_assignment()))
     with pytest.raises(SolverError, match="phase 1"):
         critical_visibility(ghz(2, 2), NoiseSpec.white(), chsh_optimal_assignment())
+
+
+def test_lhv_bounds_lp_not_optimal_raises(monkeypatch):
+    # the extremum LP over a nonempty polytope is always optimal; a solve that
+    # reports otherwise must raise, also under python -O
+    monkeypatch.setattr(polytope, "simplex_max", lambda lp, tol=None: SimplexResult(INFEASIBLE))
+    with pytest.raises(SolverError, match="infeasible"):
+        lhv_bounds_lp(chsh())
 
 
 def test_visibility_monotone_in_beta():

@@ -191,6 +191,36 @@ def test_violation_ratio_degenerate():
         violation_ratio(zero, ghz(2, 2), chsh_optimal_assignment())
 
 
+def test_violation_ratio_constant_functional_degenerate():
+    # constant and nonzero on the local polytope: no LHV range to measure against
+    sc = Scenario.uniform(2, 2, values=(1.0, -1.0))
+    const = BellFunctional(sc, {s: np.full((2, 2), 0.75) for s in sc.joint_settings()})
+    assert lhv_bounds(const).sup == lhv_bounds(const).inf == 3.0
+    with pytest.raises(DegenerateFunctionalError):
+        violation_ratio(const, ghz(2, 2), chsh_optimal_assignment())
+    with pytest.raises(DegenerateFunctionalError):
+        seesaw(const, ghz(2, 2), restarts=2, seed=1)
+
+
+def _shifted(f: BellFunctional, c: float) -> BellFunctional:
+    """f + c on every behavior: c/K added to every entry of each of the K tables."""
+    k = len(f.coeffs)
+    return BellFunctional(f.scenario, {s: t + c / k for s, t in f.coeffs.items()})
+
+
+@pytest.mark.parametrize("c", [-3.0, 0.5, 3.0])
+@pytest.mark.parametrize("f, n, assign, ratio", [
+    (chsh(), 2, chsh_optimal_assignment, SQRT2),
+    (mermin(3), 3, mermin3_optimal_assignment, 2.0),
+])
+def test_violation_ratio_shift_invariant(f, n, assign, ratio, c):
+    g = _shifted(f, c)
+    bounds = lhv_bounds(g)
+    assert (bounds.sup, bounds.inf) == pytest.approx((2.0 + c, -2.0 + c), abs=1e-12)
+    assert violation_ratio(g, ghz(2, n), assign()) == pytest.approx(ratio, abs=1e-9)
+    assert seesaw(g, ghz(2, n), restarts=5, seed=1).value == pytest.approx(ratio, abs=1e-9)
+
+
 def test_violation_ratio_scale_invariant():
     r1 = violation_ratio(chsh(), ghz(2, 2), chsh_optimal_assignment())
     r2 = violation_ratio(chsh().scaled(7.5), ghz(2, 2), chsh_optimal_assignment())
@@ -397,6 +427,9 @@ def test_seesaw_on_separating_functional():
     g = separating_functional(b.scenario, res.farkas)
     found = seesaw(g, ghz(2, 2), restarts=5, seed=1)
     assert found.objective > lhv_bounds(g).sup + 1e-6
+    # the LP's functional is CHSH up to scale and shift: its ratio is CHSH's
+    assert found.value == pytest.approx(SQRT2, abs=1e-6)
+    assert violation_ratio(g, ghz(2, 2), found.assignment) == pytest.approx(found.value, abs=1e-9)
 
 
 def test_seesaw_deterministic_in_seed():

@@ -10,6 +10,7 @@ from belltol.errors import DomainError, ResourceCapError, ValidationError
 from belltol.scenario import (
     GRID_BLOCK,
     Behavior,
+    LhvBounds,
     BellFunctional,
     Scenario,
     chsh,
@@ -114,6 +115,16 @@ def test_constant_functional():
     f = BellFunctional(sc, {(0, 0): np.ones((1, 1))})
     b = lhv_bounds(f)
     assert (b.sup, b.inf, b.b_lhv) == (1.0, 1.0, 1.0)
+
+
+def test_violation_against_lhv_range():
+    # distance from the middle of [inf, sup] in units of its half-width
+    b = LhvBounds(sup=5.0, inf=1.0)
+    assert b.b_lhv == 5.0
+    assert [b.violation(v) for v in (3.0, 5.0, 7.0, -1.0)] == [0.0, 1.0, 2.0, 2.0]
+    # a symmetric range gives |value| / b_lhv exactly
+    sym = LhvBounds(sup=2.0, inf=-2.0)
+    assert sym.violation(-2.0 * math.sqrt(2.0)) == 2.0 * math.sqrt(2.0) / 2.0
 
 
 def test_mermin2_equals_chsh():
