@@ -261,16 +261,7 @@ def ghz_qubit_exact(n: int) -> ToleranceReport:
     maximal tolerable noise in the complementary interval. The tolerance
     upper endpoint equals the exact two-setting projective tolerance.
     """
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
-    lo = _fpow(2.0, (n - 1) / 2.0)
-    hi = 1.0 + _fpow(2.0, n - 1)
-    return ToleranceReport(
-        family="ghz", d=2, n=n, s=S_INF, meas_type=GENERALIZED,
-        upsilon=BoundInterval(lo, hi, "1+2^(n-1)(d-1)"),
-        notes=("violation lower endpoint: exact two-setting projective value "
-               "2^((n-1)/2) of the n-qubit maximally correlated state",),
-    )
+    return ghz_noise_bounds(2, n, S_INF, GENERALIZED)
 
 
 def ghz_qubit_asymptotic(n: int) -> float:

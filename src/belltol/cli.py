@@ -1,6 +1,6 @@
 """Batch command-line front end: reproducible bound tables, seesaw violation
-searches, LP visibilities and combined tolerance brackets, with JSON or CSV
-output that embeds its own run configuration.
+searches, LP visibilities and combined tolerance brackets, as JSON (bound
+tables also as CSV) that embeds its own run configuration.
 
 Exit codes: 0 success, 2 domain error, 3 unsupported functional, 4 resource
 cap exceeded, 1 internal error (a SolverError from an LP certificate check,
@@ -39,6 +39,7 @@ from .errors import (
 )
 from .polytope import critical_visibility
 from .qvalue import (
+    SWEEP_TOL,
     MeasurementAssignment,
     seesaw,
     upsilon_lower_bound,
@@ -167,17 +168,17 @@ def _report_payload(config: dict, results) -> dict:
     }
 
 
-def _emit(payload: dict, fmt: str, out: str | None, csv_rows=None) -> None:
-    if fmt == "json":
+def _emit(payload: dict, out: str | None, csv_rows: list[dict] | None = None) -> None:
+    """Write the payload as JSON, or csv_rows as CSV when given."""
+    if csv_rows is None:
         text = json.dumps(_sig9(payload), indent=2)
     else:
-        if csv_rows is None:
-            raise DomainError("csv output is only available for tabular results")
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()))
         writer.writeheader()
         for row in csv_rows:
-            writer.writerow({k: _format_csv(v) for k, v in row.items()})
+            writer.writerow({k: f"{v:.9g}" if isinstance(v, float) else v
+                             for k, v in row.items()})
         text = buf.getvalue()
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -186,12 +187,6 @@ def _emit(payload: dict, fmt: str, out: str | None, csv_rows=None) -> None:
                 fh.write("\n")
     else:
         print(text)
-
-
-def _format_csv(v):
-    if isinstance(v, float):
-        return f"{v:.9g}"
-    return v
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -215,7 +210,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         "meas": args.meas,
         "k": args.k,
     }
-    _emit(_report_payload(config, rows), args.format, args.out, csv_rows=rows)
+    _emit(_report_payload(config, rows), args.out,
+          csv_rows=rows if args.format == "csv" else None)
     return EXIT_OK
 
 
@@ -223,10 +219,7 @@ def cmd_violation(args: argparse.Namespace) -> int:
     state, meta = _parse_state(args.state)
     specs = args.functional or ["mermin"]
     library = [_parse_functional(s, state.n) for s in specs]
-    found = upsilon_lower_bound(
-        state, library, restarts=args.restarts, seed=args.seed,
-        sweep_tol=args.sweep_tol,
-    )
+    found = upsilon_lower_bound(state, library, restarts=args.restarts, seed=args.seed)
     if args.trace:
         write_sweep_trace(args.trace, found.result.trace)
     result = {
@@ -244,10 +237,10 @@ def cmd_violation(args: argparse.Namespace) -> int:
         "functional": specs,
         "seed": args.seed,
         "restarts": args.restarts,
-        "sweep_tol": args.sweep_tol,
+        "sweep_tol": SWEEP_TOL,
         "trace": args.trace,
     }
-    _emit(_report_payload(config, result), args.format, args.out)
+    _emit(_report_payload(config, result), args.out)
     return EXIT_OK
 
 
@@ -282,7 +275,7 @@ def cmd_visibility(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "restarts": args.restarts,
     }
-    _emit(_report_payload(config, result), args.format, args.out)
+    _emit(_report_payload(config, result), args.out)
     return EXIT_OK
 
 
@@ -355,7 +348,7 @@ def cmd_tolerance(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "restarts": args.restarts,
     }
-    _emit(_report_payload(config, result), args.format, args.out)
+    _emit(_report_payload(config, result), args.out)
     return EXIT_OK
 
 
@@ -384,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chsh | mermin:n | json:path (repeatable)")
     q.add_argument("--seed", type=int, default=1)
     q.add_argument("--restarts", type=int, default=20)
-    q.add_argument("--sweep-tol", type=float, default=1e-10)
     q.add_argument("--trace", help="write the best restart's per-sweep objective CSV here")
     q.set_defaults(func=cmd_violation)
 
@@ -405,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--restarts", type=int, default=20)
     t.set_defaults(func=cmd_tolerance)
 
+    p.add_argument("--format", default="json", choices=["json", "csv"])
     for p_ in (p, q, r, t):
-        p_.add_argument("--format", default="json", choices=["json", "csv"])
         p_.add_argument("--out", help="write output to this path instead of stdout")
     return parser
 

@@ -19,6 +19,7 @@ from .scenario import (
     Behavior,
     BellFunctional,
     Scenario,
+    basis_rows,
     grid_shape,
     row_layout,
     slot_shape,
@@ -72,8 +73,7 @@ class SimplexResult:
     status: str
     objective: float | None = None
     x: np.ndarray | None = None
-    # optimal dual y: y @ A_eq >= c and y @ b_eq = objective; 0 on the rows
-    # dropped as redundant after phase 1
+    # optimal dual y: y @ A_eq >= c and y @ b_eq = objective
     dual: np.ndarray | None = None
 
 
@@ -85,7 +85,7 @@ class _Tableau:
         self.signs = np.where(b < 0.0, -1.0, 1.0)
         self.a_ext = np.hstack([a * self.signs[:, None], np.eye(m)])
         self.b = b * self.signs
-        self.m, self.n = m, n
+        self.m = m
         self.basis = list(range(n, n + m))
         self.b_inv = np.eye(m)
         self.x_b = self.b.copy()
@@ -142,12 +142,13 @@ class _Tableau:
 
 
 def simplex_max(lp: LinearProgram, tol: float = DEFAULT_LP_TOL) -> SimplexResult:
-    """Two-phase primal simplex with Bland's rule.
+    """Two-phase primal simplex with Bland's rule; A_eq must have full row rank.
 
     Infeasible and unbounded instances are reported as statuses. A phase 1
-    that ends other than optimal, or leaves an artificial column basic after
-    dropping redundant rows, is a numerical failure and raises SolverError. An
-    optimum carries its dual for the original (unflipped) rows.
+    that ends other than optimal, or leaves an artificial column basic that no
+    original column can replace (dependent rows), is a numerical failure and
+    raises SolverError. An optimum carries its dual for the original
+    (unflipped) rows.
     """
     a, b, c = lp.a_eq, lp.b_eq, lp.c
     m, n = a.shape
@@ -162,37 +163,23 @@ def simplex_max(lp: LinearProgram, tol: float = DEFAULT_LP_TOL) -> SimplexResult
     if infeas > tol:
         return SimplexResult(status=INFEASIBLE)
 
-    # pivot residual artificials out of the basis; drop redundant rows
-    drop_rows: list[int] = []
-    for i in range(tab.m):
+    # pivot artificials left basic at level 0 out of the basis
+    for i in range(m):
         if tab.basis[i] < n:
             continue
         row = tab.b_inv[i] @ tab.a_ext[:, :n]
-        candidates = np.flatnonzero(np.abs(row) > tol)
-        candidates = [j for j in candidates if j not in tab.basis]
-        if candidates:
-            tab.pivot(i, int(candidates[0]))
-        else:
-            drop_rows.append(i)
-    keep = [i for i in range(m) if i not in drop_rows]
-    if drop_rows:
-        basis = [tab.basis[i] for i in keep]
-        if any(j >= n for j in basis):
-            raise SolverError("an artificial column is still basic after the row drop")
-        tab = _Tableau(a[keep], b[keep])
-        tab.basis = basis
-        tab.refactor()
+        candidates = [j for j in np.flatnonzero(np.abs(row) > tol) if j not in tab.basis]
+        if not candidates:
+            raise SolverError(f"row {i} of A_eq depends on the others")
+        tab.pivot(i, int(candidates[0]))
 
-    phase2_cost = np.concatenate([c, np.zeros(tab.m)])
+    phase2_cost = np.concatenate([c, np.zeros(m)])
     status = tab.run_bland(phase2_cost, eligible=n, tol=tol)
     if status == UNBOUNDED:
         return SimplexResult(status=UNBOUNDED)
     x = np.zeros(n)
-    for i, j in enumerate(tab.basis):
-        if j < n:
-            x[j] = max(tab.x_b[i], 0.0)
-    dual = np.zeros(m)
-    dual[keep] = (phase2_cost[tab.basis] @ tab.b_inv) * tab.signs  # unflip the rows
+    x[tab.basis] = np.maximum(tab.x_b, 0.0)
+    dual = (phase2_cost[tab.basis] @ tab.b_inv) * tab.signs  # unflip the rows
     return SimplexResult(status=OPTIMAL, objective=float(c @ x), x=x, dual=dual)
 
 
@@ -250,22 +237,23 @@ def _check_farkas(d: np.ndarray, farkas: np.ndarray, target: np.ndarray, tol: fl
 def _membership(
     sc: Scenario, base: np.ndarray, delta: np.ndarray, tol: float, cap: int
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """The visibility LP: max beta s.t. D @ w - beta * delta = base, sum(w) = 1,
-    w >= 0, 0 <= beta <= 1, for a local base. Returns beta, the weights and,
-    when beta < 1 - tol, the Farkas vector F = -y[:rows + 1] of the LP's dual
-    y: with t = -F[-1], F[:-1] @ v <= t on every vertex, F[:-1] @ delta >= 1
-    and F[:-1] @ base = t - beta, so F[:-1] separates base + b * delta from
-    the local polytope for every b in (beta, 1]."""
+    """The visibility LP: max beta s.t. D @ w - beta * delta = base on the
+    ``basis_rows`` of D, which also fix sum(w) = 1, w >= 0, 0 <= beta <= 1, for
+    a local base. Returns beta, the weights and, when beta < 1 - tol, the
+    Farkas vector F of the dual y in canonical rows, F[:-1][keep] = -y[:k] and
+    F[-1] = 0: F[:-1] @ v <= 0 on every vertex, F[:-1] @ delta >= 1 and
+    F[:-1] @ base = -beta, so F[:-1] separates base + b * delta from the local
+    polytope for every b in (beta, 1]."""
     d = vertex_matrix(sc, cap=cap)
+    keep = basis_rows(sc)
     rows, count = d.shape
+    k = int(keep.sum())
     # columns: weights, beta, slack of beta <= 1
-    a = np.zeros((rows + 2, count + 2))
-    a[:rows, :count] = d
-    a[:rows, count] = -delta
-    a[rows, :count] = 1.0
-    a[rows + 1, count] = 1.0
-    a[rows + 1, count + 1] = 1.0
-    b_eq = np.concatenate([base, [1.0, 1.0]])
+    a = np.zeros((k + 1, count + 2))
+    a[:k, :count] = d[keep]
+    a[:k, count] = -delta[keep]
+    a[k, count:] = 1.0
+    b_eq = np.append(base[keep], 1.0)
     c = np.zeros(count + 2)
     c[count] = 1.0
 
@@ -282,7 +270,8 @@ def _membership(
     _check_weights(d, weights, base + beta * delta)
     if beta >= 1.0 - tol:
         return beta, weights, None
-    farkas = -res.dual[: rows + 1]
+    farkas = np.zeros(rows + 1)
+    farkas[:rows][keep] = -res.dual[:k]
     _check_farkas(d, farkas, base + delta, tol)
     return beta, weights, farkas
 

@@ -40,6 +40,10 @@ EFFECT_PSD_TOL = 1e-9
 SIGN_EIG_TOL = 1e-12
 # Sweeps per seesaw restart; a restart that reaches it reports converged=False.
 MAX_SWEEPS = 500
+# A restart stops when a sweep gains less than SWEEP_TOL, and replaces the best
+# only if it beats it by more than RESTART_GAIN_TOL * max(1, |best|).
+SWEEP_TOL = 1e-10
+RESTART_GAIN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -358,7 +362,6 @@ def seesaw(
     rho: DensityMatrix,
     restarts: int = 20,
     seed: int = 0,
-    sweep_tol: float = 1e-10,
 ) -> SeesawResult:
     """Heuristic lower bound on the maximal violation of ``f`` by ``rho``.
 
@@ -367,8 +370,8 @@ def seesaw(
     other parties' fixed observables; the objective never decreases. Each
     restart draws fresh Haar-random projective observables from a stream
     seeded by (seed, restart) and stops when a sweep gains less than
-    ``sweep_tol``, or after MAX_SWEEPS sweeps. Returns the restart with the
-    largest objective; its ``value`` is the objective's violation ratio
+    SWEEP_TOL, or after MAX_SWEEPS sweeps. Returns the best restart, ties
+    going to the earliest; its ``value`` is the objective's violation ratio
     against the functional's LHV range, so adding a constant to ``f`` leaves
     it unchanged. The search only raises ``f``: to look below its LHV range,
     pass ``f.scaled(-1)``.
@@ -412,12 +415,13 @@ def seesaw(
                 raise ValidationError(
                     f"seesaw objective decreased from {value!r} to {new_value!r}"
                 )
-            if new_value - value < sweep_tol:
+            if new_value - value < SWEEP_TOL:
                 value = new_value
                 converged = True
                 break
             value = new_value
-        if value > best_objective:
+        gain = RESTART_GAIN_TOL * max(1.0, abs(best_objective))
+        if best_obs is None or value > best_objective + gain:
             best_obs = [stack[1:] for stack in stacks]
             best_trace = tuple(trace)
             best_objective = value
@@ -453,7 +457,6 @@ def upsilon_lower_bound(
     functional_library: list[BellFunctional],
     restarts: int = 20,
     seed: int = 0,
-    sweep_tol: float = 1e-10,
 ) -> UpsilonLowerBound:
     """Best seesaw violation over a functional library: a certified lower bound
     on the maximal violation, with the achieving functional's identity."""
@@ -463,7 +466,7 @@ def upsilon_lower_bound(
     best_i = -1
     per = []
     for i, f in enumerate(functional_library):
-        res = seesaw(f, rho, restarts=restarts, seed=seed, sweep_tol=sweep_tol)
+        res = seesaw(f, rho, restarts=restarts, seed=seed)
         per.append((f.label or f"functional{i}", res.value))
         if best is None or res.value > best.value:
             best, best_i = res, i

@@ -424,6 +424,23 @@ def row_layout(sc: Scenario) -> tuple[dict[tuple[int, ...], int], int]:
     return dict(zip(sizes, starts)), sum(sizes.values())
 
 
+def basis_rows(sc: Scenario) -> np.ndarray:
+    """Mask of canonical rows that are a basis of the vertex matrix's row space,
+    the Kronecker product of per-site bases: each site keeps every outcome of
+    setting 0 and all but the last of its other settings, as row(s, last) =
+    sum_a row(0, a) - sum_{a < last} row(s, a). That is prod_p (1 + sum_s
+    (m_ps - 1)) rows; those of joint setting (0, ..., 0) sum to the weight."""
+    offsets, rows = row_layout(sc)
+    keep = np.zeros(rows, dtype=bool)
+    for s, offset in offsets.items():
+        block = np.ones((), dtype=bool)
+        for p, s_p in enumerate(s):
+            m = len(sc.outcomes[p][s_p])
+            block = np.multiply.outer(block, np.arange(m) < m - (s_p > 0))
+        keep[offset:offset + block.size] = block.ravel()
+    return keep
+
+
 def deterministic_behavior(sc: Scenario, strategy: Strategy) -> Behavior:
     """Point-mass behavior of one deterministic strategy."""
     tables = {}

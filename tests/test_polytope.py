@@ -26,6 +26,7 @@ from belltol.polytope import (
 from belltol.qvalue import behavior, evaluate, seesaw
 from belltol.scenario import (
     Scenario,
+    basis_rows,
     chsh,
     deterministic_behavior,
     enumerate_strategies,
@@ -81,11 +82,11 @@ def assert_optimal_dual(res, c, a, b):
 
 
 def test_simplex_redundant_rows():
+    # the simplex needs full row rank: a dependent row leaves an artificial
+    # column basic that nothing replaces, which is an error, not a row drop
     c, a, b = np.array([1.0, 1.0]), np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([1.0, 2.0])
-    res = simplex_max(lp(c, a, b))
-    assert res.status == OPTIMAL
-    assert res.objective == pytest.approx(1.0, abs=1e-9)
-    assert_optimal_dual(res, c, a, b)
+    with pytest.raises(SolverError, match="depends"):
+        simplex_max(lp(c, a, b))
 
 
 def brute_force_lp_max(c, a, b, tol=1e-9):
@@ -305,6 +306,36 @@ def test_visibility_w3_certificate_checked():
     assert vis.beta_star == pytest.approx(0.6566083018987842, abs=1e-9)  # HiGHS
     mixed = mix(white_noise(2, 3), w_state(3), vis.beta_star)
     assert_local_certificate(vis.weights, vis.scenario, behavior(mixed, assign).vector())
+
+
+def test_visibility_w4_matches_highs():
+    # on all canonical rows, the simplex dropped the dependent ones after
+    # phase 1 and then raised LinAlgError('Singular matrix') here
+    assign = seesaw(mermin(4), w_state(4), restarts=5, seed=1).assignment
+    vis = critical_visibility(w_state(4), NoiseSpec.white(), assign)
+    assert vis.beta_star == pytest.approx(0.6094089531365541, abs=1e-9)  # HiGHS
+
+
+@pytest.mark.parametrize("sc", [chsh().scenario, mermin(3).scenario, MIXED_SCENARIO,
+                                Scenario.uniform(2, 2, 3)], ids=["chsh", "mk3", "mixed", "2x2x3"])
+def test_basis_rows_span_the_vertex_rows(sc):
+    d, keep = vertex_matrix(sc), basis_rows(sc)
+    per_site = [1 + sum(len(values) - 1 for values in party) for party in sc.outcomes]
+    rank = np.linalg.matrix_rank(d)
+    assert keep.sum() == rank == np.linalg.matrix_rank(d[keep]) == math.prod(per_site)
+
+
+def test_visibility_lp_is_stated_on_basis_rows(monkeypatch):
+    shapes = []
+
+    def recording(lp, tol=polytope.DEFAULT_LP_TOL):
+        shapes.append(lp.a_eq.shape)
+        return simplex_max(lp, tol=tol)
+
+    monkeypatch.setattr(polytope, "simplex_max", recording)
+    critical_visibility(ghz(2, 3), NoiseSpec.white(), mermin3_optimal_assignment())
+    # 3^3 basis rows and beta <= 1; weights, beta and its slack
+    assert shapes == [(28, 2**6 + 2)]
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.25])
