@@ -2,9 +2,10 @@
 searches, LP visibilities and combined tolerance brackets, as JSON (bound
 tables also as CSV) that embeds its own run configuration.
 
-Exit codes: 0 success, 2 domain error, 3 unsupported functional, 4 resource
-cap exceeded, 1 internal error (a SolverError from an LP certificate check,
-or a numerical failure such as numpy's LinAlgError).
+Exit codes: 0 success, 2 domain error or an unreadable input or unwritable
+output file, 3 unsupported functional, 4 resource cap exceeded, 1 internal
+error (a SolverError from an LP certificate check, or a numerical failure
+such as numpy's LinAlgError).
 """
 
 from __future__ import annotations
@@ -252,9 +253,11 @@ def cmd_visibility(args: argparse.Namespace) -> int:
         opt = seesaw(functional, state, restarts=args.restarts, seed=args.seed)
         assignment = opt.assignment
         meas_origin = {"kind": "seesaw", "seesaw_value": opt.value}
-    else:
+    elif args.measurements.startswith("json:"):
         assignment = MeasurementAssignment.load(args.measurements.removeprefix("json:"))
         meas_origin = {"kind": "file", "path": args.measurements}
+    else:
+        raise DomainError(f"unknown measurements spec {args.measurements!r}")
     vis = critical_visibility(state, noise, assignment)
     caveats = [FIXED_MEAS_CAVEAT]
     if noise.kind == "explicit":
@@ -306,13 +309,13 @@ def cmd_tolerance(args: argparse.Namespace) -> int:
     if formula is not None:
         tol_lo = formula.tolerance.lower
         tol_hi = min(formula.tolerance.upper, seesaw_tol_upper)
-        if seesaw_tol_upper <= formula.tolerance.upper:
-            upper_src = f"seesaw via {found.best_label}"
-        elif abs(seesaw_tol_upper - formula.tolerance.upper) <= 1e-6:
+        if abs(seesaw_tol_upper - formula.tolerance.upper) <= 1e-6:
             upper_src = (
                 f"formula family {formula.family!r}, witnessed by seesaw via "
                 f"{found.best_label}"
             )
+        elif seesaw_tol_upper < formula.tolerance.upper:
+            upper_src = f"seesaw via {found.best_label}"
         else:
             upper_src = f"formula family {formula.family!r}"
         provenance = {
@@ -417,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     except np.linalg.LinAlgError as exc:  # a ValueError, but no domain error
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (DomainError, ValidationError, ValueError) as exc:
+    except (DomainError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except BelltolError as exc:

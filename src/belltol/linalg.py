@@ -22,10 +22,8 @@ DEFAULT_HERM_TOL = 1e-10
 DEFAULT_PSD_TOL = 1e-9
 
 
-def resolve_max_dim(max_dim: int | None = None) -> int:
-    """Effective dimension cap: explicit argument, else $BELLTOL_MAX_DIM, else 4096."""
-    if max_dim is not None:
-        return int(max_dim)
+def resolve_max_dim() -> int:
+    """Effective dimension cap: $BELLTOL_MAX_DIM, else 4096."""
     env = os.environ.get(MAX_DIM_ENV)
     if env is not None:
         try:
@@ -89,15 +87,15 @@ class JsonFile:
             return cls.from_json_dict(json.load(fh))
 
 
-def kron(a: np.ndarray, b: np.ndarray, max_dim: int | None = None) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with standard row-major indexing.
 
     Raises ResourceCapError if the product dimension would exceed the cap
-    (default 4096, overridable via the BELLTOL_MAX_DIM environment variable).
+    (``resolve_max_dim``: $BELLTOL_MAX_DIM, else 4096).
     """
     a = as_cmatrix(a, "a")
     b = as_cmatrix(b, "b")
-    cap = resolve_max_dim(max_dim)
+    cap = resolve_max_dim()
     rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
     if max(rows, cols) > cap:
         raise ResourceCapError(
@@ -106,13 +104,13 @@ def kron(a: np.ndarray, b: np.ndarray, max_dim: int | None = None) -> np.ndarray
     return np.kron(a, b)
 
 
-def kron_all(ops: list[np.ndarray], max_dim: int | None = None) -> np.ndarray:
+def kron_all(ops: list[np.ndarray]) -> np.ndarray:
     """Left-to-right Kronecker product of a nonempty operator list."""
     if not ops:
         raise ValidationError("kron_all needs at least one operator")
     out = as_cmatrix(ops[0], "operator 0")
     for i, op in enumerate(ops[1:], start=1):
-        out = kron(out, op, max_dim=max_dim)
+        out = kron(out, op)
     return out
 
 
@@ -148,10 +146,11 @@ def eig_hermitian(
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def is_psd(h: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> bool:
-    """True iff the smallest eigenvalue of Hermitian h is >= -tol."""
-    w, _ = eig_hermitian(h, tol=max(tol, DEFAULT_HERM_TOL))
-    return bool(w[-1] >= -tol)
+def is_psd(h: np.ndarray) -> bool:
+    """True iff the smallest eigenvalue of h is >= -DEFAULT_PSD_TOL; h must be
+    Hermitian within the same tolerance."""
+    w, _ = eig_hermitian(h, tol=DEFAULT_PSD_TOL)
+    return bool(w[-1] >= -DEFAULT_PSD_TOL)
 
 
 def partial_trace(m: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:

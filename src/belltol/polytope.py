@@ -108,7 +108,7 @@ class _Tableau:
         if self.pivots % REFACTOR_EVERY == 0:
             self.refactor()
 
-    def run_bland(self, cost: np.ndarray, eligible: int, tol: float) -> str:
+    def run_bland(self, cost: np.ndarray, eligible: int) -> str:
         """Maximize cost @ x over eligible columns [0, eligible); returns
         OPTIMAL or UNBOUNDED."""
         while True:
@@ -116,7 +116,7 @@ class _Tableau:
             reduced = cost[:eligible] - y @ self.a_ext[:, :eligible]
             basic = set(self.basis)
             entering = -1
-            for j in np.flatnonzero(reduced > tol):
+            for j in np.flatnonzero(reduced > DEFAULT_LP_TOL):
                 if int(j) not in basic:
                     entering = int(j)
                     break
@@ -125,8 +125,9 @@ class _Tableau:
             u = self.b_inv @ self.a_ext[:, entering]
             best_row, best_ratio, best_var = -1, np.inf, np.inf
             # pivots are relative to the column's scale: on an ill-conditioned
-            # basis a round-off entry above tol would leave a singular basis
-            piv_tol = tol * max(1.0, float(np.max(np.abs(u))))
+            # basis a round-off entry above the tolerance would leave a
+            # singular basis
+            piv_tol = DEFAULT_LP_TOL * max(1.0, float(np.max(np.abs(u))))
             for i in range(self.m):
                 if u[i] > piv_tol:
                     ratio = self.x_b[i] / u[i]
@@ -141,7 +142,7 @@ class _Tableau:
             self.x_b = np.maximum(self.x_b, 0.0)
 
 
-def simplex_max(lp: LinearProgram, tol: float = DEFAULT_LP_TOL) -> SimplexResult:
+def simplex_max(lp: LinearProgram) -> SimplexResult:
     """Two-phase primal simplex with Bland's rule; A_eq must have full row rank.
 
     Infeasible and unbounded instances are reported as statuses. A phase 1
@@ -156,11 +157,11 @@ def simplex_max(lp: LinearProgram, tol: float = DEFAULT_LP_TOL) -> SimplexResult
 
     # phase 1: drive artificials to zero
     phase1_cost = np.concatenate([np.zeros(n), -np.ones(m)])
-    status = tab.run_bland(phase1_cost, eligible=n + m, tol=tol)
+    status = tab.run_bland(phase1_cost, eligible=n + m)
     if status != OPTIMAL:
         raise SolverError(f"phase 1 ended {status!r}, but its objective is bounded by 0")
     infeas = -float(phase1_cost[tab.basis] @ tab.x_b)
-    if infeas > tol:
+    if infeas > DEFAULT_LP_TOL:
         return SimplexResult(status=INFEASIBLE)
 
     # pivot artificials left basic at level 0 out of the basis
@@ -168,13 +169,14 @@ def simplex_max(lp: LinearProgram, tol: float = DEFAULT_LP_TOL) -> SimplexResult
         if tab.basis[i] < n:
             continue
         row = tab.b_inv[i] @ tab.a_ext[:, :n]
-        candidates = [j for j in np.flatnonzero(np.abs(row) > tol) if j not in tab.basis]
+        candidates = [j for j in np.flatnonzero(np.abs(row) > DEFAULT_LP_TOL)
+                      if j not in tab.basis]
         if not candidates:
             raise SolverError(f"row {i} of A_eq depends on the others")
         tab.pivot(i, int(candidates[0]))
 
     phase2_cost = np.concatenate([c, np.zeros(m)])
-    status = tab.run_bland(phase2_cost, eligible=n, tol=tol)
+    status = tab.run_bland(phase2_cost, eligible=n)
     if status == UNBOUNDED:
         return SimplexResult(status=UNBOUNDED)
     x = np.zeros(n)
@@ -186,12 +188,12 @@ def simplex_max(lp: LinearProgram, tol: float = DEFAULT_LP_TOL) -> SimplexResult
 # --- local polytope ----------------------------------------------------------
 
 
-def vertex_matrix(sc: Scenario, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
+def vertex_matrix(sc: Scenario) -> np.ndarray:
     """Deterministic behaviors as columns, rows in canonical order."""
     count = strategy_count(sc)
-    if count > cap:
+    if count > DEFAULT_VERTEX_CAP:
         raise ResourceCapError(
-            f"{count} deterministic behaviors exceed the LP vertex cap {cap}"
+            f"{count} deterministic behaviors exceed the LP vertex cap {DEFAULT_VERTEX_CAP}"
         )
     offsets, rows = row_layout(sc)
     grid, cols = grid_shape(sc), np.arange(count)
@@ -221,13 +223,13 @@ def _check_weights(d: np.ndarray, weights: np.ndarray, target: np.ndarray) -> No
         )
 
 
-def _check_farkas(d: np.ndarray, farkas: np.ndarray, target: np.ndarray, tol: float) -> None:
-    """Raise SolverError unless F[:-1] @ v <= t + tol, t = -F[-1], on every
-    vertex column v and F[:-1] @ target exceeds both."""
+def _check_farkas(d: np.ndarray, farkas: np.ndarray, target: np.ndarray) -> None:
+    """Raise SolverError unless F[:-1] @ v <= t + DEFAULT_LP_TOL, t = -F[-1], on
+    every vertex column v and F[:-1] @ target exceeds both."""
     f, bound = farkas[:-1], -float(farkas[-1])
     sup = float(np.max(f @ d))
     value = float(f @ target)
-    if sup > bound + tol or not value > max(sup, bound):
+    if sup > bound + DEFAULT_LP_TOL or not value > max(sup, bound):
         raise SolverError(
             f"simplex dual is no nonlocality certificate: vertex max {sup!r}, "
             f"bound {bound!r}, target value {value!r}"
@@ -235,16 +237,16 @@ def _check_farkas(d: np.ndarray, farkas: np.ndarray, target: np.ndarray, tol: fl
 
 
 def _membership(
-    sc: Scenario, base: np.ndarray, delta: np.ndarray, tol: float, cap: int
+    sc: Scenario, base: np.ndarray, delta: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """The visibility LP: max beta s.t. D @ w - beta * delta = base on the
     ``basis_rows`` of D, which also fix sum(w) = 1, w >= 0, 0 <= beta <= 1, for
-    a local base. Returns beta, the weights and, when beta < 1 - tol, the
-    Farkas vector F of the dual y in canonical rows, F[:-1][keep] = -y[:k] and
+    a local base. Returns beta, the weights and, when beta < 1 - DEFAULT_LP_TOL,
+    the Farkas vector F of the dual y in canonical rows, F[:-1][keep] = -y[:k] and
     F[-1] = 0: F[:-1] @ v <= 0 on every vertex, F[:-1] @ delta >= 1 and
     F[:-1] @ base = -beta, so F[:-1] separates base + b * delta from the local
     polytope for every b in (beta, 1]."""
-    d = vertex_matrix(sc, cap=cap)
+    d = vertex_matrix(sc)
     keep = basis_rows(sc)
     rows, count = d.shape
     k = int(keep.sum())
@@ -257,7 +259,7 @@ def _membership(
     c = np.zeros(count + 2)
     c[count] = 1.0
 
-    res = simplex_max(LinearProgram(c=c, a_eq=a, b_eq=b_eq), tol=tol)
+    res = simplex_max(LinearProgram(c=c, a_eq=a, b_eq=b_eq))
     if res.status != OPTIMAL:
         raise DomainError(
             f"visibility LP ended with status {res.status!r}; at beta = 0 this "
@@ -268,11 +270,11 @@ def _membership(
     beta = float(res.x[count])
     weights = res.x[:count]
     _check_weights(d, weights, base + beta * delta)
-    if beta >= 1.0 - tol:
+    if beta >= 1.0 - DEFAULT_LP_TOL:
         return beta, weights, None
     farkas = np.zeros(rows + 1)
     farkas[:rows][keep] = -res.dual[:k]
-    _check_farkas(d, farkas, base + delta, tol)
+    _check_farkas(d, farkas, base + delta)
     return beta, weights, farkas
 
 
@@ -283,15 +285,13 @@ class LocalityResult:
     farkas: np.ndarray | None = None
 
 
-def is_local(
-    b: Behavior, tol: float = DEFAULT_LP_TOL, cap: int = DEFAULT_VERTEX_CAP
-) -> LocalityResult:
+def is_local(b: Behavior) -> LocalityResult:
     """Decide membership of a behavior in the local polytope by the visibility
     LP from the uniform behavior, which is local, towards b: b is local iff
-    beta* >= 1 - tol. Returns weights over deterministic behaviors when local,
-    and the LP's Farkas (separating) vector otherwise."""
+    beta* >= 1 - DEFAULT_LP_TOL. Returns weights over deterministic behaviors
+    when local, and the LP's Farkas (separating) vector otherwise."""
     base = uniform_behavior(b.scenario).vector()
-    _, weights, farkas = _membership(b.scenario, base, b.vector() - base, tol, cap)
+    _, weights, farkas = _membership(b.scenario, base, b.vector() - base)
     if farkas is None:
         return LocalityResult(is_local=True, weights=weights)
     return LocalityResult(is_local=False, farkas=farkas)
@@ -339,8 +339,6 @@ def critical_visibility(
     rho: DensityMatrix,
     noise: NoiseSpec,
     meas: MeasurementAssignment,
-    tol: float = DEFAULT_LP_TOL,
-    cap: int = DEFAULT_VERTEX_CAP,
 ) -> VisibilityResult:
     """Maximal beta with behavior((1-beta) noise + beta rho) still local.
 
@@ -354,16 +352,16 @@ def critical_visibility(
     b_noise = behavior(zeta, meas).vector()
     delta = behavior(rho, meas).vector() - b_noise
     sc = meas.scenario()
-    beta, weights, dual = _membership(sc, b_noise, delta, tol, cap)
+    beta, weights, dual = _membership(sc, b_noise, delta)
     return VisibilityResult(beta_star=min(max(beta, 0.0), 1.0), certificate_kind="local-weights",
                             weights=weights, scenario=sc, dual=dual)
 
 
-def lhv_bounds_lp(f: BellFunctional, cap: int = DEFAULT_VERTEX_CAP) -> tuple[float, float]:
+def lhv_bounds_lp(f: BellFunctional) -> tuple[float, float]:
     """(sup, inf) of a functional over the local polytope via the LP route,
     for cross-checking the enumeration path. Raises SolverError unless both
     LPs end optimal."""
-    values = functional_row_vector(f) @ vertex_matrix(f.scenario, cap=cap)
+    values = functional_row_vector(f) @ vertex_matrix(f.scenario)
     a, b_eq = np.ones((1, values.size)), np.array([1.0])
     objectives = []
     for c in (values, -values):

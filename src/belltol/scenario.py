@@ -108,23 +108,49 @@ def strategy_count(sc: Scenario) -> int:
     return math.prod(grid_shape(sc))
 
 
-def _check_enum_cap(sc: Scenario, cap: int) -> None:
+def _check_enum_cap(sc: Scenario) -> None:
     total = strategy_count(sc)
-    if total > cap:
+    if total > DEFAULT_ENUM_CAP:
         raise ResourceCapError(
-            f"enumeration infeasible: {total} deterministic strategies exceed cap {cap}"
+            f"enumeration infeasible: {total} deterministic strategies exceed cap "
+            f"{DEFAULT_ENUM_CAP}"
         )
 
 
-def enumerate_strategies(sc: Scenario, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Strategy]:
+def enumerate_strategies(sc: Scenario) -> Iterator[Strategy]:
     """Yield every deterministic strategy once, lexicographically in the
     flattened (party, setting) index tuple."""
-    _check_enum_cap(sc, cap)
+    _check_enum_cap(sc)
     ends = list(itertools.accumulate(sc.settings, initial=0))
     return (
         tuple(flat[a:b] for a, b in zip(ends, ends[1:]))
         for flat in itertools.product(*map(range, grid_shape(sc)))
     )
+
+
+def _setting_tables(
+    sc: Scenario, tables: dict[tuple[int, ...], np.ndarray]
+) -> dict[tuple[int, ...], np.ndarray]:
+    """Read-only float copies of one finite table per joint setting, shaped by
+    its outcome counts, in sorted joint-setting order."""
+    expected = set(sc.joint_settings())
+    if set(tables) != expected:
+        raise ValidationError(
+            f"tables cover {len(tables)} joint settings, expected {len(expected)}"
+        )
+    canon: dict[tuple[int, ...], np.ndarray] = {}
+    for s in sorted(tables):
+        t = np.array(tables[s], dtype=float)
+        if t.shape != sc.outcome_counts(s):
+            raise ValidationError(
+                f"table for joint setting {s} has shape {t.shape}, "
+                f"expected {sc.outcome_counts(s)}"
+            )
+        if not np.all(np.isfinite(t)):
+            raise ValidationError(f"table for joint setting {s} has non-finite entries")
+        t.setflags(write=False)
+        canon[s] = t
+    return canon
 
 
 @dataclass(frozen=True)
@@ -137,27 +163,7 @@ class BellFunctional(JsonFile):
     label: str = ""
 
     def __post_init__(self) -> None:
-        sc = self.scenario
-        expected = set(sc.joint_settings())
-        got = set(self.coeffs)
-        if got != expected:
-            raise ValidationError(
-                f"coefficient tables cover {len(got)} joint settings, expected {len(expected)}"
-            )
-        canon: dict[tuple[int, ...], np.ndarray] = {}
-        for s in sorted(self.coeffs):
-            t = np.asarray(self.coeffs[s], dtype=float)
-            shape = sc.outcome_counts(s)
-            if t.shape != shape:
-                raise ValidationError(
-                    f"table for joint setting {s} has shape {t.shape}, expected {shape}"
-                )
-            if not np.all(np.isfinite(t)):
-                raise ValidationError(f"table for joint setting {s} has non-finite entries")
-            t = t.copy()
-            t.setflags(write=False)
-            canon[s] = t
-        object.__setattr__(self, "coeffs", canon)
+        object.__setattr__(self, "coeffs", _setting_tables(self.scenario, self.coeffs))
 
     def scaled(self, c: float, label: str | None = None) -> "BellFunctional":
         return BellFunctional(
@@ -226,12 +232,12 @@ class LhvBounds:
         return abs(value - (self.sup + self.inf) / 2.0) / half
 
 
-def lhv_bounds(f: BellFunctional, cap: int = DEFAULT_ENUM_CAP) -> LhvBounds:
+def lhv_bounds(f: BellFunctional) -> LhvBounds:
     """Exact LHV constants: the functional's value on every cell of the strategy
     grid, summed in ``f.value_at``'s order, a block of whole trailing slots at
     a time."""
     sc = f.scenario
-    _check_enum_cap(sc, cap)
+    _check_enum_cap(sc)
     grid = grid_shape(sc)
     split = next(k for k in range(len(grid) + 1) if math.prod(grid[k:]) <= GRID_BLOCK)
     values = np.empty((1,) * split + grid[split:])
@@ -353,46 +359,29 @@ def extend_with_passive_parties(f: BellFunctional, extra: int) -> BellFunctional
 class Behavior:
     """Joint outcome probability tables, one per joint setting.
 
-    Construction validates normalization (1e-9), nonnegativity (1e-12) and
-    nonsignaling (1e-9).
+    Construction validates finiteness, normalization (1e-9), nonnegativity
+    (1e-12) and nonsignaling (1e-9).
     """
 
     scenario: Scenario
     tables: dict[tuple[int, ...], np.ndarray]
 
     def __post_init__(self) -> None:
-        sc = self.scenario
-        expected = set(sc.joint_settings())
-        if set(self.tables) != expected:
-            raise ValidationError(
-                f"behavior covers {len(self.tables)} joint settings, expected {len(expected)}"
-            )
-        canon = {}
-        for s in sorted(self.tables):
-            t = np.asarray(self.tables[s], dtype=float)
-            if t.shape != sc.outcome_counts(s):
-                raise ValidationError(
-                    f"table for joint setting {s} has shape {t.shape}, "
-                    f"expected {sc.outcome_counts(s)}"
-                )
-            t = t.copy()
-            t.setflags(write=False)
-            canon[s] = t
-        object.__setattr__(self, "tables", canon)
+        object.__setattr__(self, "tables", _setting_tables(self.scenario, self.tables))
         self._check_distribution()
         self._check_nonsignaling()
 
-    def _check_distribution(self, neg_tol: float = 1e-12, sum_tol: float = 1e-9) -> None:
+    def _check_distribution(self) -> None:
         for s, t in self.tables.items():
-            if t.min() < -neg_tol:
+            if t.min() < -1e-12:
                 raise ValidationError(
                     f"negative probability {t.min():.3e} at joint setting {s}"
                 )
             total = float(t.sum())
-            if abs(total - 1.0) > sum_tol:
+            if abs(total - 1.0) > 1e-9:
                 raise ValidationError(f"table at joint setting {s} sums to {total!r}")
 
-    def _check_nonsignaling(self, tol: float = 1e-9) -> None:
+    def _check_nonsignaling(self) -> None:
         sc = self.scenario
         for party in range(sc.parties):
             others = [range(m) for p, m in enumerate(sc.settings) if p != party]
@@ -405,7 +394,7 @@ class Behavior:
                 ref = self.tables[joint(0)].sum(axis=party)
                 for s_party in range(1, sc.settings[party]):
                     marg = self.tables[joint(s_party)].sum(axis=party)
-                    if np.max(np.abs(marg - ref)) > tol:
+                    if np.max(np.abs(marg - ref)) > 1e-9:
                         raise ValidationError(
                             f"signaling marginal for party {party}: settings 0 vs "
                             f"{s_party} differ by {np.max(np.abs(marg - ref)):.3e}"

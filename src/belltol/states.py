@@ -79,9 +79,9 @@ class DensityMatrix(JsonFile):
         return cls(d=d, n=n, matrix=complex_from_json(data, d**n, "state"))
 
 
-def _check_cap(d: int, n: int, max_dim: int | None) -> int:
+def _check_cap(d: int, n: int) -> int:
     dim = d**n
-    cap = resolve_max_dim(max_dim)
+    cap = resolve_max_dim()
     if dim > cap:
         raise ResourceCapError(f"total dimension {d}^{n} = {dim} exceeds cap {cap}")
     return dim
@@ -98,13 +98,13 @@ def from_vector(psi: np.ndarray, d: int, n: int) -> DensityMatrix:
     return DensityMatrix(d=d, n=n, matrix=np.outer(v, v.conj()))
 
 
-def ghz(d: int, n: int, max_dim: int | None = None) -> DensityMatrix:
+def ghz(d: int, n: int) -> DensityMatrix:
     """Maximally correlated n-qudit state (1/sqrt(d)) sum_j |j...j>."""
     if d < 2:
         raise DomainError(f"d must be >= 2, got {d}")
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
-    dim = _check_cap(d, n, max_dim)
+    dim = _check_cap(d, n)
     psi = np.zeros(dim, dtype=np.complex128)
     # |j...j> has index j * (d^{n-1} + ... + 1)
     stride = (dim - 1) // (d - 1)
@@ -112,13 +112,13 @@ def ghz(d: int, n: int, max_dim: int | None = None) -> DensityMatrix:
     return from_vector(psi, d, n)
 
 
-def dicke(n: int, k: int, max_dim: int | None = None) -> DensityMatrix:
+def dicke(n: int, k: int) -> DensityMatrix:
     """Symmetrized n-qubit state with k excitations; k=1 is the W state."""
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     if not 1 <= k <= n - 1:
         raise DomainError(f"k must be in 1..{n - 1}, got {k}")
-    dim = _check_cap(2, n, max_dim)
+    dim = _check_cap(2, n)
     psi = np.zeros(dim, dtype=np.complex128)
     amp = 1.0 / math.sqrt(math.comb(n, k))
     for idx in range(dim):
@@ -127,23 +127,23 @@ def dicke(n: int, k: int, max_dim: int | None = None) -> DensityMatrix:
     return from_vector(psi, 2, n)
 
 
-def w_state(n: int, max_dim: int | None = None) -> DensityMatrix:
-    return dicke(n, 1, max_dim=max_dim)
+def w_state(n: int) -> DensityMatrix:
+    return dicke(n, 1)
 
 
-def white_noise(d: int, n: int, max_dim: int | None = None) -> DensityMatrix:
+def white_noise(d: int, n: int) -> DensityMatrix:
     """Maximally mixed state I/d^n."""
     if d < 2 or n < 1:
         raise DomainError(f"need d >= 2 and n >= 1, got d={d}, n={n}")
-    dim = _check_cap(d, n, max_dim)
+    dim = _check_cap(d, n)
     return DensityMatrix(d=d, n=n, matrix=np.eye(dim, dtype=np.complex128) / dim)
 
 
-def product_zero(d: int, n: int, max_dim: int | None = None) -> DensityMatrix:
+def product_zero(d: int, n: int) -> DensityMatrix:
     """|0...0><0...0|, a fully product (hence Bell-local) reference state."""
     if d < 2 or n < 1:
         raise DomainError(f"need d >= 2 and n >= 1, got d={d}, n={n}")
-    dim = _check_cap(d, n, max_dim)
+    dim = _check_cap(d, n)
     psi = np.zeros(dim, dtype=np.complex128)
     psi[0] = 1.0
     return from_vector(psi, d, n)
@@ -190,10 +190,10 @@ class NoiseSpec:
     def explicit(cls, state: DensityMatrix) -> "NoiseSpec":
         return cls(kind="explicit", explicit_state=state)
 
-    def resolve(self, d: int, n: int, max_dim: int | None = None) -> DensityMatrix:
+    def resolve(self, d: int, n: int) -> DensityMatrix:
         """Concrete noise state for a (d, n) signal."""
         if self.kind == "white":
-            return white_noise(d, n, max_dim=max_dim)
+            return white_noise(d, n)
         assert self.explicit_state is not None
         if (self.explicit_state.d, self.explicit_state.n) != (d, n):
             raise ValidationError(

@@ -113,7 +113,8 @@ def test_violation_trace_file(tmp_path, capsys):
         "--seed", "1", "--restarts", "2", "--trace", str(trace),
     ])
     assert code == 0
-    rows = list(csv.DictReader(open(trace)))
+    with open(trace) as fh:
+        rows = list(csv.DictReader(fh))
     assert rows and rows[0]["sweep"] == "1"
 
 
@@ -275,7 +276,7 @@ def test_exit_code_phase1_failure(monkeypatch, capsys):
     from belltol import polytope
 
     monkeypatch.setattr(polytope._Tableau, "run_bland",
-                        lambda self, cost, eligible, tol: polytope.UNBOUNDED)
+                        lambda self, cost, eligible: polytope.UNBOUNDED)
     code = main(["visibility", "--state", "ghz:2,2", "--restarts", "1"])
     assert code == 1
     assert capsys.readouterr().err.startswith("internal error: phase 1")
@@ -303,3 +304,40 @@ def test_floats_printed_9_significant_digits(capsys):
     assert code == 0
     val = data["results"]["upsilon_lower_bound"]
     assert val == float(f"{val:.9g}")
+
+
+@pytest.mark.parametrize("value", [2.0 - 1e-12, 2.0, 2.0 + 1e-12])
+def test_tolerance_provenance_stable_at_the_formula_value(monkeypatch, capsys, value):
+    # a seesaw that reaches the formula value reads as witnessing it, whatever
+    # the last bit of its value
+    import dataclasses
+
+    import belltol.cli
+
+    real = belltol.cli.upsilon_lower_bound
+
+    def pinned(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), value=value)
+
+    monkeypatch.setattr(belltol.cli, "upsilon_lower_bound", pinned)
+    code, data = run_json(capsys, ["tolerance", "--state", "ghz:2,3", "--functional", "mermin",
+                                   "--restarts", "1"])
+    assert code == 0
+    assert data["results"]["provenance"]["upper"] == (
+        "formula family 'ghz', witnessed by seesaw via mermin3"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["tolerance", "--state", "json:/nonexistent/state.json"],
+    ["visibility", "--state", "ghz:2,2", "--measurements", "nofile"],
+    ["visibility", "--state", "ghz:2,2", "--measurements", "json:/nonexistent/meas.json",
+     "--restarts", "1"],
+    ["violation", "--state", "ghz:2,2", "--functional", "chsh", "--restarts", "1",
+     "--out", "/nonexistent/dir/x.json"],
+], ids=["state-file", "measurements-spec", "measurements-file", "out-file"])
+def test_file_errors_exit_2(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1

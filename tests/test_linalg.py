@@ -63,7 +63,7 @@ def test_kron_trace_multiplicative():
 
 def test_kron_cap():
     with pytest.raises(ResourceCapError):
-        kron(np.eye(100), np.eye(100), max_dim=4096)
+        kron(np.eye(100), np.eye(100))
 
 
 def test_max_dim_env(monkeypatch):
@@ -111,7 +111,17 @@ def test_hermiticity_defect():
 
 def test_is_psd():
     assert is_psd(np.eye(2))
-    assert not is_psd(np.diag([1.0, -1e-3]).astype(complex), tol=1e-9)
+    assert not is_psd(np.diag([1.0, -1e-3]).astype(complex))
+
+
+def test_is_psd_tolerance_is_1e_9():
+    # both the eigenvalue floor and the Hermiticity check allow 1e-9
+    assert is_psd(np.diag([1.0, -5e-10]).astype(complex))
+    assert not is_psd(np.diag([1.0, -2e-9]).astype(complex))
+    skew = np.array([[1.0, 5e-10], [0.0, 1.0]], dtype=complex)
+    assert is_psd(skew)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        is_psd(np.array([[1.0, 2e-9], [0.0, 1.0]], dtype=complex))
 
 
 def test_is_psd_ghz_projector():

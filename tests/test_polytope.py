@@ -133,12 +133,14 @@ def test_simplex_random_lps_against_vertex_scan():
 
 def test_vertex_soundness():
     sc = chsh().scenario
-    for strat in enumerate_strategies(sc):
+    for col, strat in enumerate(enumerate_strategies(sc)):
         b = deterministic_behavior(sc, strat)
-        res = is_local(b, tol=1e-10)
+        res = is_local(b)
         assert res.is_local
         assert res.weights is not None
         assert abs(res.weights.sum() - 1.0) <= 1e-8
+        # a vertex is no mixture of other vertices: all weight is on its own column
+        assert abs(res.weights[col] - 1.0) <= 1e-10
 
 
 def test_uniform_behavior_local():
@@ -161,7 +163,7 @@ def test_separating_functional_violates_lhv():
 
 def test_vertex_matrix_cap():
     with pytest.raises(ResourceCapError):
-        vertex_matrix(Scenario.uniform(3, 3, 4), cap=100)
+        vertex_matrix(Scenario.uniform(3, 3, 4))  # 4^9 > DEFAULT_VERTEX_CAP
 
 
 def test_vertex_matrix_columns_are_deterministic_behaviors():
@@ -246,8 +248,8 @@ def test_visibility_dual_is_separating():
 
 def test_visibility_wrong_dual_raises(monkeypatch):
     # a dual that is no certificate must raise, never be returned
-    def negated(lp, tol=polytope.DEFAULT_LP_TOL):
-        res = simplex_max(lp, tol=tol)
+    def negated(lp):
+        res = simplex_max(lp)
         return dataclasses.replace(res, dual=-res.dual)
 
     monkeypatch.setattr(polytope, "simplex_max", negated)
@@ -259,7 +261,7 @@ def test_visibility_wrong_dual_raises(monkeypatch):
 
 def test_phase1_failure_raises(monkeypatch):
     # phase 1 is bounded by 0; a run that reports otherwise is a numerical failure
-    monkeypatch.setattr(polytope._Tableau, "run_bland", lambda self, cost, eligible, tol: UNBOUNDED)
+    monkeypatch.setattr(polytope._Tableau, "run_bland", lambda self, cost, eligible: UNBOUNDED)
     with pytest.raises(SolverError, match="phase 1"):
         is_local(behavior(ghz(2, 2), chsh_optimal_assignment()))
     with pytest.raises(SolverError, match="phase 1"):
@@ -269,7 +271,7 @@ def test_phase1_failure_raises(monkeypatch):
 def test_lhv_bounds_lp_not_optimal_raises(monkeypatch):
     # the extremum LP over a nonempty polytope is always optimal; a solve that
     # reports otherwise must raise, also under python -O
-    monkeypatch.setattr(polytope, "simplex_max", lambda lp, tol=None: SimplexResult(INFEASIBLE))
+    monkeypatch.setattr(polytope, "simplex_max", lambda lp: SimplexResult(INFEASIBLE))
     with pytest.raises(SolverError, match="infeasible"):
         lhv_bounds_lp(chsh())
 
@@ -328,9 +330,9 @@ def test_basis_rows_span_the_vertex_rows(sc):
 def test_visibility_lp_is_stated_on_basis_rows(monkeypatch):
     shapes = []
 
-    def recording(lp, tol=polytope.DEFAULT_LP_TOL):
+    def recording(lp):
         shapes.append(lp.a_eq.shape)
-        return simplex_max(lp, tol=tol)
+        return simplex_max(lp)
 
     monkeypatch.setattr(polytope, "simplex_max", recording)
     critical_visibility(ghz(2, 3), NoiseSpec.white(), mermin3_optimal_assignment())

@@ -65,9 +65,9 @@ def test_enumeration_unique_and_lexicographic():
 
 
 def test_enumeration_cap():
-    sc = Scenario.uniform(3, 4, 4)
+    sc = Scenario.uniform(3, 5, 4)  # 4^15 strategies
     with pytest.raises(ResourceCapError, match="enumeration infeasible"):
-        list(enumerate_strategies(sc, cap=1000))
+        list(enumerate_strategies(sc))
 
 
 def test_chsh_lhv_bounds():
@@ -97,8 +97,10 @@ def test_lhv_bounds_equal_value_at_loop():
 
 
 def test_lhv_bounds_cap():
+    sc = Scenario.uniform(2, 14)  # 2^28 strategies
+    zero = BellFunctional(sc, {s: np.zeros(sc.outcome_counts(s)) for s in sc.joint_settings()})
     with pytest.raises(ResourceCapError, match="enumeration infeasible"):
-        lhv_bounds(mermin(4), cap=100)
+        lhv_bounds(zero)
 
 
 def test_lhv_bounds_blocked_grid():
@@ -237,6 +239,17 @@ def test_behavior_validation():
     sig[(0, 1)] = np.array([[0.5, 0.5], [0.0, 0.0]])
     with pytest.raises(ValidationError, match="signaling"):
         Behavior(sc, sig)
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf], ids=["nan", "inf"])
+def test_behavior_rejects_non_finite_entries(entry):
+    # NaN compares False in the sign and sum checks, so only a finiteness check
+    # keeps it out of evaluate and violation
+    sc = Scenario.uniform(2, 2, values=(1.0, -1.0))
+    tables = {s: np.full((2, 2), 0.25) for s in sc.joint_settings()}
+    tables[(1, 0)] = np.array([[0.25, 0.25], [0.25, entry]])
+    with pytest.raises(ValidationError, match="non-finite"):
+        Behavior(sc, tables)
 
 
 def test_deterministic_behavior_is_point_mass():

@@ -52,7 +52,7 @@ def test_ghz_domain_and_cap():
     with pytest.raises(DomainError):
         ghz(1, 2)
     with pytest.raises(ResourceCapError):
-        ghz(2, 20, max_dim=4096)
+        ghz(2, 20)
 
 
 def test_dicke31_is_w_state():
@@ -163,3 +163,17 @@ def test_noise_spec():
         NoiseSpec(kind="pink")
     with pytest.raises(ValidationError):
         NoiseSpec(kind="explicit")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ghz(2, 3),
+    lambda: dicke(3, 1),
+    lambda: w_state(3),
+    lambda: white_noise(2, 3),
+    lambda: product_zero(2, 3),
+    lambda: NoiseSpec.white().resolve(2, 3),
+], ids=["ghz", "dicke", "w_state", "white_noise", "product_zero", "noise_resolve"])
+def test_builders_obey_max_dim_env(monkeypatch, build):
+    monkeypatch.setenv("BELLTOL_MAX_DIM", "4")
+    with pytest.raises(ResourceCapError, match="exceeds cap 4"):
+        build()
