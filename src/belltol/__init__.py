@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedFunctionalError,
     ValidationError,
 )
-from .linalg import eig_hermitian, is_psd, kron, kron_all, partial_trace
+from .linalg import eig_hermitian
 from .polytope import (
     LinearProgram,
     LocalityResult,

@@ -2,10 +2,10 @@
 searches, LP visibilities and combined tolerance brackets, as JSON (bound
 tables also as CSV) that embeds its own run configuration.
 
-Exit codes: 0 success, 2 domain error or an unreadable input or unwritable
-output file, 3 unsupported functional, 4 resource cap exceeded, 1 internal
-error (a SolverError from an LP certificate check, or a numerical failure
-such as numpy's LinAlgError).
+Exit codes: 0 success, 2 domain error, an unreadable or malformed input file
+or an unwritable output file, 3 unsupported functional, 4 resource cap
+exceeded, 1 internal error (a SolverError from an LP certificate check, or a
+numerical failure such as numpy's LinAlgError).
 """
 
 from __future__ import annotations
@@ -75,16 +75,21 @@ def _sig9(x):
     return x
 
 
+def _zero_round_off(values: list[float]) -> list[float]:
+    """Entries below 1e-12 in magnitude, -0.0 included, printed as 0.0, so
+    round-off in entries that are 0 does not change stdout."""
+    return [0.0 if abs(x) < 1e-12 else x for x in values]
+
+
 def _printed_assignment(assignment: MeasurementAssignment) -> dict:
-    """Assignment JSON with every effect entry rounded to 12 decimal places
-    and -0.0 printed as 0.0, so round-off in entries that are 0 does not
-    change stdout. ``MeasurementAssignment.save`` keeps full precision."""
+    """Assignment JSON with round-off zeroed in every effect entry.
+    ``MeasurementAssignment.save`` keeps full precision."""
     data = assignment.to_json_dict()
     for party in data["parties"]:
         for m in party:
             for e in m["effects"]:
                 for part in ("re", "im"):
-                    e[part] = [round(x, 12) + 0.0 for x in e[part]]
+                    e[part] = _zero_round_off(e[part])
     return data
 
 
@@ -262,12 +267,16 @@ def cmd_visibility(args: argparse.Namespace) -> int:
     caveats = [FIXED_MEAS_CAVEAT]
     if noise.kind == "explicit":
         caveats.append(EXPLICIT_NOISE_CAVEAT)
+    report = vis.to_json_dict()
+    for key in ("weights", "dual"):
+        if key in report:
+            report[key] = _zero_round_off(report[key])
     result = {
         "beta_star": vis.beta_star,
         "certificate_kind": vis.certificate_kind,
         "caveats": caveats,
         "measurements": meas_origin,
-        "report": vis.to_json_dict(),
+        "report": report,
     }
     config = {
         "subcommand": "visibility",

@@ -1,6 +1,8 @@
-"""Dense complex linear algebra: Kronecker products, Hermitian eigensystems,
-positivity checks and partial traces; the JSON form of matrices and the
-``save``/``load`` pair of the package's JSON files.
+"""Dense complex linear algebra: validated complex matrices and Hermitian
+eigensystems, whose Hermiticity check is the one that states, measurement
+effects and the seesaw's sign steps pass; the dimension cap of the state
+builders; the JSON form of matrices and the ``save``/``load`` pair of the
+package's JSON files.
 
 All functions are pure and operate on immutable inputs; matrices are plain
 ``numpy`` complex arrays in row-major layout.
@@ -13,13 +15,12 @@ import os
 
 import numpy as np
 
-from .errors import ResourceCapError, ValidationError
+from .errors import ValidationError
 
 DEFAULT_MAX_DIM = 4096
 MAX_DIM_ENV = "BELLTOL_MAX_DIM"
 
 DEFAULT_HERM_TOL = 1e-10
-DEFAULT_PSD_TOL = 1e-9
 
 
 def resolve_max_dim() -> int:
@@ -75,7 +76,9 @@ def complex_from_json(data: dict, dim: int, what: str) -> np.ndarray:
 
 class JsonFile:
     """``save``/``load`` of a class's ``to_json_dict``/``from_json_dict`` as a
-    UTF-8 JSON file."""
+    UTF-8 JSON file. ``load`` reports a document of the wrong shape (a missing
+    key, or a list or number where ``from_json_dict`` reads another type) as
+    a ValidationError."""
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -84,42 +87,11 @@ class JsonFile:
     @classmethod
     def load(cls, path: str):
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with standard row-major indexing.
-
-    Raises ResourceCapError if the product dimension would exceed the cap
-    (``resolve_max_dim``: $BELLTOL_MAX_DIM, else 4096).
-    """
-    a = as_cmatrix(a, "a")
-    b = as_cmatrix(b, "b")
-    cap = resolve_max_dim()
-    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    if max(rows, cols) > cap:
-        raise ResourceCapError(
-            f"kron result is {rows}x{cols}, exceeding the dimension cap {cap}"
-        )
-    return np.kron(a, b)
-
-
-def kron_all(ops: list[np.ndarray]) -> np.ndarray:
-    """Left-to-right Kronecker product of a nonempty operator list."""
-    if not ops:
-        raise ValidationError("kron_all needs at least one operator")
-    out = as_cmatrix(ops[0], "operator 0")
-    for i, op in enumerate(ops[1:], start=1):
-        out = kron(out, op)
-    return out
-
-
-def hermiticity_defect(h: np.ndarray) -> float:
-    """Max-entry deviation of h from its conjugate transpose."""
-    h = as_cmatrix(h, "h")
-    if h.shape[0] != h.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {h.shape}")
-    return float(np.max(np.abs(h - h.conj().T)))
+            data = json.load(fh)
+        try:
+            return cls.from_json_dict(data)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValidationError(f"malformed {cls.__name__} JSON: {exc!r}") from exc
 
 
 def eig_hermitian(
@@ -131,11 +103,13 @@ def eig_hermitian(
     order and eigenvector columns ``v[:, k]`` matching ``w[k]``, so that
     ``h = v @ diag(w) @ v.conj().T``.
 
-    Raises ValidationError when the max-entry deviation from Hermiticity
-    exceeds ``tol``.
+    Raises ValidationError when h is not square, or when the max-entry
+    deviation of h from its conjugate transpose exceeds ``tol``.
     """
     h = as_cmatrix(h, "h")
-    defect = hermiticity_defect(h)
+    if h.shape[0] != h.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {h.shape}")
+    defect = float(np.max(np.abs(h - h.conj().T)))
     if defect > tol:
         raise ValidationError(
             f"matrix is not Hermitian within {tol:g} (max deviation {defect:.3e})"
@@ -144,40 +118,3 @@ def eig_hermitian(
     w, v = np.linalg.eigh(sym)
     # eigh returns ascending order; the exported convention is descending
     return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def is_psd(h: np.ndarray) -> bool:
-    """True iff the smallest eigenvalue of h is >= -DEFAULT_PSD_TOL; h must be
-    Hermitian within the same tolerance."""
-    w, _ = eig_hermitian(h, tol=DEFAULT_PSD_TOL)
-    return bool(w[-1] >= -DEFAULT_PSD_TOL)
-
-
-def partial_trace(m: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
-    """Partial trace over all sites not in ``keep``.
-
-    ``dims`` lists the local dimension of each site, site 0 being the most
-    significant factor of the row index. ``keep`` is a sorted list of site
-    indices to retain.
-    """
-    m = as_cmatrix(m, "m")
-    n = len(dims)
-    total = int(np.prod(dims))
-    if m.shape != (total, total):
-        raise ValidationError(f"matrix shape {m.shape} does not match dims {dims}")
-    keep = sorted(keep)
-    if any(k < 0 or k >= n for k in keep) or not keep:
-        raise ValidationError(f"keep={keep} invalid for {n} sites")
-    t = m.reshape(tuple(dims) * 2)
-    # contract bra/ket index pairs of traced-out sites, back to front so axis
-    # numbers of untouched sites stay valid
-    traced = t
-    removed = 0
-    for site in range(n - 1, -1, -1):
-        if site in keep:
-            continue
-        live = n - removed
-        traced = np.trace(traced, axis1=site, axis2=site + live)
-        removed += 1
-    kept_dim = int(np.prod([dims[k] for k in keep]))
-    return traced.reshape(kept_dim, kept_dim)

@@ -30,7 +30,6 @@ from .linalg import (
     complex_to_json,
     eig_hermitian,
     frozen,
-    hermiticity_defect,
 )
 from .scenario import Behavior, BellFunctional, Scenario, lhv_bounds
 from .states import DensityMatrix
@@ -70,8 +69,6 @@ class Measurement:
                 dim = m.shape[0]
             elif m.shape[0] != dim:
                 raise ValidationError("effects have inconsistent dimensions")
-            if hermiticity_defect(m) > EFFECT_PSD_TOL:
-                raise ValidationError(f"effect {i} is not Hermitian")
             w, _ = eig_hermitian(m, tol=EFFECT_PSD_TOL)
             if w[-1] < -EFFECT_PSD_TOL:
                 raise ValidationError(
@@ -159,13 +156,9 @@ class MeasurementAssignment(JsonFile):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MeasurementAssignment":
-        try:
-            d = int(data["d"])
-            parties = data["parties"]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed assignment JSON: {exc}") from exc
+        d = int(data["d"])
         built = []
-        for party in parties:
+        for party in data["parties"]:
             row = []
             for m in party:
                 effects = tuple(complex_from_json(e, d, "effect") for e in m["effects"])

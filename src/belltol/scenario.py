@@ -192,13 +192,9 @@ class BellFunctional(JsonFile):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BellFunctional":
-        try:
-            sc = Scenario(tuple(tuple(tuple(v) for v in party) for party in data["outcomes"]))
-            raw = data["coeffs"]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed functional JSON: {exc}") from exc
+        sc = Scenario(tuple(tuple(tuple(v) for v in party) for party in data["outcomes"]))
         coeffs = {}
-        for key, table in raw.items():
+        for key, table in data["coeffs"].items():
             s = tuple(int(tok) - 1 for tok in key.split(","))
             coeffs[s] = np.asarray(table, dtype=float)
         return cls(scenario=sc, coeffs=coeffs, label=str(data.get("label", "")))

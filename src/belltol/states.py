@@ -72,10 +72,7 @@ class DensityMatrix(JsonFile):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DensityMatrix":
-        try:
-            d, n = int(data["d"]), int(data["n"])
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed state JSON: {exc}") from exc
+        d, n = int(data["d"]), int(data["n"])
         return cls(d=d, n=n, matrix=complex_from_json(data, d**n, "state"))
 
 

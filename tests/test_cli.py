@@ -139,6 +139,26 @@ def test_visibility_ghz3_mermin(capsys):
     assert data["results"]["beta_star"] == pytest.approx(0.5, abs=1e-6)
 
 
+def test_visibility_report_prints_no_round_off(capsys):
+    # seed 1 leaves -0.0 and entries such as 4.9e-31 and -1.3e-15 in the
+    # LP's weights and dual; they print as 0.0, and beta_star is the LP's
+    from belltol.polytope import critical_visibility
+    from belltol.qvalue import seesaw
+    from belltol.scenario import mermin
+    from belltol.states import NoiseSpec, ghz
+
+    assert main(["visibility", "--state", "ghz:2,3", "--functional", "mermin",
+                 "--seed", "1", "--restarts", "5"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    report = data["results"]["report"]
+    entries = report["weights"] + report["dual"]
+    assert all(math.copysign(1.0, x) == 1.0 for x in entries if x == 0.0)
+    assert all(x == 0.0 or abs(x) >= 1e-12 for x in entries)
+    assignment = seesaw(mermin(3), ghz(2, 3), restarts=5, seed=1).assignment
+    beta = critical_visibility(ghz(2, 3), NoiseSpec.white(), assignment).beta_star
+    assert data["results"]["beta_star"] == float(f"{beta:.9g}")
+
+
 def test_visibility_product_state(capsys):
     code, data = run_json(capsys, [
         "visibility", "--state", "product:2,2", "--noise", "white",
@@ -328,16 +348,32 @@ def test_tolerance_provenance_stable_at_the_formula_value(monkeypatch, capsys, v
     )
 
 
-@pytest.mark.parametrize("argv", [
-    ["tolerance", "--state", "json:/nonexistent/state.json"],
-    ["visibility", "--state", "ghz:2,2", "--measurements", "nofile"],
-    ["visibility", "--state", "ghz:2,2", "--measurements", "json:/nonexistent/meas.json",
-     "--restarts", "1"],
-    ["violation", "--state", "ghz:2,2", "--functional", "chsh", "--restarts", "1",
-     "--out", "/nonexistent/dir/x.json"],
-], ids=["state-file", "measurements-spec", "measurements-file", "out-file"])
-def test_file_errors_exit_2(capsys, argv):
+PAIR = [[1.0, -1.0], [1.0, -1.0]]
+
+
+@pytest.mark.parametrize("argv, document", [
+    (["tolerance", "--state", "json:/nonexistent/state.json"], None),
+    (["visibility", "--state", "ghz:2,2", "--measurements", "nofile"], None),
+    (["visibility", "--state", "ghz:2,2", "--measurements", "json:/nonexistent/meas.json",
+      "--restarts", "1"], None),
+    (["violation", "--state", "ghz:2,2", "--functional", "chsh", "--restarts", "1",
+      "--out", "/nonexistent/dir/x.json"], None),
+    (["violation", "--state", "ghz:2,2", "--functional", "json:{doc}", "--restarts", "1"],
+     {"outcomes": [PAIR, PAIR], "coeffs": [1, 2]}),
+    (["visibility", "--state", "ghz:2,2", "--measurements", "json:{doc}"],
+     {"d": 2, "parties": [[{"outcome_values": [1.0, -1.0]}]]}),
+    (["visibility", "--state", "ghz:2,2", "--measurements", "json:{doc}"],
+     {"d": 2, "parties": [[[1.0, -1.0]]]}),
+], ids=["state-file", "measurements-spec", "measurements-file", "out-file",
+        "functional-coeffs-list", "measurement-without-effects", "measurement-is-list"])
+def test_file_errors_exit_2(capsys, tmp_path, argv, document):
+    if document is not None:
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps(document))
+        argv = [a.format(doc=doc) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+    if document is not None:
+        assert err.startswith("error: malformed ")

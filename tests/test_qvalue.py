@@ -64,6 +64,19 @@ def test_measurement_validation():
     assert np.allclose(sum(m.effects), np.eye(3))
 
 
+@pytest.mark.parametrize("skew, ok", [(5e-10, True), (2e-9, False)])
+def test_measurement_hermiticity_boundary(skew, ok):
+    # effects [[1, s], [0, 0]] and [[0, -s], [0, 1]] sum to I exactly and
+    # deviate from Hermiticity by s; EFFECT_PSD_TOL = 1e-9 is the limit
+    e0 = np.array([[1.0, skew], [0.0, 0.0]], dtype=complex)
+    e1 = np.array([[0.0, -skew], [0.0, 1.0]], dtype=complex)
+    if ok:
+        assert Measurement((e0, e1), (1.0, -1.0)).n_outcomes == 2
+    else:
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            Measurement((e0, e1), (1.0, -1.0))
+
+
 def test_dichotomic_from_observable():
     m = Measurement.dichotomic_from_observable(SX)
     assert m.outcome_values == (1.0, -1.0)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from belltol.errors import DomainError, ResourceCapError, ValidationError
-from belltol.linalg import partial_trace
 from belltol.states import (
     DensityMatrix,
     NoiseSpec,
@@ -38,7 +37,6 @@ def test_ghz32_purity_and_reduced_state():
     t = np.asarray(g.matrix).reshape(3, 3, 3, 3)
     reduced = np.einsum("ikjk->ij", t)
     assert np.allclose(reduced, np.eye(3) / 3, atol=1e-12)
-    assert np.allclose(partial_trace(g.matrix, [3, 3], [0]), reduced)
 
 
 def test_ghz_is_valid_density():
