@@ -1,8 +1,8 @@
 """Dense complex linear algebra: validated complex matrices and Hermitian
-eigensystems, whose Hermiticity check is the one that states, measurement
-effects and the seesaw's sign steps pass; the dimension cap of the state
-builders; the JSON form of matrices and the ``save``/``load`` pair of the
-package's JSON files.
+eigensystems, whose Hermiticity check is the one that states given without
+a proof, measurement effects and the seesaw's sign steps pass; the
+dimension cap of the state builders; the JSON form of matrices and the
+``save``/``load`` pair of the package's JSON files.
 
 All functions are pure and operate on immutable inputs; matrices are plain
 ``numpy`` complex arrays in row-major layout.

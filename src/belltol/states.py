@@ -27,12 +27,34 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 
 
+def _checked(d: int, n: int, matrix: np.ndarray) -> np.ndarray:
+    """The checks every state passes, proved or not: d >= 2, n >= 1, a finite
+    complex matrix of shape (d^n, d^n) and unit trace within TRACE_TOL.
+    Returns the matrix as complex128, the caller's array when it already is."""
+    if d < 2:
+        raise DomainError(f"site dimension must be >= 2, got {d}")
+    if n < 1:
+        raise DomainError(f"number of sites must be >= 1, got {n}")
+    m = as_cmatrix(matrix, "density matrix")
+    dim = d**n
+    if m.shape != (dim, dim):
+        raise ValidationError(f"density matrix shape {m.shape} does not match d={d}, n={n}")
+    tr = float(np.trace(m).real)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValidationError(f"trace is {tr!r}, not 1 within {TRACE_TOL:g}")
+    return m
+
+
 @dataclass(frozen=True)
 class DensityMatrix(JsonFile):
     """Trace-one positive operator on (C^d)^{⊗n}.
 
-    Validated on construction: Hermitian within 1e-10 (max entry), unit trace
-    within 1e-10 and positive semidefinite within 1e-9.
+    Hermitian within 1e-10 (max entry), unit trace within 1e-10 and positive
+    semidefinite within 1e-9. A matrix given to the constructor or read by
+    ``load`` carries no proof, so the constructor checks all three, the last
+    two with the eigensolver. The builders (``from_vector``, ``white_noise``,
+    ``mix`` and those built on them) prove Hermiticity and positivity by how
+    they build the matrix, and check only shape, finiteness and trace.
     """
 
     d: int
@@ -40,32 +62,34 @@ class DensityMatrix(JsonFile):
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise DomainError(f"site dimension must be >= 2, got {self.d}")
-        if self.n < 1:
-            raise DomainError(f"number of sites must be >= 1, got {self.n}")
-        m = as_cmatrix(self.matrix, "density matrix")
-        dim = self.d**self.n
-        if m.shape != (dim, dim):
-            raise ValidationError(
-                f"density matrix shape {m.shape} does not match d={self.d}, n={self.n}"
-            )
+        m = _checked(self.d, self.n, self.matrix)
         w, _ = eig_hermitian(m, tol=HERM_TOL)
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"trace is {tr!r}, not 1 within {TRACE_TOL:g}")
         if w[-1] < -PSD_TOL:
             raise ValidationError(
                 f"matrix is not PSD within {PSD_TOL:g} (min eigenvalue {w[-1]:.3e})"
             )
         object.__setattr__(self, "matrix", frozen(m))
 
+    @classmethod
+    def _proved(cls, d: int, n: int, matrix: np.ndarray) -> "DensityMatrix":
+        """A state whose builder has proved it Hermitian and PSD: only the
+        checks of ``_checked`` run. ``matrix`` must be a fresh array that no
+        caller holds, since it is frozen in place rather than copied."""
+        m = _checked(d, n, matrix)
+        m.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "d", d)
+        object.__setattr__(state, "n", n)
+        object.__setattr__(state, "matrix", m)
+        return state
+
     @property
     def dim(self) -> int:
         return self.d**self.n
 
     def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+        """tr(rho^2), which for Hermitian rho is the sum of |rho_ij|^2."""
+        return float(np.vdot(self.matrix, self.matrix).real)
 
     def to_json_dict(self) -> dict:
         return {"d": self.d, "n": self.n, **complex_to_json(self.matrix)}
@@ -85,14 +109,16 @@ def _check_cap(d: int, n: int) -> int:
 
 
 def from_vector(psi: np.ndarray, d: int, n: int) -> DensityMatrix:
-    """Rank-1 density matrix |psi><psi| from a normalized state vector."""
+    """Rank-1 density matrix |psi><psi| from a normalized state vector.
+
+    Proof: the outer product is Hermitian exactly, and its one nonzero
+    eigenvalue is ||psi||^2, which is its trace; so the trace check, within
+    TRACE_TOL, is the norm check, and a state that passes it is PSD.
+    """
     v = np.asarray(psi, dtype=np.complex128).ravel()
     if v.size != d**n:
         raise ValidationError(f"vector length {v.size} does not match d={d}, n={n}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValidationError(f"state vector norm is {norm!r}, not 1")
-    return DensityMatrix(d=d, n=n, matrix=np.outer(v, v.conj()))
+    return DensityMatrix._proved(d, n, np.outer(v, v.conj()))
 
 
 def ghz(d: int, n: int) -> DensityMatrix:
@@ -129,11 +155,11 @@ def w_state(n: int) -> DensityMatrix:
 
 
 def white_noise(d: int, n: int) -> DensityMatrix:
-    """Maximally mixed state I/d^n."""
+    """Maximally mixed state I/d^n, diagonal with positive entries."""
     if d < 2 or n < 1:
         raise DomainError(f"need d >= 2 and n >= 1, got d={d}, n={n}")
     dim = _check_cap(d, n)
-    return DensityMatrix(d=d, n=n, matrix=np.eye(dim, dtype=np.complex128) / dim)
+    return DensityMatrix._proved(d, n, np.eye(dim, dtype=np.complex128) / dim)
 
 
 def product_zero(d: int, n: int) -> DensityMatrix:
@@ -147,7 +173,14 @@ def product_zero(d: int, n: int) -> DensityMatrix:
 
 
 def mix(noise: DensityMatrix, signal: DensityMatrix, beta: float) -> DensityMatrix:
-    """Convex mixture (1-beta)*noise + beta*signal."""
+    """Convex mixture (1-beta)*noise + beta*signal.
+
+    Proof: both operands are validated states and beta lies in [0, 1], so the
+    mixture's Hermiticity defect is at most HERM_TOL (it is a convex
+    combination of the operands' defects) and, by Weyl's inequality
+    lambda_min(A + B) >= lambda_min(A) + lambda_min(B) on the Hermitian
+    parts, its least eigenvalue is at least -PSD_TOL; both up to round-off.
+    """
     if not 0.0 <= beta <= 1.0:
         raise DomainError(f"beta must lie in [0, 1], got {beta}")
     if (noise.d, noise.n) != (signal.d, signal.n):
@@ -156,7 +189,7 @@ def mix(noise: DensityMatrix, signal: DensityMatrix, beta: float) -> DensityMatr
             f"signal is (d={signal.d}, n={signal.n})"
         )
     m = (1.0 - beta) * noise.matrix + beta * signal.matrix
-    return DensityMatrix(d=signal.d, n=signal.n, matrix=m)
+    return DensityMatrix._proved(signal.d, signal.n, m)
 
 
 @dataclass(frozen=True)

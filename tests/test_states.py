@@ -4,17 +4,22 @@ import math
 import numpy as np
 import pytest
 
+import belltol.states
 from belltol.errors import DomainError, ResourceCapError, ValidationError
 from belltol.states import (
+    HERM_TOL,
+    PSD_TOL,
     DensityMatrix,
     NoiseSpec,
     dicke,
+    from_vector,
     ghz,
     mix,
     product_zero,
     w_state,
     white_noise,
 )
+from helpers import random_density
 
 
 def test_ghz22_matrix():
@@ -175,3 +180,87 @@ def test_builders_obey_max_dim_env(monkeypatch, build):
     monkeypatch.setenv("BELLTOL_MAX_DIM", "4")
     with pytest.raises(ResourceCapError, match="exceeds cap 4"):
         build()
+
+
+@pytest.mark.parametrize("excess, accepted", [(4e-11, True), (1.2e-10, False)])
+def test_from_vector_norm_is_checked_once_within_trace_tol(excess, accepted):
+    psi = np.array([1.0, 0.0, 0.0, 1.0]) * math.sqrt((1.0 + excess) / 2.0)
+    if accepted:
+        assert abs(from_vector(psi, 2, 2).purity() - (1.0 + excess) ** 2) <= 1e-15
+    else:
+        with pytest.raises(ValidationError, match="trace"):
+            from_vector(psi, 2, 2)
+
+
+def test_from_vector_rejects_nan():
+    with pytest.raises(ValidationError, match="non-finite"):
+        from_vector(np.array([np.nan, 0.0, 0.0, 1.0]), 2, 2)
+
+
+def test_builders_never_call_the_eigensolver(monkeypatch, tmp_path):
+    explicit = random_density(2, 3, np.random.default_rng(5))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eig_hermitian called")
+
+    monkeypatch.setattr(belltol.states, "eig_hermitian", forbidden)
+    white = white_noise(2, 3)
+    for build in (
+        lambda: ghz(2, 3),
+        lambda: ghz(3, 2),
+        lambda: dicke(4, 2),
+        lambda: w_state(3),
+        lambda: product_zero(2, 3),
+        lambda: NoiseSpec.white().resolve(2, 3),
+        lambda: mix(white, ghz(2, 3), 0.3),
+        lambda: mix(explicit, ghz(2, 3), 0.3),
+    ):
+        build()
+    monkeypatch.undo()
+
+    calls = []
+    real = belltol.states.eig_hermitian
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(belltol.states, "eig_hermitian", counted)
+    DensityMatrix(2, 1, np.eye(2) / 2)
+    assert len(calls) >= 1
+    path = tmp_path / "state.json"
+    white.save(str(path))
+    calls.clear()
+    DensityMatrix.load(str(path))
+    assert len(calls) >= 1
+
+
+def test_mix_of_states_is_a_state():
+    rng = np.random.default_rng(11)
+    pairs = [(random_density(2, 2, rng), random_density(2, 2, rng)),
+             (random_density(3, 2, rng), ghz(3, 2)),
+             (white_noise(2, 3), random_density(2, 3, rng))]
+    for noise, signal in pairs:
+        for beta in np.linspace(0.0, 1.0, 11):
+            m = mix(noise, signal, beta).matrix
+            assert np.linalg.eigvalsh(m).min() >= -PSD_TOL
+            assert np.max(np.abs(m - m.conj().T)) <= HERM_TOL
+
+
+def test_built_matrices_are_frozen_and_not_aliased():
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = psi[3] = 1 / math.sqrt(2)
+    state = from_vector(psi, 2, 2)
+    before = state.matrix.copy()
+    psi[0] = 1.0
+    assert np.array_equal(state.matrix, before)
+    for built in (state, white_noise(2, 2), mix(white_noise(2, 2), state, 0.4)):
+        assert not built.matrix.flags.writeable
+
+
+def test_purity_matches_the_matmul_formula():
+    rng = np.random.default_rng(3)
+    rho = random_density(2, 3, rng)
+    for state in (rho, mix(rho, ghz(2, 3), 0.6)):
+        m = state.matrix
+        assert abs(state.purity() - np.trace(m @ m).real) <= 1e-12
