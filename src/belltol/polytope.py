@@ -86,7 +86,7 @@ class _Tableau:
         self.a_ext = np.hstack([a * self.signs[:, None], np.eye(m)])
         self.b = b * self.signs
         self.m = m
-        self.basis = list(range(n, n + m))
+        self.basis = np.arange(n, n + m)
         self.b_inv = np.eye(m)
         self.x_b = self.b.copy()
         self.pivots = 0
@@ -95,14 +95,14 @@ class _Tableau:
         self.b_inv = np.linalg.inv(self.a_ext[:, self.basis])
         self.x_b = self.b_inv @ self.b
 
-    def pivot(self, row: int, col: int) -> None:
-        u = self.b_inv @ self.a_ext[:, col]
+    def pivot(self, row: int, col: int, u: np.ndarray) -> None:
+        """Bring column ``col`` into the basis at ``row``; ``u`` is B^-1 a_col."""
         piv = u[row]
         self.basis[row] = col
         # product-form update: premultiply by the eta matrix sending u to e_row
         eta = -u / piv
         eta[row] = 1.0 / piv - 1.0
-        self.b_inv = self.b_inv + np.outer(eta, self.b_inv[row])
+        self.b_inv += np.outer(eta, self.b_inv[row])
         self.x_b = self.x_b + eta * self.x_b[row]
         self.pivots += 1
         if self.pivots % REFACTOR_EVERY == 0:
@@ -113,32 +113,27 @@ class _Tableau:
         OPTIMAL or UNBOUNDED."""
         while True:
             y = cost[self.basis] @ self.b_inv
-            reduced = cost[:eligible] - y @ self.a_ext[:, :eligible]
-            basic = set(self.basis)
-            entering = -1
-            for j in np.flatnonzero(reduced > DEFAULT_LP_TOL):
-                if int(j) not in basic:
-                    entering = int(j)
-                    break
-            if entering < 0:
+            improving = cost[:eligible] - y @ self.a_ext[:, :eligible] > DEFAULT_LP_TOL
+            improving[self.basis[self.basis < eligible]] = False
+            if not improving.any():
                 return OPTIMAL
+            entering = int(np.argmax(improving))
             u = self.b_inv @ self.a_ext[:, entering]
-            best_row, best_ratio, best_var = -1, np.inf, np.inf
             # pivots are relative to the column's scale: on an ill-conditioned
             # basis a round-off entry above the tolerance would leave a
             # singular basis
             piv_tol = DEFAULT_LP_TOL * max(1.0, float(np.max(np.abs(u))))
-            for i in range(self.m):
-                if u[i] > piv_tol:
-                    ratio = self.x_b[i] / u[i]
-                    # Bland tie-break: smallest leaving variable index
-                    if ratio < best_ratio - 1e-15 or (
-                        abs(ratio - best_ratio) <= 1e-15 and self.basis[i] < best_var
-                    ):
-                        best_row, best_ratio, best_var = i, ratio, self.basis[i]
+            rows = np.flatnonzero(u > piv_tol)
+            best_row, best_ratio, best_var = -1, np.inf, np.inf
+            for i, ratio in zip(rows.tolist(), self.x_b[rows] / u[rows]):
+                # Bland tie-break: smallest leaving variable index
+                if ratio < best_ratio - 1e-15 or (
+                    abs(ratio - best_ratio) <= 1e-15 and self.basis[i] < best_var
+                ):
+                    best_row, best_ratio, best_var = i, ratio, self.basis[i]
             if best_row < 0:
                 return UNBOUNDED
-            self.pivot(best_row, entering)
+            self.pivot(best_row, entering, u)
             self.x_b = np.maximum(self.x_b, 0.0)
 
 
@@ -173,7 +168,8 @@ def simplex_max(lp: LinearProgram) -> SimplexResult:
                       if j not in tab.basis]
         if not candidates:
             raise SolverError(f"row {i} of A_eq depends on the others")
-        tab.pivot(i, int(candidates[0]))
+        j = int(candidates[0])
+        tab.pivot(i, j, tab.b_inv @ tab.a_ext[:, j])
 
     phase2_cost = np.concatenate([c, np.zeros(m)])
     status = tab.run_bland(phase2_cost, eligible=n)

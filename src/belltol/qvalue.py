@@ -6,12 +6,22 @@ each table exactly into correlators (products of outcome values over subsets
 of sites), where the optimal single-party update is the closed-form
 sign-operator step.
 
-Both ``behavior`` and the seesaw contract the state with one stack of m
-operators per site, site 0 first, one ``tensordot`` each (``_site_contract``):
-a setting's effects for ``behavior``, [I, O_0, ..., O_(S-1)] for the seesaw,
-whose correlator tensor weighs all terms at once. Site p costs about
-d^(2(n-p)) m_0 ... m_p multiply-adds, so while m < d^2 a table costs
-O(m d^(2n)) and a seesaw sweep n + 1 such contractions, whatever the terms.
+``behavior`` contracts the state with one stack of m operators per site, a
+setting's effects, site 0 first, one ``tensordot`` each (``_site_contract``).
+Site p costs about d^(2(n-p)) m_0 ... m_p multiply-adds, so while m < d^2 a
+table costs O(m d^(2n)).
+
+The seesaw advances all its restarts as one batch. Each party holds an
+array (R, m, d, d) of stacks [I, O_0, ..., O_(S-1)], one per restart, and the
+state is laid out with each site's (ket, bra) pair fused into one axis of
+length d^2, so closing a site is one ``matmul`` over the batch. A sweep keeps
+a left environment L_p, the state closed at sites 0..p-1 with their
+operators of this sweep. Party p's local operators are L_p closed at sites
+p+1..n-1 and contracted with the correlator tensor, which weighs all terms
+at once; after party p's sign step, one eigensolver call on the stack of
+all its restarts and settings, L_(p+1) is L_p closed at site p, and L_n
+gives the sweep's objective. A sweep is n(n-1)/2 + 2n contractions for the
+whole batch, the largest of about m d^(2n) multiply-adds per restart.
 """
 
 from __future__ import annotations
@@ -43,6 +53,10 @@ MAX_SWEEPS = 500
 # only if it beats it by more than RESTART_GAIN_TOL * max(1, |best|).
 SWEEP_TOL = 1e-10
 RESTART_GAIN_TOL = 1e-9
+# The seesaw advances its restarts together, as many per batch as keep the
+# batch's largest intermediate within BATCH_CELLS complex cells (at least one),
+# in the manner of scenario.GRID_BLOCK; the others run in later batches.
+BATCH_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -171,27 +185,20 @@ def _rho_tensor(rho: DensityMatrix) -> np.ndarray:
     return rho.matrix.reshape((rho.d,) * (2 * rho.n))
 
 
-def _site_contract(
-    rho_t: np.ndarray, stacks: list[np.ndarray], open_site: int | None = None
-) -> np.ndarray:
+def _site_contract(rho_t: np.ndarray, stacks: list[np.ndarray]) -> np.ndarray:
     """T[m_1, ..., m_n] = tr[rho (A_1[m_1] x ... x A_n[m_n])] for operator
     stacks A_p of shape (m_p, d, d), indexed [m, bra, ket].
 
     Sites are contracted in order, one ``tensordot`` each, against the (ket,
     bra) axis pair of ``rho_t``; the tensor shrinks by d^2 and grows by m_p at
-    every site. An ``open_site`` is skipped: its (ket, bra) pair leads the
-    result, K[k, b] with tr[rho (... x B x ...)] = tr[K B] for an operator B
-    at that site.
+    every site.
     """
     n = len(stacks)
     t = rho_t
     for site, stack in enumerate(stacks):
-        if site == open_site:
-            continue
-        # axes left: kets of the open site (when before this one) and of sites
-        # site..n-1, then their bras in the same order, then the m axes so far
-        before = int(open_site is not None and open_site < site)
-        t = np.tensordot(t, stack, axes=([before, n - site + 2 * before], [2, 1]))
+        # axes left: kets of sites site..n-1, then their bras in the same
+        # order, then the m axes so far
+        t = np.tensordot(t, stack, axes=([0, n - site], [2, 1]))
     return t
 
 
@@ -308,10 +315,11 @@ def _random_observable(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sign_operator(h: np.ndarray) -> np.ndarray:
-    """sign(h) via eigendecomposition; eigenvalues within 1e-12 of zero map to +1."""
+    """sign(h) of each matrix of a stack (..., d, d), by one eigensolver call;
+    eigenvalues within 1e-12 of zero map to +1."""
     w, v = eig_hermitian(h, tol=1e-8)
     signs = np.where(w < -SIGN_EIG_TOL, -1.0, 1.0)
-    return (v * signs) @ v.conj().T
+    return (v * signs[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _dichotomic(obs: np.ndarray, values: tuple[float, ...]) -> Measurement:
@@ -333,21 +341,123 @@ def _correlator_tensor(terms: list[CorrelationTerm], settings: tuple[int, ...]) 
     return c
 
 
-def _objective(rho_t: np.ndarray, c: np.ndarray, stacks: list[np.ndarray]) -> float:
-    return float(np.sum(c * _site_contract(rho_t, stacks).real))
+def _site_pairs(rho: DensityMatrix) -> np.ndarray:
+    """The state with each site's (ket, bra) pair fused into one axis of
+    length d^2, site 0 outermost: the left environment L_0, of shape
+    (1, d^(2n), 1), that every restart shares."""
+    n = rho.n
+    axes = [a for p in range(n) for a in (p, n + p)]
+    return _rho_tensor(rho).transpose(axes).reshape(1, -1, 1)
+
+
+def _site(ops: np.ndarray) -> np.ndarray:
+    """A party's stacks (R, m, d, d), indexed [m, bra, ket], as the (R, d^2, m)
+    matrices whose rows are indexed (ket, bra), like the state's site axes."""
+    r, m, d, _ = ops.shape
+    return ops.transpose(0, 3, 2, 1).reshape(r, d * d, m)
+
+
+def _advance(left: np.ndarray, site: np.ndarray) -> np.ndarray:
+    """L_(p+1) from L_p and site p. A left environment has shape (R, d^2 D, M):
+    the axes of the open sites p..n-1 by the m axes of the closed sites
+    0..p-1, and closing its leading site is one product per restart."""
+    k = site.shape[1]
+    paired = left.reshape(len(left), k, -1).swapaxes(1, 2)
+    out = np.matmul(paired, site)
+    return out.reshape(len(out), left.shape[1] // k, -1)
 
 
 def _local_operators(
-    rho_t: np.ndarray, c: np.ndarray, stacks: list[np.ndarray], party: int
+    env: np.ndarray, sites: list[np.ndarray], c: np.ndarray, party: int
 ) -> np.ndarray:
-    """K of shape (S + 1, d, d) with objective = sum_s tr[K[s + 1] O_s] +
-    tr[K[0]] in party's observables O_s, the other parties' held fixed."""
-    others = list(range(1, len(stacks)))
-    return np.tensordot(
-        np.moveaxis(c, party, 0),
-        _site_contract(rho_t, stacks, open_site=party),
-        axes=(others, [a + 1 for a in others]),
-    )
+    """K of shape (R, m_p, d^2) with objective sum_s tr[K[:, s] O_s] in party
+    p's stack O, K[:, s] read as [ket, bra]: its left environment L_p, given
+    as ``env``, closed at the sites p+1..n-1, one product per restart and
+    entry of site p each, then contracted with the correlator tensor.
+    ``env`` is rebound as it shrinks, so a caller that holds no reference to
+    L_p does not keep it alive."""
+    for site in sites[party + 1:]:
+        k = site.shape[1]
+        env = np.matmul(env.reshape(len(env), k, k, -1).swapaxes(2, 3), site[:, None])
+        env = env.reshape(len(env), k, -1)
+    return np.matmul(np.moveaxis(c, party, 0).reshape(c.shape[party], -1), env.swapaxes(1, 2))
+
+
+def _objective(left: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per-restart objective from the left environment L_n, (R, 1, M)."""
+    return (left.real @ c.ravel())[:, 0]
+
+
+@dataclass(frozen=True)
+class _Restart:
+    objective: float
+    trace: tuple[float, ...]
+    converged: bool
+    observables: list[np.ndarray]  # per party, (S_p, d, d)
+
+
+def _run_batch(
+    rho: DensityMatrix, c: np.ndarray, seed: int, restarts: range
+) -> list[_Restart]:
+    """Seesaw restarts ``restarts`` advanced together, each from the Haar-random
+    observables of its own stream ``default_rng([seed, restart])``; a restart
+    leaves the batch when a sweep gains less than SWEEP_TOL.
+
+    The state is laid out as L_0 afresh where a sweep needs it, for party 0's
+    local operators and for L_1, so that no copy of it is held beside the
+    other left environments."""
+    n, d = rho.n, rho.d
+    eye = np.eye(d, dtype=np.complex128)
+    drawn = []
+    for restart in restarts:
+        rng = np.random.default_rng([seed, restart])
+        drawn.append([
+            np.stack([eye] + [_random_observable(d, rng) for _ in range(m - 1)])
+            for m in c.shape
+        ])
+    ops = [np.stack([run[p] for run in drawn]) for p in range(n)]
+
+    left = _site_pairs(rho)
+    for stack in ops:
+        left = _advance(left, _site(stack))
+    value = _objective(left, c)
+    active = list(restarts)
+    traces: dict[int, list[float]] = {r: [] for r in restarts}
+    done: dict[int, _Restart] = {}
+    for _ in range(MAX_SWEEPS):
+        sites = [_site(stack) for stack in ops]
+        for party in range(n):
+            k = _local_operators(_site_pairs(rho) if party == 0 else left, sites, c, party)
+            k = k[:, 1:].reshape(len(k), -1, d, d)
+            # a vanishing local operator carries no update direction (every
+            # observable is optimal); keep the current one
+            moves = np.max(np.abs(k), axis=(2, 3)) > SIGN_EIG_TOL
+            if moves.any():
+                ops[party][:, 1:] = np.where(moves[..., None, None], sign_operator(k),
+                                             ops[party][:, 1:])
+                sites[party] = _site(ops[party])
+            left = _advance(_site_pairs(rho) if party == 0 else left, sites[party])
+        new_value = _objective(left, c)
+        for i, restart in enumerate(active):
+            traces[restart].append(float(new_value[i]))
+            if new_value[i] < value[i] - 1e-12:
+                raise ValidationError(
+                    f"seesaw objective decreased from {value[i]!r} to {new_value[i]!r}"
+                )
+        stop = new_value - value < SWEEP_TOL
+        for i in np.flatnonzero(stop):
+            restart = active[i]
+            done[restart] = _Restart(float(new_value[i]), tuple(traces[restart]), True,
+                                     [stack[i, 1:] for stack in ops])
+        value = new_value[~stop]
+        ops = [stack[~stop] for stack in ops]
+        active = [r for r, s in zip(active, stop) if not s]
+        if not active:
+            break
+    for i, restart in enumerate(active):
+        done[restart] = _Restart(float(value[i]), tuple(traces[restart]), False,
+                                 [stack[i, 1:] for stack in ops])
+    return [done[r] for r in restarts]
 
 
 def seesaw(
@@ -368,6 +478,10 @@ def seesaw(
     against the functional's LHV range, so adding a constant to ``f`` leaves
     it unchanged. The search only raises ``f``: to look below its LHV range,
     pass ``f.scaled(-1)``.
+
+    The restarts run as batches (``_run_batch``) of as many as keep the
+    largest intermediate within BATCH_CELLS; a restart's arithmetic does not
+    depend on the batch it runs in.
     """
     terms = correlation_form(f)
     bounds = lhv_bounds(f)
@@ -377,63 +491,31 @@ def seesaw(
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts}")
     d = rho.d
-    rho_t = _rho_tensor(rho)
     c = _correlator_tensor(terms, sc.settings)
-    eye = np.eye(d, dtype=np.complex128)
+    # every intermediate has one axis per site, of length m_p or d^2
+    per_restart = math.prod(max(m, d * d) for m in c.shape)
+    size = max(1, BATCH_CELLS // per_restart)
+    runs: list[_Restart] = []
+    for first in range(0, restarts, size):
+        runs += _run_batch(rho, c, seed, range(first, min(first + size, restarts)))
 
-    best_objective = -math.inf
-    best_obs: list[np.ndarray] | None = None
-    best_trace: tuple[float, ...] = ()
-    best_converged = True
-    for restart in range(restarts):
-        rng = np.random.default_rng([seed, restart])
-        stacks = [
-            np.stack([eye] + [_random_observable(d, rng) for _ in range(sc.settings[p])])
-            for p in range(sc.parties)
-        ]
-        value = _objective(rho_t, c, stacks)
-        trace = []
-        converged = False
-        for _ in range(MAX_SWEEPS):
-            for party in range(sc.parties):
-                locals_ = _local_operators(rho_t, c, stacks, party)
-                for s_here, k in enumerate(locals_[1:], start=1):
-                    # a vanishing local operator carries no update direction
-                    # (every observable is optimal); keep the current one
-                    if np.max(np.abs(k)) > SIGN_EIG_TOL:
-                        stacks[party][s_here] = sign_operator(k)
-            new_value = _objective(rho_t, c, stacks)
-            trace.append(new_value)
-            if new_value < value - 1e-12:
-                raise ValidationError(
-                    f"seesaw objective decreased from {value!r} to {new_value!r}"
-                )
-            if new_value - value < SWEEP_TOL:
-                value = new_value
-                converged = True
-                break
-            value = new_value
-        gain = RESTART_GAIN_TOL * max(1.0, abs(best_objective))
-        if best_obs is None or value > best_objective + gain:
-            best_obs = [stack[1:] for stack in stacks]
-            best_trace = tuple(trace)
-            best_objective = value
-            best_converged = converged
-
-    assert best_obs is not None
+    best = runs[0]
+    for run in runs[1:]:
+        if run.objective > best.objective + RESTART_GAIN_TOL * max(1.0, abs(best.objective)):
+            best = run
     assignment = MeasurementAssignment(
         tuple(
             tuple(_dichotomic(o, sc.outcomes[p][s]) for s, o in enumerate(row))
-            for p, row in enumerate(best_obs)
+            for p, row in enumerate(best.observables)
         )
     )
     return SeesawResult(
-        value=bounds.violation(best_objective),
+        value=bounds.violation(best.objective),
         assignment=assignment,
-        trace=best_trace,
+        trace=best.trace,
         restarts_used=restarts,
-        objective=best_objective,
-        converged=best_converged,
+        objective=best.objective,
+        converged=best.converged,
     )
 
 

@@ -52,6 +52,21 @@ def test_eig_hermitian_tolerance_boundary():
         eig_hermitian(np.array([[1.0, 2e-9], [0.0, 1.0]], dtype=complex), tol=1e-9)
 
 
+def test_eig_hermitian_stack_matches_per_matrix_calls():
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    stack = (g + g.conj().swapaxes(1, 2)) / 2
+    w, v = eig_hermitian(stack)
+    assert w.shape == (3, 2) and v.shape == (3, 2, 2)
+    for k in range(3):
+        w_k, v_k = eig_hermitian(stack[k])
+        assert np.array_equal(w[k], w_k) and np.array_equal(v[k], v_k)
+    # one non-Hermitian member fails the one check of the whole stack
+    stack[1, 0, 1] += 1e-3
+    with pytest.raises(ValidationError, match="not Hermitian within"):
+        eig_hermitian(stack)
+
+
 def test_eig_hermitian_rejects_non_square():
     with pytest.raises(ValidationError, match="square"):
         eig_hermitian(np.zeros((2, 3)))

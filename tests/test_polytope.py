@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import MIXED_SCENARIO, chsh_optimal_assignment, mermin3_optimal_assignment
+from helpers import (
+    MIXED_SCENARIO,
+    SX,
+    SY,
+    chsh_optimal_assignment,
+    mermin3_optimal_assignment,
+)
 
 from belltol import polytope
 from belltol.errors import ResourceCapError, SolverError
@@ -23,7 +29,7 @@ from belltol.polytope import (
     simplex_max,
     vertex_matrix,
 )
-from belltol.qvalue import behavior, evaluate, seesaw
+from belltol.qvalue import Measurement, MeasurementAssignment, behavior, evaluate, seesaw
 from belltol.scenario import (
     Scenario,
     basis_rows,
@@ -108,16 +114,21 @@ def brute_force_lp_max(c, a, b, tol=1e-9):
     return best
 
 
-def test_simplex_random_lps_against_vertex_scan():
+def random_lps():
+    """Random LPs, feasible by construction."""
     rng = np.random.default_rng(13)
     shapes = [(int(rng.integers(2, 5)), int(rng.integers(6, 12))) for _ in range(25)]
     shapes += [(2, 50), (3, 30), (2, 40)]  # wider instances, small bases
     for m, n in shapes:
         a = rng.standard_normal((m, n))
-        x0 = rng.uniform(0.0, 1.0, n)  # feasible by construction
-        b = a @ x0
-        c = rng.standard_normal(n)
-        res = simplex_max(lp(c, a, b))
+        b = a @ rng.uniform(0.0, 1.0, n)
+        yield lp(rng.standard_normal(n), a, b)
+
+
+def test_simplex_random_lps_against_vertex_scan():
+    for problem in random_lps():
+        c, a, b = problem.c, problem.a_eq, problem.b_eq
+        res = simplex_max(problem)
         oracle = brute_force_lp_max(c, a, b)
         if res.status == UNBOUNDED:
             # oracle cannot certify unboundedness; skip the comparison
@@ -129,6 +140,94 @@ def test_simplex_random_lps_against_vertex_scan():
         assert np.allclose(a @ res.x, b, atol=1e-8)
         assert np.min(res.x) >= -1e-9
         assert_optimal_dual(res, c, a, b)
+
+
+def reference_pivot(tab, row, col):
+    """The pivot as it was written first: u recomputed, b_inv rebuilt."""
+    u = tab.b_inv @ tab.a_ext[:, col]
+    piv = u[row]
+    tab.basis[row] = col
+    eta = -u / piv
+    eta[row] = 1.0 / piv - 1.0
+    tab.b_inv = tab.b_inv + np.outer(eta, tab.b_inv[row])
+    tab.x_b = tab.x_b + eta * tab.x_b[row]
+    tab.pivots += 1
+    if tab.pivots % polytope.REFACTOR_EVERY == 0:
+        tab.refactor()
+
+
+def reference_run_bland(tab, cost, eligible):
+    """Bland's rule as a plain loop over the columns and the rows."""
+    while True:
+        y = cost[tab.basis] @ tab.b_inv
+        reduced = cost[:eligible] - y @ tab.a_ext[:, :eligible]
+        basic = set(tab.basis.tolist())
+        entering = -1
+        for j in np.flatnonzero(reduced > polytope.DEFAULT_LP_TOL):
+            if int(j) not in basic:
+                entering = int(j)
+                break
+        if entering < 0:
+            return OPTIMAL
+        u = tab.b_inv @ tab.a_ext[:, entering]
+        best_row, best_ratio, best_var = -1, np.inf, np.inf
+        piv_tol = polytope.DEFAULT_LP_TOL * max(1.0, float(np.max(np.abs(u))))
+        for i in range(tab.m):
+            if u[i] > piv_tol:
+                ratio = tab.x_b[i] / u[i]
+                if ratio < best_ratio - 1e-15 or (
+                    abs(ratio - best_ratio) <= 1e-15 and tab.basis[i] < best_var
+                ):
+                    best_row, best_ratio, best_var = i, ratio, tab.basis[i]
+        if best_row < 0:
+            return UNBOUNDED
+        reference_pivot(tab, best_row, entering)
+        tab.x_b = np.maximum(tab.x_b, 0.0)
+
+
+def solve_counting_pivots(monkeypatch, problem, reference):
+    tableaus = []
+
+    class Recording(polytope._Tableau):
+        def __init__(self, a, b):
+            super().__init__(a, b)
+            tableaus.append(self)
+
+        if reference:
+            run_bland = reference_run_bland
+
+            def pivot(self, row, col, u):
+                reference_pivot(self, row, col)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polytope, "_Tableau", Recording)
+        res = simplex_max(problem)
+    return res, tableaus[0].pivots
+
+
+def visibility_lp(monkeypatch, rho, meas):
+    lps = []
+
+    def recording(problem):
+        lps.append(problem)
+        return simplex_max(problem)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polytope, "simplex_max", recording)
+        critical_visibility(rho, NoiseSpec.white(), meas)
+    return lps[0]
+
+
+def test_simplex_keeps_the_reference_pivots(monkeypatch):
+    yx = (Measurement.dichotomic_from_observable(SY), Measurement.dichotomic_from_observable(SX))
+    problems = [visibility_lp(monkeypatch, ghz(2, n), MeasurementAssignment((yx,) * n))
+                for n in (3, 4)]
+    for problem in problems + list(random_lps()):
+        got, pivots = solve_counting_pivots(monkeypatch, problem, reference=False)
+        want, want_pivots = solve_counting_pivots(monkeypatch, problem, reference=True)
+        assert got.status == want.status and pivots == want_pivots
+        if want.status == OPTIMAL:
+            assert np.array_equal(got.x, want.x) and np.array_equal(got.dual, want.dual)
 
 
 def test_vertex_soundness():

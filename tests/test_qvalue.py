@@ -47,7 +47,7 @@ from belltol.scenario import (
     product_expectation_functional,
     uniform_behavior,
 )
-from belltol.states import dicke, from_vector, ghz, mix, product_zero, white_noise
+from belltol.states import dicke, from_vector, ghz, mix, product_zero, w_state, white_noise
 
 SQRT2 = math.sqrt(2.0)
 
@@ -346,7 +346,9 @@ def terms_ops(t, obs):
 @pytest.mark.parametrize("d, n", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4)])
 def test_site_contraction_matches_per_term_reference(d, n):
     rng = np.random.default_rng(200 + 10 * d + n)
-    rho_t = random_density(d, n, rng).matrix.reshape((d,) * (2 * n))
+    other = np.random.default_rng(300 + 10 * d + n)
+    rho = random_density(d, n, rng)
+    rho_t = rho.matrix.reshape((d,) * (2 * n))
     subset = sorted(int(p) for p in rng.choice(n, size=int(rng.integers(1, n)), replace=False))
     marginal = product_expectation_functional(
         Scenario.uniform(n, 2, values=(1.0, -1.0)), tuple(int(s) for s in rng.integers(2, size=n)),
@@ -359,20 +361,31 @@ def test_site_contraction_matches_per_term_reference(d, n):
         settings = f.scenario.settings
         terms = correlation_form(f)
         c = qvalue._correlator_tensor(terms, settings)
-        obs = [[qvalue._random_observable(d, rng) for _ in range(m)] for m in settings]
-        stacks = [np.stack([np.eye(d), *row]) for row in obs]
+        # a batch of two restarts, the second with observables of its own
+        batch = [[[qvalue._random_observable(d, g) for _ in range(m)] for m in settings]
+                 for g in (rng, other)]
+        sites = [qvalue._site(np.stack([np.stack([np.eye(d), *obs[p]]) for obs in batch]))
+                 for p in range(n)]
+        lefts = [qvalue._site_pairs(rho)]
+        for site in sites:
+            lefts.append(qvalue._advance(lefts[-1], site))
 
-        want = sum(t.weight * expectation(rho_t, terms_ops(t, obs)) for t in terms)
-        assert abs(qvalue._objective(rho_t, c, stacks) - want) <= 1e-12
+        objective = qvalue._objective(lefts[-1], c)
+        assert objective.shape == (2,)
+        for r, obs in enumerate(batch):
+            want = sum(t.weight * expectation(rho_t, terms_ops(t, obs)) for t in terms)
+            assert abs(objective[r] - want) <= 1e-12
         for party in range(n):
-            got = qvalue._local_operators(rho_t, c, stacks, party)
-            assert got.shape == (settings[party] + 1, d, d)
-            for s in range(settings[party]):
-                want = np.zeros((d, d), dtype=complex)
-                for t in terms:
-                    if t.participates[party] and t.setting[party] == s:
-                        want += t.weight * local_operator(rho_t, terms_ops(t, obs), party)
-                assert np.max(np.abs(got[s + 1] - want)) <= 1e-12
+            got = qvalue._local_operators(lefts[party], sites, c, party)
+            assert got.shape == (2, settings[party] + 1, d * d)
+            got = got.reshape(2, -1, d, d)
+            for r, obs in enumerate(batch):
+                for s in range(settings[party]):
+                    want = np.zeros((d, d), dtype=complex)
+                    for t in terms:
+                        if t.participates[party] and t.setting[party] == s:
+                            want += t.weight * local_operator(rho_t, terms_ops(t, obs), party)
+                    assert np.max(np.abs(got[r, s + 1] - want)) <= 1e-12
 
 
 def test_correlation_form_rejects_many_outcomes():
@@ -386,6 +399,16 @@ def test_sign_operator():
     assert np.allclose(sign_operator(np.diag([2.0, -3.0]).astype(complex)), np.diag([1.0, -1.0]))
     # near-zero eigenvalues resolve to +1
     assert np.allclose(sign_operator(np.zeros((2, 2), dtype=complex)), np.eye(2))
+    # a stack (restart, setting, d, d) gives each matrix the bits it gets alone
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((2, 3, 3, 3)) + 1j * rng.standard_normal((2, 3, 3, 3))
+    stack = g + g.conj().swapaxes(-1, -2)
+    stack[1, 2] = 0.0
+    got = sign_operator(stack)
+    assert got.shape == stack.shape
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(got[idx], sign_operator(stack[idx]))
+    assert np.allclose(got[1, 2], np.eye(3))
 
 
 def test_seesaw_chsh_bell_state():
@@ -465,6 +488,35 @@ def test_seesaw_ties_go_to_the_earliest_restart(f, rho, first):
     many = assignment_effects(seesaw(f, rho, restarts=5, seed=1))
     few = assignment_effects(seesaw(f, rho, restarts=first, seed=1))
     assert all(np.array_equal(x, y) for x, y in zip(many, few, strict=True))
+
+
+@pytest.mark.parametrize("f, rho", [(mermin(3), w_state(3)), (mermin(3), ghz(3, 3))],
+                         ids=["w3", "ghz33"])
+@pytest.mark.parametrize("size", [1, 2])
+def test_seesaw_batches_change_no_bit(monkeypatch, f, rho, size):
+    whole = seesaw(f, rho, restarts=5, seed=1)
+    # every intermediate has (d^2)^n cells per restart here (m <= d^2), so this
+    # cap runs the five restarts in batches of ``size``
+    monkeypatch.setattr(qvalue, "BATCH_CELLS", size * (rho.d**2) ** rho.n)
+    split = seesaw(f, rho, restarts=5, seed=1)
+    assert split.value == whole.value and split.objective == whole.objective
+    assert split.trace == whole.trace and split.converged == whole.converged
+    assert all(np.array_equal(x, y) for x, y in
+               zip(assignment_effects(split), assignment_effects(whole), strict=True))
+
+
+@pytest.mark.parametrize("f, rho, seed, restarts, sweeps, objective", [
+    (mermin(3), w_state(3), 5, 3, 183, 3.045956004787664),
+    (mermin(4), w_state(4), 1, 3, 76, 3.1085947889124252),
+    (extend_with_passive_parties(chsh(), 2), dicke(4, 2), 5, 3, 53, 2.403700850128998),
+    (mermin(3), ghz(3, 3), 1, 4, 4, 3.333333333333332),
+], ids=["w3", "w4", "chsh-d42", "ghz33"])
+def test_seesaw_pinned_runs(f, rho, seed, restarts, sweeps, objective):
+    # the best restart's sweeps and objective as the per-restart seesaw found them
+    res = seesaw(f, rho, restarts=restarts, seed=seed)
+    assert len(res.trace) == sweeps
+    assert res.converged
+    assert res.objective == pytest.approx(objective, abs=1e-12)
 
 
 def test_upsilon_lower_bound_library():
