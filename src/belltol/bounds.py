@@ -385,4 +385,10 @@ def sweep_reports(
                     if s == S_INF and mt == PROJECTIVE:
                         continue  # the all-settings regime covers both types
                     reports.append(family_report(family, d, n, s, mt, k=k))
+    if not reports:
+        if S_INF in s_values and PROJECTIVE in meas_types:
+            cause = f"s = inf has one row, meas type {GENERALIZED!r}, which covers both types"
+        else:
+            cause = "a parameter list is empty"
+        raise DomainError(f"the sweep selects no row: {cause}")
     return reports

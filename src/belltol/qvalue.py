@@ -6,10 +6,11 @@ each table exactly into correlators (products of outcome values over subsets
 of sites), where the optimal single-party update is the closed-form
 sign-operator step.
 
-``behavior`` contracts the state with one stack of m operators per site, a
-setting's effects, site 0 first, one ``tensordot`` each (``_site_contract``).
-Site p costs about d^(2(n-p)) m_0 ... m_p multiply-adds, so while m < d^2 a
-table costs O(m d^(2n)).
+``behavior`` closes the state once for all its tables: each site's stack
+holds the effects of all its settings, setting-major, M_p of them, and the
+sites are closed in order by the seesaw's kernel below (``_closed``). Site p
+costs about d^(2(n-p)) M_0 ... M_p multiply-adds, and the (M_0, ..., M_(n-1))
+result is sliced into one table per joint setting.
 
 The seesaw advances all its restarts as one batch. Each party holds an
 array (R, m, d, d) of stacks [I, O_0, ..., O_(S-1)], one per restart, and the
@@ -181,27 +182,6 @@ class MeasurementAssignment(JsonFile):
         return cls(tuple(built))
 
 
-def _rho_tensor(rho: DensityMatrix) -> np.ndarray:
-    return rho.matrix.reshape((rho.d,) * (2 * rho.n))
-
-
-def _site_contract(rho_t: np.ndarray, stacks: list[np.ndarray]) -> np.ndarray:
-    """T[m_1, ..., m_n] = tr[rho (A_1[m_1] x ... x A_n[m_n])] for operator
-    stacks A_p of shape (m_p, d, d), indexed [m, bra, ket].
-
-    Sites are contracted in order, one ``tensordot`` each, against the (ket,
-    bra) axis pair of ``rho_t``; the tensor shrinks by d^2 and grows by m_p at
-    every site.
-    """
-    n = len(stacks)
-    t = rho_t
-    for site, stack in enumerate(stacks):
-        # axes left: kets of sites site..n-1, then their bras in the same
-        # order, then the m axes so far
-        t = np.tensordot(t, stack, axes=([0, n - site], [2, 1]))
-    return t
-
-
 def behavior(rho: DensityMatrix, meas: MeasurementAssignment) -> Behavior:
     """Joint probability tables p(outcomes | settings) = tr[rho (M_1 x ... x M_n)]."""
     if meas.parties != rho.n:
@@ -211,14 +191,16 @@ def behavior(rho: DensityMatrix, meas: MeasurementAssignment) -> Behavior:
             f"assignment site dimension {meas.site_dim} != state dimension {rho.d}"
         )
     sc = meas.scenario()
-    rho_t = _rho_tensor(rho)
-    effects = [[np.stack(m.effects) for m in party] for party in meas.measurements]
-    tables = {}
-    for s in sc.joint_settings():
-        table = _site_contract(rho_t, [effects[p][s_p] for p, s_p in enumerate(s)]).real
-        # clip roundoff-negative entries at the 1e-12 invariant boundary
-        table[(table < 0) & (table > -1e-12)] = 0.0
-        tables[s] = table
+    stacks = [np.stack([e for m in party for e in m.effects])[None]
+              for party in meas.measurements]
+    t = _closed(rho, stacks).real.reshape([stack.shape[1] for stack in stacks])
+    # clip roundoff-negative entries at the 1e-12 invariant boundary
+    t[(t < 0) & (t > -1e-12)] = 0.0
+    starts = [np.cumsum([0, *(m.n_outcomes for m in party)]) for party in meas.measurements]
+    tables = {
+        s: t[tuple(slice(start[s_p], start[s_p + 1]) for start, s_p in zip(starts, s))]
+        for s in sc.joint_settings()
+    }
     return Behavior(scenario=sc, tables=tables)
 
 
@@ -332,7 +314,7 @@ def _dichotomic(obs: np.ndarray, values: tuple[float, ...]) -> Measurement:
 
 
 def _correlator_tensor(terms: list[CorrelationTerm], settings: tuple[int, ...]) -> np.ndarray:
-    """C with objective sum(C * T), T = _site_contract over the stacks
+    """C with objective sum(C * T), T = _closed over the stacks
     [I, O_0, ..., O_(S-1)]: index 0 at a site means the site does not take
     part, index s + 1 that it measures setting s."""
     c = np.zeros(tuple(m + 1 for m in settings))
@@ -347,7 +329,7 @@ def _site_pairs(rho: DensityMatrix) -> np.ndarray:
     (1, d^(2n), 1), that every restart shares."""
     n = rho.n
     axes = [a for p in range(n) for a in (p, n + p)]
-    return _rho_tensor(rho).transpose(axes).reshape(1, -1, 1)
+    return rho.matrix.reshape((rho.d,) * (2 * n)).transpose(axes).reshape(1, -1, 1)
 
 
 def _site(ops: np.ndarray) -> np.ndarray:
@@ -365,6 +347,15 @@ def _advance(left: np.ndarray, site: np.ndarray) -> np.ndarray:
     paired = left.reshape(len(left), k, -1).swapaxes(1, 2)
     out = np.matmul(paired, site)
     return out.reshape(len(out), left.shape[1] // k, -1)
+
+
+def _closed(rho: DensityMatrix, stacks: list[np.ndarray]) -> np.ndarray:
+    """The state closed at every site with its stacks (R, m_p, d, d), site 0
+    first: L_n, of shape (R, 1, m_0 ... m_(n-1)), the m axes in site order."""
+    left = _site_pairs(rho)
+    for stack in stacks:
+        left = _advance(left, _site(stack))
+    return left
 
 
 def _local_operators(
@@ -417,10 +408,7 @@ def _run_batch(
         ])
     ops = [np.stack([run[p] for run in drawn]) for p in range(n)]
 
-    left = _site_pairs(rho)
-    for stack in ops:
-        left = _advance(left, _site(stack))
-    value = _objective(left, c)
+    value = _objective(_closed(rho, ops), c)
     active = list(restarts)
     traces: dict[int, list[float]] = {r: [] for r in restarts}
     done: dict[int, _Restart] = {}

@@ -240,6 +240,17 @@ def test_exit_code_domain_error(capsys):
     assert main(["violation", "--state", "nope:1"]) == 2
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_bounds_sweep_without_rows_exits_2(capsys, fmt):
+    # s = inf has only the generalized row, so a projective-only sweep is empty
+    assert main(["bounds", "--family", "ghz", "--n", "3", "--s", "inf",
+                 "--meas", "projective", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the sweep selects no row: s = inf")
+    assert captured.err.count("\n") == 1
+
+
 def test_exit_code_unsupported_functional(tmp_path):
     import numpy as np
 

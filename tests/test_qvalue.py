@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from helpers import (
     expectation,
     local_operator,
     mermin3_optimal_assignment,
+    planar_observable,
     pure_state_tables,
     random_assignment,
     random_density,
@@ -143,6 +145,61 @@ def test_behavior_matches_state_vector_ragged_outcomes():
     psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     psi /= np.linalg.norm(psi)
     assert_pure_tables(psi, from_vector(psi, 3, 2), meas)
+
+
+def kron_trace_tables(rho, meas) -> dict:
+    """p(a | s) = tr[rho (E_1 x ... x E_n)], one Kronecker product per entry."""
+    tables = {}
+    for s in meas.scenario().joint_settings():
+        effects = [meas.measurements[p][s_p].effects for p, s_p in enumerate(s)]
+        table = np.zeros([len(e) for e in effects])
+        for a in np.ndindex(table.shape):
+            op = functools.reduce(np.kron, [effects[p][a_p] for p, a_p in enumerate(a)])
+            table[a] = np.trace(rho.matrix @ op).real
+        tables[s] = table
+    return tables
+
+
+# (d, n, outcome values per party and setting): qubits with M_p = 6 effects
+# per site, more than d^2 = 4; qutrits with 3-outcome POVMs, M_p = 12 > 9;
+# ragged outcome counts, a one-outcome setting included
+PM = (1.0, -1.0)
+THREE = (-1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("d, n, outcomes", [
+    (2, 3, ((PM,) * 3,) * 3),
+    (3, 2, ((THREE,) * 4,) * 2),
+    (3, 2, MIXED_SCENARIO.outcomes),
+], ids=["qubits-3-settings", "qutrits-4-povms", "ragged"])
+def test_behavior_mixed_states_match_kronecker_trace(d, n, outcomes):
+    rng = np.random.default_rng(60 + 10 * d + n)
+    rho = random_density(d, n, rng)
+    meas = MeasurementAssignment(tuple(
+        tuple(Measurement(random_povm(d, len(vals), rng).effects, vals) for vals in party)
+        for party in outcomes
+    ))
+    b = behavior(rho, meas)
+    want = kron_trace_tables(rho, meas)
+    assert set(b.tables) == set(want)
+    for s, table in want.items():
+        assert np.max(np.abs(b.tables[s] - table)) <= 1e-12
+
+
+def test_behavior_ghz10_planar_correlators():
+    # <(cos a X + sin a Y) x ... > on GHZ is cos of the summed angles
+    n = 10
+    phis = np.random.default_rng(10).uniform(0.0, 2.0 * math.pi, size=(n, 2))
+    meas = MeasurementAssignment(tuple(
+        tuple(Measurement.dichotomic_from_observable(planar_observable(phi)) for phi in row)
+        for row in phis
+    ))
+    b = behavior(ghz(2, n), meas)
+    assert len(b.tables) == 2**n
+    signs = functools.reduce(np.multiply.outer, [np.array([1.0, -1.0])] * n)
+    for s, table in b.tables.items():
+        want = math.cos(sum(phis[p, s_p] for p, s_p in enumerate(s)))
+        assert abs(float(np.sum(signs * table)) - want) <= 1e-12
 
 
 def test_behavior_dimension_mismatch():
