@@ -3,7 +3,8 @@ searches, LP visibilities and combined tolerance brackets, as JSON (bound
 tables also as CSV) that embeds its own run configuration.
 
 Exit codes: 0 success, 2 domain error, an unreadable or malformed input file
-or an unwritable output file, 3 unsupported functional, 4 resource cap
+or an unwritable output file, 3 unsupported functional (a seesaw functional
+with a setting that does not have exactly two outcomes), 4 resource cap
 exceeded, 1 internal error (a SolverError from an LP certificate check, or a
 numerical failure such as numpy's LinAlgError).
 """
@@ -141,7 +142,7 @@ def _parse_state(spec: str) -> tuple[DensityMatrix, dict]:
 
 def _parse_functional(spec: str, parties: int) -> BellFunctional:
     """'chsh' | 'mermin:n' | 'json:path'; chsh on > 2 parties is padded with
-    passive single-setting sites so it stays a correlation functional."""
+    passive single-setting sites, and mermin:n needs n = ``parties``."""
     kind, _, arg = spec.partition(":")
     if kind == "chsh":
         f = chsh()
@@ -150,6 +151,9 @@ def _parse_functional(spec: str, parties: int) -> BellFunctional:
         return f
     if kind == "mermin":
         n = int(arg) if arg else parties
+        if n != parties:
+            # checked before mermin(n) builds its 2^n tables of 2^n entries
+            raise DomainError(f"functional {spec!r} has {n} parties, state has {parties}")
         return mermin(n)
     if kind == "json":
         return BellFunctional.load(arg)

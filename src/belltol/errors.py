@@ -20,8 +20,7 @@ class DegenerateFunctionalError(DomainError):
 
 class UnsupportedFunctionalError(BelltolError):
     """The functional is outside the class an algorithm can optimize over: the
-    seesaw needs a (+1, -1) outcome pair at every setting and a functional that
-    is not identically zero."""
+    seesaw needs exactly two outcomes at every setting."""
 
 
 class ResourceCapError(BelltolError):

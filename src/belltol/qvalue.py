@@ -1,10 +1,12 @@
 """Quantum behaviors from states and POVMs, functional evaluation, and seesaw
 lower bounds on the maximal Bell violation.
 
-The seesaw takes any functional whose outcomes are (+1, -1) pairs. It expands
-each table exactly into correlators (products of outcome values over subsets
-of sites), where the optimal single-party update is the closed-form
-sign-operator step.
+The seesaw takes any functional with exactly two outcomes at every setting,
+whatever their values. It works on effects: each site's stack is
+[I, E_0, ..., E_(S-1)], E_s the effect of setting s's first outcome, and the
+functional's tables map directly onto one coefficient tensor over these
+stacks (``_effect_tensor``). The optimal single-party update is then the
+projector onto the nonnegative eigenspace of each local operator.
 
 ``behavior`` closes the state once for all its tables: each site's stack
 holds the effects of all its settings, setting-major, M_p of them, and the
@@ -13,14 +15,14 @@ costs about d^(2(n-p)) M_0 ... M_p multiply-adds, and the (M_0, ..., M_(n-1))
 result is sliced into one table per joint setting.
 
 The seesaw advances all its restarts as one batch. Each party holds an
-array (R, m, d, d) of stacks [I, O_0, ..., O_(S-1)], one per restart, and the
+array (R, m, d, d) of stacks [I, E_0, ..., E_(S-1)], one per restart, and the
 state is laid out with each site's (ket, bra) pair fused into one axis of
 length d^2, so closing a site is one ``matmul`` over the batch. A sweep keeps
 a left environment L_p, the state closed at sites 0..p-1 with their
 operators of this sweep. Party p's local operators are L_p closed at sites
-p+1..n-1 and contracted with the correlator tensor, which weighs all terms
-at once; after party p's sign step, one eigensolver call on the stack of
-all its restarts and settings, L_(p+1) is L_p closed at site p, and L_n
+p+1..n-1 and contracted with the coefficient tensor, which weighs all
+tables at once; after party p's update, one eigensolver call on the stack
+of all its restarts and settings, L_(p+1) is L_p closed at site p, and L_n
 gives the sweep's objective. A sweep is n(n-1)/2 + 2n contractions for the
 whole batch, the largest of about m d^(2n) multiply-adds per restart.
 """
@@ -230,49 +232,6 @@ def violation_ratio(
 
 
 @dataclass(frozen=True)
-class CorrelationTerm:
-    """One correlator of a functional at one joint setting: weight times the
-    product of outcome values over the participating sites."""
-
-    setting: tuple[int, ...]
-    weight: float
-    participates: tuple[bool, ...]
-
-
-def correlation_form(f: BellFunctional) -> list[CorrelationTerm]:
-    """Expand a functional into correlation terms, one per joint setting and
-    subset of participating sites with a nonzero weight.
-
-    Requires two outcomes valued (+1, -1) or (-1, +1) at every setting, and
-    raises UnsupportedFunctionalError otherwise. Contracting each table axis
-    with 1/2 [[1, 1], [v0, v1]] is the exact inverse of the correlator
-    expansion (Werner & Wolf, PRA 64, 032112 (2001)), so every such
-    functional has this form; index 1 on an axis means that site
-    participates.
-    """
-    sc = f.scenario
-    for p, party in enumerate(sc.outcomes):
-        for s, vals in enumerate(party):
-            if sorted(vals) != [-1.0, 1.0]:
-                raise UnsupportedFunctionalError(
-                    f"party {p}, setting {s} outcomes {vals} are not a (+1, -1) pair"
-                )
-    keys = list(f.coeffs)
-    c = np.stack([f.coeffs[s] for s in keys])
-    for p in range(sc.parties):
-        # party p's axis of every table at once, one matrix per joint setting
-        h = 0.5 * np.array([((1.0, 1.0), sc.outcomes[p][s[p]]) for s in keys])
-        c = np.moveaxis(np.einsum("kij,k...j->k...i", h, np.moveaxis(c, p + 1, -1)), -1, p + 1)
-    terms = [
-        CorrelationTerm(keys[k], float(c[(k, *idx)]), tuple(bool(i) for i in idx))
-        for k, *idx in zip(*np.nonzero(np.abs(c) > 1e-15))
-    ]
-    if not terms:
-        raise UnsupportedFunctionalError("functional is identically zero")
-    return terms
-
-
-@dataclass(frozen=True)
 class SeesawResult:
     value: float  # violation ratio of the objective, LhvBounds.violation
     assignment: MeasurementAssignment
@@ -304,22 +263,30 @@ def sign_operator(h: np.ndarray) -> np.ndarray:
     return (v * signs[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _dichotomic(obs: np.ndarray, values: tuple[float, ...]) -> Measurement:
-    """Projective measurement of a +1/-1 observable with its effects in the
-    order of ``values``, a setting's outcome values in the functional."""
-    m = Measurement.dichotomic_from_observable(obs)
-    if values == m.outcome_values:
-        return m
-    return Measurement(m.effects[::-1], values)
-
-
-def _correlator_tensor(terms: list[CorrelationTerm], settings: tuple[int, ...]) -> np.ndarray:
+def _effect_tensor(f: BellFunctional) -> np.ndarray:
     """C with objective sum(C * T), T = _closed over the stacks
-    [I, O_0, ..., O_(S-1)]: index 0 at a site means the site does not take
-    part, index s + 1 that it measures setting s."""
-    c = np.zeros(tuple(m + 1 for m in settings))
-    for t in terms:
-        c[tuple(s + 1 if on else 0 for s, on in zip(t.setting, t.participates))] += t.weight
+    [I, E_0, ..., E_(S-1)], E_s the effect of setting s's first outcome:
+    index 0 at a site means the identity, index s + 1 the effect E_s (the
+    per-site basis of Collins & Gisin, J. Phys. A 37, 1775 (2004)).
+
+    The tables are laid on one grid of per-site (setting, outcome) slots, and
+    each site axis is contracted with the matrix that writes a setting's
+    f(0) E + f(1) (I - E) as f(1) I + (f(0) - f(1)) E. Raises
+    UnsupportedFunctionalError unless every setting has two outcomes."""
+    sc = f.scenario
+    for p, party in enumerate(sc.outcomes):
+        for s, vals in enumerate(party):
+            if len(vals) != 2:
+                raise UnsupportedFunctionalError(
+                    f"party {p}, setting {s} has {len(vals)} outcomes, the seesaw needs 2"
+                )
+    n, settings = sc.parties, sc.settings
+    # f.coeffs lists the joint settings in C order
+    c = np.stack(list(f.coeffs.values())).reshape(settings + (2,) * n)
+    c = c.transpose([a for p in range(n) for a in (p, n + p)]).reshape([2 * m for m in settings])
+    for p, m in enumerate(settings):
+        w = np.vstack([np.tile([0.0, 1.0], m), np.kron(np.eye(m), [1.0, -1.0])])
+        c = np.moveaxis(np.tensordot(w, c, axes=(1, p)), 0, p)
     return c
 
 
@@ -361,10 +328,10 @@ def _closed(rho: DensityMatrix, stacks: list[np.ndarray]) -> np.ndarray:
 def _local_operators(
     env: np.ndarray, sites: list[np.ndarray], c: np.ndarray, party: int
 ) -> np.ndarray:
-    """K of shape (R, m_p, d^2) with objective sum_s tr[K[:, s] O_s] in party
-    p's stack O, K[:, s] read as [ket, bra]: its left environment L_p, given
+    """K of shape (R, m_p, d^2) with objective sum_s tr[K[:, s] A_s] in party
+    p's stack A, K[:, s] read as [ket, bra]: its left environment L_p, given
     as ``env``, closed at the sites p+1..n-1, one product per restart and
-    entry of site p each, then contracted with the correlator tensor.
+    entry of site p each, then contracted with the coefficient tensor.
     ``env`` is rebound as it shrinks, so a caller that holds no reference to
     L_p does not keep it alive."""
     for site in sites[party + 1:]:
@@ -384,15 +351,16 @@ class _Restart:
     objective: float
     trace: tuple[float, ...]
     converged: bool
-    observables: list[np.ndarray]  # per party, (S_p, d, d)
+    effects: list[np.ndarray]  # per party, (S_p, d, d)
 
 
 def _run_batch(
     rho: DensityMatrix, c: np.ndarray, seed: int, restarts: range
 ) -> list[_Restart]:
-    """Seesaw restarts ``restarts`` advanced together, each from the Haar-random
-    observables of its own stream ``default_rng([seed, restart])``; a restart
-    leaves the batch when a sweep gains less than SWEEP_TOL.
+    """Seesaw restarts ``restarts`` advanced together, each from the effects
+    (I + O)/2 of Haar-random observables O drawn from its own stream
+    ``default_rng([seed, restart])``; a restart leaves the batch when a sweep
+    gains less than SWEEP_TOL.
 
     The state is laid out as L_0 afresh where a sweep needs it, for party 0's
     local operators and for L_1, so that no copy of it is held beside the
@@ -403,7 +371,7 @@ def _run_batch(
     for restart in restarts:
         rng = np.random.default_rng([seed, restart])
         drawn.append([
-            np.stack([eye] + [_random_observable(d, rng) for _ in range(m - 1)])
+            np.stack([eye] + [(eye + _random_observable(d, rng)) / 2 for _ in range(m - 1)])
             for m in c.shape
         ])
     ops = [np.stack([run[p] for run in drawn]) for p in range(n)]
@@ -417,11 +385,12 @@ def _run_batch(
         for party in range(n):
             k = _local_operators(_site_pairs(rho) if party == 0 else left, sites, c, party)
             k = k[:, 1:].reshape(len(k), -1, d, d)
-            # a vanishing local operator carries no update direction (every
-            # observable is optimal); keep the current one
+            # the best effect projects onto the nonnegative eigenspace of K; a
+            # vanishing K carries no update direction (every effect is
+            # optimal), so the current effect stays
             moves = np.max(np.abs(k), axis=(2, 3)) > SIGN_EIG_TOL
             if moves.any():
-                ops[party][:, 1:] = np.where(moves[..., None, None], sign_operator(k),
+                ops[party][:, 1:] = np.where(moves[..., None, None], (eye + sign_operator(k)) / 2,
                                              ops[party][:, 1:])
                 sites[party] = _site(ops[party])
             left = _advance(_site_pairs(rho) if party == 0 else left, sites[party])
@@ -456,30 +425,31 @@ def seesaw(
 ) -> SeesawResult:
     """Heuristic lower bound on the maximal violation of ``f`` by ``rho``.
 
-    Alternates over parties, replacing each party's dichotomic observables by
-    the sign of the local operator obtained by contracting the state with the
-    other parties' fixed observables; the objective never decreases. Each
-    restart draws fresh Haar-random projective observables from a stream
-    seeded by (seed, restart) and stops when a sweep gains less than
-    SWEEP_TOL, or after MAX_SWEEPS sweeps. Returns the best restart, ties
-    going to the earliest; its ``value`` is the objective's violation ratio
-    against the functional's LHV range, so adding a constant to ``f`` leaves
-    it unchanged. The search only raises ``f``: to look below its LHV range,
-    pass ``f.scaled(-1)``.
+    ``f`` needs exactly two outcomes at every setting, whatever their values
+    (UnsupportedFunctionalError otherwise). Alternates over parties,
+    replacing the effect E_s of each setting's first outcome by the projector
+    onto the nonnegative eigenspace of its local operator, the state
+    contracted with the other parties' fixed effects; the objective never
+    decreases. Each restart draws fresh Haar-random projective measurements
+    from a stream seeded by (seed, restart) and stops when a sweep gains less
+    than SWEEP_TOL, or after MAX_SWEEPS sweeps. Returns the best restart,
+    ties going to the earliest; its ``value`` is the objective's violation
+    ratio against the functional's LHV range, so adding a constant to ``f``
+    leaves it unchanged. The search only raises ``f``: to look below its LHV
+    range, pass ``f.scaled(-1)``.
 
     The restarts run as batches (``_run_batch``) of as many as keep the
     largest intermediate within BATCH_CELLS; a restart's arithmetic does not
     depend on the batch it runs in.
     """
-    terms = correlation_form(f)
-    bounds = lhv_bounds(f)
     sc = f.scenario
     if sc.parties != rho.n:
         raise ValidationError(f"functional has {sc.parties} parties, state has {rho.n}")
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts}")
+    c = _effect_tensor(f)
+    bounds = lhv_bounds(f)
     d = rho.d
-    c = _correlator_tensor(terms, sc.settings)
     # every intermediate has one axis per site, of length m_p or d^2
     per_restart = math.prod(max(m, d * d) for m in c.shape)
     size = max(1, BATCH_CELLS // per_restart)
@@ -493,8 +463,8 @@ def seesaw(
             best = run
     assignment = MeasurementAssignment(
         tuple(
-            tuple(_dichotomic(o, sc.outcomes[p][s]) for s, o in enumerate(row))
-            for p, row in enumerate(best.observables)
+            tuple(Measurement((e, np.eye(d) - e), values) for e, values in zip(row, sc.outcomes[p]))
+            for p, row in enumerate(best.effects)
         )
     )
     return SeesawResult(

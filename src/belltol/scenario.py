@@ -335,7 +335,7 @@ def product_expectation_functional(
 
 def extend_with_passive_parties(f: BellFunctional, extra: int) -> BellFunctional:
     """Append ``extra`` single-setting parties with outcomes (+1, -1) whose
-    outcome value multiplies every table (keeps correlation form)."""
+    outcome value multiplies every table."""
     if extra < 1:
         raise DomainError(f"extra must be >= 1, got {extra}")
     tail = tuple(((1.0, -1.0),) for _ in range(extra))
@@ -364,37 +364,46 @@ class Behavior:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tables", _setting_tables(self.scenario, self.tables))
-        self._check_distribution()
-        self._check_nonsignaling()
+        self._check_tables()
 
-    def _check_distribution(self) -> None:
-        for s, t in self.tables.items():
-            if t.min() < -1e-12:
-                raise ValidationError(
-                    f"negative probability {t.min():.3e} at joint setting {s}"
-                )
-            total = float(t.sum())
-            if abs(total - 1.0) > 1e-9:
-                raise ValidationError(f"table at joint setting {s} sums to {total!r}")
-
-    def _check_nonsignaling(self) -> None:
+    def _check_tables(self) -> None:
+        """Nonnegativity and normalization of every table, then nonsignaling,
+        on one grid of per-site (setting, outcome) slots that holds each table
+        on its block. Contracting a site's axis with its (setting, slot)
+        indicator sums each setting's outcomes and appends the setting axis
+        last. An error names the first offending joint setting, or party and
+        setting, in sorted order."""
         sc = self.scenario
-        for party in range(sc.parties):
-            others = [range(m) for p, m in enumerate(sc.settings) if p != party]
-            for rest in itertools.product(*others):
-                def joint(s_party: int) -> tuple[int, ...]:
-                    s = list(rest)
-                    s.insert(party, s_party)
-                    return tuple(s)
-
-                ref = self.tables[joint(0)].sum(axis=party)
-                for s_party in range(1, sc.settings[party]):
-                    marg = self.tables[joint(s_party)].sum(axis=party)
-                    if np.max(np.abs(marg - ref)) > 1e-9:
-                        raise ValidationError(
-                            f"signaling marginal for party {party}: settings 0 vs "
-                            f"{s_party} differ by {np.max(np.abs(marg - ref)):.3e}"
-                        )
+        counts = [[len(values) for values in party] for party in sc.outcomes]
+        starts = [np.cumsum([0, *m])[:-1] for m in counts]
+        indicators = [np.repeat(np.eye(len(m)), m, axis=1) for m in counts]
+        grid = np.empty([sum(m) for m in counts])
+        for s, t in self.tables.items():
+            grid[tuple(slice(st[s_p], st[s_p] + m) for st, s_p, m in zip(starts, s, t.shape))] = t
+        total = grid
+        for ind in indicators:
+            total = np.tensordot(total, ind, axes=(0, 1))
+        if grid.min() < -1e-12 or np.max(np.abs(total - 1.0)) > 1e-9:
+            # self.tables lists the joint settings in C order
+            low = np.reshape([t.min() for t in self.tables.values()], sc.settings)
+            s = tuple(int(i) for i in np.argwhere((low < -1e-12) | (np.abs(total - 1.0) > 1e-9))[0])
+            if low[s] < -1e-12:
+                raise ValidationError(f"negative probability {low[s]:.3e} at joint setting {s}")
+            raise ValidationError(f"table at joint setting {s} sums to {float(total[s])!r}")
+        for party, ind in enumerate(indicators):
+            # the other parties' marginals, by party's setting on the last axis
+            marg = np.tensordot(grid, ind, axes=(party, 1))
+            diff = np.abs(marg - marg[..., :1])
+            if diff.max() > 1e-9:
+                # the largest difference per joint setting: (other settings, setting)
+                others = [p for p in range(sc.parties) if p != party]
+                for axis, p in enumerate(others):
+                    diff = np.maximum.reduceat(diff, starts[p], axis=axis)
+                first = tuple(np.argwhere(diff > 1e-9)[0])
+                raise ValidationError(
+                    f"signaling marginal for party {party}: settings 0 vs "
+                    f"{first[-1]} differ by {diff[first]:.3e}"
+                )
 
     def vector(self) -> np.ndarray:
         """Flatten in the canonical row order shared with the LP vertex matrix."""

@@ -74,37 +74,35 @@ def random_assignment(
 
 
 # --- reference contractions ---------------------------------------------------
-# One unordered einsum per correlator term: the tests check qvalue's
-# site-by-site contraction against these.
+# One einsum over the state's tensor: the tests check qvalue's site-by-site
+# contraction against these. Each site gives a stack (k, d, d) of operators,
+# such as a setting's effects, which adds an output axis of length k.
 
 
-def expectation(rho_t: np.ndarray, ops: list[np.ndarray | None]) -> float:
-    """tr[rho (O_1 x ... x O_n)] with None meaning identity at that site."""
-    n = len(ops)
-    sub_in = list(range(2 * n))
-    args: list = [rho_t, sub_in]
-    for site, op in enumerate(ops):
-        if op is None:
-            # an identity site traces its bra index against its ket index
-            sub_in[n + site] = site
-            continue
-        args.extend([op, [n + site, site]])
-    return complex(np.einsum(*args, [])).real
+def _operands(rho_t: np.ndarray, stacks: list[np.ndarray], skip: int | None = None) -> list:
+    """einsum operands of rho_t with the stack of every site but ``skip``."""
+    n = len(stacks)
+    args: list = [rho_t, list(range(2 * n))]
+    for site, stack in enumerate(stacks):
+        if site != skip:
+            args.extend([stack, [2 * n + site, n + site, site]])
+    return args
 
 
-def local_operator(rho_t: np.ndarray, ops: list[np.ndarray | None], site: int) -> np.ndarray:
-    """K with tr[rho (O_1 x ... A_site ... x O_n)] = tr[K A_site], identity for None."""
-    n = len(ops)
-    sub_in = list(range(2 * n))
-    args: list = [rho_t, sub_in]
-    for s, op in enumerate(ops):
-        if s == site:
-            continue
-        if op is None:
-            sub_in[n + s] = s
-            continue
-        args.extend([op, [n + s, s]])
-    return np.einsum(*args, [site, n + site])
+def expectation(rho_t: np.ndarray, stacks: list[np.ndarray]) -> np.ndarray:
+    """tr[rho (A_1 x ... x A_n)] for every choice of one operator per stack,
+    with one axis per site."""
+    n = len(stacks)
+    return np.einsum(*_operands(rho_t, stacks), [2 * n + s for s in range(n)],
+                     optimize=True).real
+
+
+def local_operator(rho_t: np.ndarray, stacks: list[np.ndarray], site: int) -> np.ndarray:
+    """K with tr[rho (A_1 x ... B ... x A_n)] = tr[K B], B at ``site``, for
+    every choice of one operator per other stack; those axes come first."""
+    n = len(stacks)
+    out = [2 * n + s for s in range(n) if s != site] + [site, n + site]
+    return np.einsum(*_operands(rho_t, stacks, skip=site), out, optimize=True)
 
 
 def pure_state_tables(psi: np.ndarray, meas: MeasurementAssignment) -> dict:

@@ -240,6 +240,20 @@ def test_exit_code_domain_error(capsys):
     assert main(["violation", "--state", "nope:1"]) == 2
 
 
+def test_mermin_party_mismatch_exits_2_unbuilt(monkeypatch, capsys):
+    # mermin:n builds 2^n tables of 2^n entries, so n is checked against the
+    # state first
+    from belltol import cli
+
+    def build_nothing(n):
+        raise RuntimeError("mermin was called")
+
+    monkeypatch.setattr(cli, "mermin", build_nothing)
+    assert main(["violation", "--state", "ghz:2,3", "--functional", "mermin:4",
+                 "--restarts", "1"]) == 2
+    assert "has 4 parties, state has 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_bounds_sweep_without_rows_exits_2(capsys, fmt):
     # s = inf has only the generalized row, so a projective-only sweep is empty

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from helpers import (
 from belltol import qvalue
 from belltol.errors import (
     DegenerateFunctionalError,
+    DomainError,
     UnsupportedFunctionalError,
     ValidationError,
 )
@@ -30,7 +32,6 @@ from belltol.qvalue import (
     Measurement,
     MeasurementAssignment,
     behavior,
-    correlation_form,
     evaluate,
     seesaw,
     sign_operator,
@@ -41,7 +42,6 @@ from belltol.scenario import (
     BellFunctional,
     Scenario,
     _mk_weights,
-    _product_table,
     chsh,
     extend_with_passive_parties,
     lhv_bounds,
@@ -326,43 +326,57 @@ def test_behavior_invariants_random_povms():
             assert abs(t.sum() - 1.0) <= 1e-9
 
 
+def effect_stacks(d, settings, rng):
+    """Per site, the effects E_s of random projective measurements, one per
+    setting."""
+    eye = np.eye(d, dtype=complex)
+    return [[(eye + qvalue._random_observable(d, rng)) / 2 for _ in range(m)] for m in settings]
+
+
+def assert_effect_tensor_matches_evaluate(f, rng):
+    # sum(C * T) over random projector stacks [I, E_s] is the functional's
+    # value on the measurements (E_s, I - E_s)
+    sc = f.scenario
+    rho = random_density(2, sc.parties, rng)
+    effects = effect_stacks(2, sc.settings, rng)
+    stacks = [np.stack([np.eye(2), *row])[None] for row in effects]
+    got = qvalue._objective(qvalue._closed(rho, stacks), qvalue._effect_tensor(f))
+    meas = MeasurementAssignment(tuple(
+        tuple(Measurement((e, np.eye(2) - e), v) for e, v in zip(row, sc.outcomes[p]))
+        for p, row in enumerate(effects)
+    ))
+    assert abs(got[0] - evaluate(f, behavior(rho, meas))) <= 1e-12
+
+
 def test_correlation_form():
-    terms = correlation_form(chsh())
-    weights = {t.setting: t.weight for t in terms}
-    assert weights == {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): -1.0}
-    assert all(t.participates == (True, True) for t in terms)
-
-    padded = extend_with_passive_parties(chsh(), 1)
-    terms = correlation_form(padded)
-    assert all(t.participates == (True, True, True) for t in terms)
-
+    # on the stacks [I, E_0, E_1], each CHSH correlator of weight w puts w on
+    # I x I, -2w on I x E and E x I, and 4w on E x E
+    c = qvalue._effect_tensor(chsh())
+    assert np.array_equal(c, [[2.0, -4.0, 0.0], [-4.0, 4.0, 4.0], [0.0, 4.0, -4.0]])
+    rng = np.random.default_rng(99)
+    assert_effect_tensor_matches_evaluate(extend_with_passive_parties(chsh(), 1), rng)
     sc = Scenario.uniform(2, 2, values=(1.0, -1.0))
-    marginal = product_expectation_functional(sc, (0, 0), [0])
-    terms = correlation_form(marginal)
-    assert terms[0].participates == (True, False)
+    assert_effect_tensor_matches_evaluate(product_expectation_functional(sc, (0, 0), [0]), rng)
 
 
 def test_correlation_form_expands_joint_probability():
-    # p(+1, +1) = (1 + <A> + <B> + <AB>) / 4
+    # p(+1, +1 | 0, 0) = tr[rho (E_0 x E_0)]: a single 1 on the two E_0 entries
     sc = Scenario.uniform(2, 2, values=(1.0, -1.0))
     tables = {s: np.zeros((2, 2)) for s in sc.joint_settings()}
     tables[(0, 0)] = np.array([[1.0, 0.0], [0.0, 0.0]])  # a joint probability
-    terms = correlation_form(BellFunctional(sc, tables))
-    assert [(t.setting, t.weight, t.participates) for t in terms] == [
-        ((0, 0), 0.25, (False, False)),
-        ((0, 0), 0.25, (False, True)),
-        ((0, 0), 0.25, (True, False)),
-        ((0, 0), 0.25, (True, True)),
-    ]
+    want = np.zeros((3, 3))
+    want[1, 1] = 1.0
+    assert np.array_equal(qvalue._effect_tensor(BellFunctional(sc, tables)), want)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_correlation_form_mermin_weights(n):
-    terms = correlation_form(mermin(n))
-    expected = {s: 2.0 * c for s, c in _mk_weights(n).items() if c != 0.0}
-    assert len(terms) == len(expected)
-    assert {t.setting: t.weight for t in terms} == expected
-    assert all(t.participates == (True,) * n for t in terms)
+    # a correlator of weight w puts 2^n w on its effects E_(s_0) x ... x E_(s_(n-1))
+    c = qvalue._effect_tensor(mermin(n))
+    expected = {s: 2.0 * c for s, c in _mk_weights(n).items()}
+    for s in itertools.product(range(2), repeat=n):
+        assert c[tuple(s_p + 1 for s_p in s)] == 2.0**n * expected.get(s, 0.0)
+    assert_effect_tensor_matches_evaluate(mermin(n), np.random.default_rng(110 + n))
 
 
 def random_pm_functional(n: int, rng: np.random.Generator) -> BellFunctional:
@@ -382,22 +396,11 @@ def test_correlation_form_random_pm_functionals(n):
     rng = np.random.default_rng(100 + n)
     for _ in range(3):
         f = random_pm_functional(n, rng)
-        sc = f.scenario
-        rebuilt = {s: np.zeros((2,) * n) for s in f.coeffs}
-        for t in correlation_form(f):
-            factors = [np.asarray(sc.outcomes[p][s_p]) if t.participates[p] else np.ones(2)
-                       for p, s_p in enumerate(t.setting)]
-            rebuilt[t.setting] += t.weight * _product_table(factors)
-        for s, table in f.coeffs.items():
-            assert np.max(np.abs(rebuilt[s] - table)) <= 1e-12
+        assert_effect_tensor_matches_evaluate(f, rng)
         rho = random_density(2, n, rng)
         res = seesaw(f, rho, restarts=2, seed=int(rng.integers(100)))
         replay = evaluate(f, behavior(rho, res.assignment))
         assert res.objective == pytest.approx(replay, abs=1e-9)
-
-
-def terms_ops(t, obs):
-    return [obs[p][s_p] if t.participates[p] else None for p, s_p in enumerate(t.setting)]
 
 
 @pytest.mark.parametrize("d, n", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4)])
@@ -416,12 +419,10 @@ def test_site_contraction_matches_per_term_reference(d, n):
         functionals.append(random_pm_functional(n, rng))
     for f in functionals:
         settings = f.scenario.settings
-        terms = correlation_form(f)
-        c = qvalue._correlator_tensor(terms, settings)
-        # a batch of two restarts, the second with observables of its own
-        batch = [[[qvalue._random_observable(d, g) for _ in range(m)] for m in settings]
-                 for g in (rng, other)]
-        sites = [qvalue._site(np.stack([np.stack([np.eye(d), *obs[p]]) for obs in batch]))
+        c = qvalue._effect_tensor(f)
+        # a batch of two restarts, the second with effects of its own
+        batch = [effect_stacks(d, settings, g) for g in (rng, other)]
+        sites = [qvalue._site(np.stack([np.stack([np.eye(d), *eff[p]]) for eff in batch]))
                  for p in range(n)]
         lefts = [qvalue._site_pairs(rho)]
         for site in sites:
@@ -429,27 +430,36 @@ def test_site_contraction_matches_per_term_reference(d, n):
 
         objective = qvalue._objective(lefts[-1], c)
         assert objective.shape == (2,)
-        for r, obs in enumerate(batch):
-            want = sum(t.weight * expectation(rho_t, terms_ops(t, obs)) for t in terms)
+        # per site and setting, the effects (E, I - E) of its two outcomes
+        pairs = [[[np.stack([e, np.eye(d) - e]) for e in row] for row in eff] for eff in batch]
+        for r in range(2):
+            want = sum(
+                np.sum(table * expectation(rho_t, [pairs[r][p][s_p] for p, s_p in enumerate(s)]))
+                for s, table in f.coeffs.items()
+            )
             assert abs(objective[r] - want) <= 1e-12
         for party in range(n):
             got = qvalue._local_operators(lefts[party], sites, c, party)
             assert got.shape == (2, settings[party] + 1, d * d)
             got = got.reshape(2, -1, d, d)
-            for r, obs in enumerate(batch):
+            for r in range(2):
+                want = np.zeros((settings[party], d, d), dtype=complex)
+                for s, table in f.coeffs.items():
+                    # E_s enters its first outcome with +1 and I - E_s its second with -1
+                    signed = np.moveaxis(table, party, 0)
+                    k = local_operator(rho_t, [pairs[r][p][s_p] for p, s_p in enumerate(s)], party)
+                    want[s[party]] += np.tensordot(signed[0] - signed[1], k, axes=n - 1)
                 for s in range(settings[party]):
-                    want = np.zeros((d, d), dtype=complex)
-                    for t in terms:
-                        if t.participates[party] and t.setting[party] == s:
-                            want += t.weight * local_operator(rho_t, terms_ops(t, obs), party)
-                    assert np.max(np.abs(got[r, s + 1] - want)) <= 1e-12
+                    assert np.max(np.abs(got[r, s + 1] - want[s])) <= 1e-12
 
 
 def test_correlation_form_rejects_many_outcomes():
-    sc = Scenario.uniform(2, 2, 3)
-    tables = {s: np.zeros((3, 3)) for s in sc.joint_settings()}
-    with pytest.raises(UnsupportedFunctionalError):
-        correlation_form(BellFunctional(sc, tables))
+    # a setting with three outcomes, or with one, has no [I, E] form
+    for ragged in ((1.0, 0.0, -1.0), (1.0,)):
+        sc = Scenario((((1.0, -1.0), ragged), ((1.0, -1.0), (1.0, -1.0))))
+        tables = {s: np.zeros(sc.outcome_counts(s)) for s in sc.joint_settings()}
+        with pytest.raises(UnsupportedFunctionalError, match="party 0, setting 1"):
+            qvalue._effect_tensor(BellFunctional(sc, tables))
 
 
 def test_sign_operator():
@@ -497,6 +507,30 @@ def test_seesaw_rejects_unsupported():
     f = BellFunctional(sc, tables)
     with pytest.raises(UnsupportedFunctionalError):
         seesaw(f, ghz(2, 2), restarts=1, seed=0)
+
+
+def test_seesaw_any_two_outcome_values():
+    # CHSH's tables on outcomes valued (1, 0): the same [I, E] form, so the
+    # same run, with the assignment's effects in the functional's order
+    f = BellFunctional(Scenario.uniform(2, 2, values=(1.0, 0.0)), chsh().coeffs)
+    want = seesaw(chsh(), ghz(2, 2), restarts=5, seed=1)
+    got = seesaw(f, ghz(2, 2), restarts=5, seed=1)
+    assert got.objective == want.objective and got.value == want.value
+    assert got.assignment.scenario() == f.scenario
+    assert evaluate(f, behavior(ghz(2, 2), got.assignment)) == pytest.approx(got.objective, abs=1e-9)
+
+
+def test_seesaw_checks_arguments_first(monkeypatch):
+    # a party mismatch or no restarts is reported before the LHV enumeration,
+    # which grows as 4^n for n parties
+    def enumerate_nothing(f):
+        raise RuntimeError("lhv_bounds was called")
+
+    monkeypatch.setattr(qvalue, "lhv_bounds", enumerate_nothing)
+    with pytest.raises(ValidationError, match="functional has 4 parties, state has 3"):
+        seesaw(mermin(4), ghz(2, 3))
+    with pytest.raises(DomainError, match="restarts must be >= 1"):
+        seesaw(mermin(3), ghz(2, 3), restarts=0)
 
 
 def test_seesaw_assignment_reproduces_value():

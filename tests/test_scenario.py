@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -239,6 +241,95 @@ def test_behavior_validation():
     sig[(0, 1)] = np.array([[0.5, 0.5], [0.0, 0.0]])
     with pytest.raises(ValidationError, match="signaling"):
         Behavior(sc, sig)
+
+
+def loop_check(sc, tables):
+    """Reference: the distribution and nonsignaling checks one joint setting
+    at a time, with Behavior's limits and error texts."""
+    for s in sorted(tables):
+        t = tables[s]
+        if t.min() < -1e-12:
+            raise ValidationError(f"negative probability {t.min():.3e} at joint setting {s}")
+        if abs(float(t.sum()) - 1.0) > 1e-9:
+            raise ValidationError(f"table at joint setting {s} sums to {float(t.sum())!r}")
+    for party in range(sc.parties):
+        others = [range(m) for p, m in enumerate(sc.settings) if p != party]
+        for rest in itertools.product(*others):
+            def joint(s_party):
+                return rest[:party] + (s_party,) + rest[party:]
+
+            ref = tables[joint(0)].sum(axis=party)
+            for s_party in range(1, sc.settings[party]):
+                diff = np.max(np.abs(tables[joint(s_party)].sum(axis=party) - ref))
+                if diff > 1e-9:
+                    raise ValidationError(
+                        f"signaling marginal for party {party}: settings 0 vs "
+                        f"{s_party} differ by {diff:.3e}"
+                    )
+
+
+def random_local_tables(sc, rng):
+    """A mixture of three product behaviors whose local distributions are
+    point masses half of the time, so that tables hold exact zeros."""
+    tables = {s: np.zeros(sc.outcome_counts(s)) for s in sc.joint_settings()}
+    for w in rng.dirichlet(np.ones(3)):
+        local = [[np.eye(len(v))[rng.integers(len(v))] if rng.random() < 0.5
+                  else rng.dirichlet(np.ones(len(v))) for v in party] for party in sc.outcomes]
+        for s in tables:
+            tables[s] += w * functools.reduce(
+                np.multiply.outer, [local[p][s_p] for p, s_p in enumerate(s)])
+    return tables
+
+
+def plant(tables, rng):
+    """One planted fault, on either side of its limit: a negative entry, an
+    unnormalized table, or mass moved along one party's outcomes."""
+    s = list(tables)[rng.integers(len(tables))]
+    t = tables[s]
+    kind = rng.integers(4)
+    if kind == 1:
+        cell = np.unravel_index(np.argmin(t), t.shape)
+        x = float(rng.choice([5e-13, 2e-12, 1e-10, 1e-3]))
+        t[np.unravel_index(np.argmax(t), t.shape)] += t[cell] + x
+        t[cell] = -x
+    elif kind == 2:
+        t *= 1.0 + float(rng.choice([5e-10, 2e-9, 1e-3]))
+    elif kind == 3:
+        src = np.unravel_index(np.argmax(t), t.shape)
+        party = int(rng.integers(t.ndim))
+        dst = list(src)
+        dst[party] = (dst[party] + 1) % t.shape[party]
+        x = float(rng.choice([5e-10, 2e-9, 1e-3]))
+        t[src] -= x
+        t[tuple(dst)] += x
+
+
+@pytest.mark.parametrize("sc", [Scenario.uniform(3, 2), Scenario.uniform(2, 3, 3), MIXED_SCENARIO],
+                         ids=["uniform-3-2-2", "uniform-2-3-3", "mixed"])
+def test_behavior_checks_match_loop_reference(sc):
+    rng = np.random.default_rng(len(sc.settings) * 10 + sum(sc.settings))
+    outcomes = set()
+    for _ in range(60):
+        tables = random_local_tables(sc, rng)
+        plant(tables, rng)
+        try:
+            loop_check(sc, tables)
+            want = None
+        except ValidationError as exc:
+            want = str(exc)
+        try:
+            Behavior(sc, tables)
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        # the sums may differ in the last bits, so numbers are compared by form
+        number = r"-?\d\.\d+(e[-+]\d+)?"
+        assert (want is None) == (got is None)
+        if want is not None:
+            assert re.sub(number, "x", got) == re.sub(number, "x", want)
+        outcomes.add(want.split()[0] if want else "accepted")
+    # every kind of fault was planted and rejected, and some inputs passed
+    assert outcomes == {"accepted", "negative", "table", "signaling"}
 
 
 @pytest.mark.parametrize("entry", [math.nan, math.inf], ids=["nan", "inf"])
