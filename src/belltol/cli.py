@@ -5,8 +5,8 @@ tables also as CSV) that embeds its own run configuration.
 Exit codes: 0 success, 2 domain error, an unreadable or malformed input file
 or an unwritable output file, 3 unsupported functional (a seesaw functional
 with a setting that does not have exactly two outcomes), 4 resource cap
-exceeded, 1 internal error (a SolverError from an LP certificate check, or a
-numerical failure such as numpy's LinAlgError).
+exceeded, 1 internal error (a SolverError from an LP solve or its certificate
+check, or a numerical failure such as numpy's LinAlgError).
 """
 
 from __future__ import annotations

@@ -28,4 +28,5 @@ class ResourceCapError(BelltolError):
 
 
 class SolverError(BelltolError):
-    """An LP solution failed its certificate check; no answer is returned."""
+    """An LP solve failed numerically (a singular basis, its pivot limit) or
+    its solution failed a certificate check; no answer is returned."""

@@ -2,9 +2,10 @@
 the local polytope (vertex representation), from one LP whose dual is the
 checked nonlocality certificate (convex separation, arXiv:1609.05011).
 
-Ships a self-contained two-phase simplex solver with Bland's anti-cycling
-rule and deterministic pivoting, so results are reproducible bit-for-bit on a
-given platform.
+Ships a self-contained two-phase simplex solver with deterministic pivoting,
+so results are reproducible bit-for-bit on a given platform. The largest
+reduced cost enters (Dantzig's rule); after a stall of degenerate pivots,
+Bland's anti-cycling rule takes over until a pivot makes progress.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ WEIGHT_NEG_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-8
 REBUILD_TOL = 1e-7
 REFACTOR_EVERY = 64
+# a solve of an m x n LP takes at most PIVOT_LIMIT_PER_DIM * (m + n) pivots
+PIVOT_LIMIT_PER_DIM = 10
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -90,9 +93,13 @@ class _Tableau:
         self.b_inv = np.eye(m)
         self.x_b = self.b.copy()
         self.pivots = 0
+        self.max_pivots = PIVOT_LIMIT_PER_DIM * (m + n)
 
     def refactor(self) -> None:
-        self.b_inv = np.linalg.inv(self.a_ext[:, self.basis])
+        try:
+            self.b_inv = np.linalg.inv(self.a_ext[:, self.basis])
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"the basis is singular after {self.pivots} pivots") from exc
         self.x_b = self.b_inv @ self.b
 
     def pivot(self, row: int, col: int, u: np.ndarray) -> None:
@@ -102,49 +109,65 @@ class _Tableau:
         # product-form update: premultiply by the eta matrix sending u to e_row
         eta = -u / piv
         eta[row] = 1.0 / piv - 1.0
-        self.b_inv += np.outer(eta, self.b_inv[row])
+        self.b_inv += eta[:, None] * self.b_inv[row]
         self.x_b = self.x_b + eta * self.x_b[row]
         self.pivots += 1
         if self.pivots % REFACTOR_EVERY == 0:
             self.refactor()
 
-    def run_bland(self, cost: np.ndarray, eligible: int) -> str:
+    def run(self, cost: np.ndarray, eligible: int) -> str:
         """Maximize cost @ x over eligible columns [0, eligible); returns
-        OPTIMAL or UNBOUNDED."""
+        OPTIMAL or UNBOUNDED.
+
+        The largest reduced cost enters. After m degenerate pivots in a row
+        the lowest-index improving column enters (Bland's rule) until a pivot
+        makes progress, so the loop cannot cycle; a solve that reaches
+        ``max_pivots`` raises SolverError."""
+        stalled = 0
         while True:
             y = cost[self.basis] @ self.b_inv
-            improving = cost[:eligible] - y @ self.a_ext[:, :eligible] > DEFAULT_LP_TOL
-            improving[self.basis[self.basis < eligible]] = False
+            reduced = cost[:eligible] - y @ self.a_ext[:, :eligible]
+            reduced[self.basis[self.basis < eligible]] = 0.0
+            improving = reduced > DEFAULT_LP_TOL
             if not improving.any():
                 return OPTIMAL
-            entering = int(np.argmax(improving))
+            if self.pivots >= self.max_pivots:
+                raise SolverError(f"the simplex reached its limit of {self.max_pivots} pivots")
+            entering = int(np.argmax(improving if stalled >= self.m else reduced))
             u = self.b_inv @ self.a_ext[:, entering]
             # pivots are relative to the column's scale: on an ill-conditioned
             # basis a round-off entry above the tolerance would leave a
             # singular basis
             piv_tol = DEFAULT_LP_TOL * max(1.0, float(np.max(np.abs(u))))
             rows = np.flatnonzero(u > piv_tol)
+            if rows.size == 0:
+                return UNBOUNDED
+            ratios = self.x_b[rows] / u[rows]
+            # a tie replaces the best ratio by one at most 1e-15 above it, so
+            # no row above this cut can win the sequential test below
+            near = ratios <= ratios.min() + 1e-15 * (rows.size + 1)
             best_row, best_ratio, best_var = -1, np.inf, np.inf
-            for i, ratio in zip(rows.tolist(), self.x_b[rows] / u[rows]):
+            for i, ratio in zip(rows[near].tolist(), ratios[near]):
                 # Bland tie-break: smallest leaving variable index
                 if ratio < best_ratio - 1e-15 or (
                     abs(ratio - best_ratio) <= 1e-15 and self.basis[i] < best_var
                 ):
                     best_row, best_ratio, best_var = i, ratio, self.basis[i]
-            if best_row < 0:
-                return UNBOUNDED
+            stalled = stalled + 1 if best_ratio <= 0.0 else 0
             self.pivot(best_row, entering, u)
             self.x_b = np.maximum(self.x_b, 0.0)
 
 
 def simplex_max(lp: LinearProgram) -> SimplexResult:
-    """Two-phase primal simplex with Bland's rule; A_eq must have full row rank.
+    """Two-phase primal simplex with Dantzig pricing and Bland's rule after a
+    stall (see ``_Tableau.run``); A_eq must have full row rank.
 
     Infeasible and unbounded instances are reported as statuses. A phase 1
     that ends other than optimal, or leaves an artificial column basic that no
     original column can replace (dependent rows), is a numerical failure and
-    raises SolverError. An optimum carries its dual for the original
-    (unflipped) rows.
+    raises SolverError, and so do a singular basis and a solve that reaches
+    PIVOT_LIMIT_PER_DIM * (m + n) pivots. An optimum carries its dual for the
+    original (unflipped) rows.
     """
     a, b, c = lp.a_eq, lp.b_eq, lp.c
     m, n = a.shape
@@ -152,7 +175,7 @@ def simplex_max(lp: LinearProgram) -> SimplexResult:
 
     # phase 1: drive artificials to zero
     phase1_cost = np.concatenate([np.zeros(n), -np.ones(m)])
-    status = tab.run_bland(phase1_cost, eligible=n + m)
+    status = tab.run(phase1_cost, eligible=n + m)
     if status != OPTIMAL:
         raise SolverError(f"phase 1 ended {status!r}, but its objective is bounded by 0")
     infeas = -float(phase1_cost[tab.basis] @ tab.x_b)
@@ -172,7 +195,7 @@ def simplex_max(lp: LinearProgram) -> SimplexResult:
         tab.pivot(i, j, tab.b_inv @ tab.a_ext[:, j])
 
     phase2_cost = np.concatenate([c, np.zeros(m)])
-    status = tab.run_bland(phase2_cost, eligible=n)
+    status = tab.run(phase2_cost, eligible=n)
     if status == UNBOUNDED:
         return SimplexResult(status=UNBOUNDED)
     x = np.zeros(n)

@@ -320,7 +320,7 @@ def test_exit_code_numerical_failure(monkeypatch, capsys):
 def test_exit_code_phase1_failure(monkeypatch, capsys):
     from belltol import polytope
 
-    monkeypatch.setattr(polytope._Tableau, "run_bland",
+    monkeypatch.setattr(polytope._Tableau, "run",
                         lambda self, cost, eligible: polytope.UNBOUNDED)
     code = main(["visibility", "--state", "ghz:2,2", "--restarts", "1"])
     assert code == 1

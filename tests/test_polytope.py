@@ -156,45 +156,66 @@ def reference_pivot(tab, row, col):
         tab.refactor()
 
 
-def reference_run_bland(tab, cost, eligible):
-    """Bland's rule as a plain loop over the columns and the rows."""
+def reference_leaving_row(tab, u):
+    """The ratio test with Bland's tie-break, as a plain loop over every row."""
+    best_row, best_ratio, best_var = -1, np.inf, np.inf
+    piv_tol = polytope.DEFAULT_LP_TOL * max(1.0, float(np.max(np.abs(u))))
+    for i in range(tab.m):
+        if u[i] > piv_tol:
+            ratio = tab.x_b[i] / u[i]
+            if ratio < best_ratio - 1e-15 or (
+                abs(ratio - best_ratio) <= 1e-15 and tab.basis[i] < best_var
+            ):
+                best_row, best_ratio, best_var = i, ratio, tab.basis[i]
+    return best_row, best_ratio
+
+
+def reference_run(tab, cost, eligible, bland_only=False):
+    """The largest reduced cost enters; after m degenerate pivots in a row the
+    first improving column does, until a pivot makes progress. Plain loops
+    over the columns and the rows; bland_only takes the first improving
+    column always, which is the rule the simplex had first."""
+    stalled = 0
     while True:
         y = cost[tab.basis] @ tab.b_inv
         reduced = cost[:eligible] - y @ tab.a_ext[:, :eligible]
         basic = set(tab.basis.tolist())
+        bland = bland_only or stalled >= tab.m
         entering = -1
         for j in np.flatnonzero(reduced > polytope.DEFAULT_LP_TOL):
-            if int(j) not in basic:
+            if int(j) in basic:
+                continue
+            if entering < 0 or reduced[j] > reduced[entering]:
                 entering = int(j)
+            if bland:
                 break
         if entering < 0:
             return OPTIMAL
+        if bland and not bland_only:
+            tab.bland_pivots += 1
         u = tab.b_inv @ tab.a_ext[:, entering]
-        best_row, best_ratio, best_var = -1, np.inf, np.inf
-        piv_tol = polytope.DEFAULT_LP_TOL * max(1.0, float(np.max(np.abs(u))))
-        for i in range(tab.m):
-            if u[i] > piv_tol:
-                ratio = tab.x_b[i] / u[i]
-                if ratio < best_ratio - 1e-15 or (
-                    abs(ratio - best_ratio) <= 1e-15 and tab.basis[i] < best_var
-                ):
-                    best_row, best_ratio, best_var = i, ratio, tab.basis[i]
+        best_row, best_ratio = reference_leaving_row(tab, u)
         if best_row < 0:
             return UNBOUNDED
+        stalled = stalled + 1 if best_ratio <= 0.0 else 0
         reference_pivot(tab, best_row, entering)
         tab.x_b = np.maximum(tab.x_b, 0.0)
 
 
-def solve_counting_pivots(monkeypatch, problem, reference):
+def solve_counting_pivots(monkeypatch, problem, reference=None):
+    """Solve with the simplex, or with reference_run and reference_pivot when
+    reference is "dantzig" or "bland"; returns the result and the tableau."""
     tableaus = []
 
     class Recording(polytope._Tableau):
         def __init__(self, a, b):
             super().__init__(a, b)
+            self.bland_pivots = 0
             tableaus.append(self)
 
-        if reference:
-            run_bland = reference_run_bland
+        if reference is not None:
+            def run(self, cost, eligible):
+                return reference_run(self, cost, eligible, bland_only=reference == "bland")
 
             def pivot(self, row, col, u):
                 reference_pivot(self, row, col)
@@ -202,10 +223,10 @@ def solve_counting_pivots(monkeypatch, problem, reference):
     with monkeypatch.context() as patch:
         patch.setattr(polytope, "_Tableau", Recording)
         res = simplex_max(problem)
-    return res, tableaus[0].pivots
+    return res, tableaus[0]
 
 
-def visibility_lp(monkeypatch, rho, meas):
+def visibility_lp(monkeypatch, solve):
     lps = []
 
     def recording(problem):
@@ -214,20 +235,50 @@ def visibility_lp(monkeypatch, rho, meas):
 
     with monkeypatch.context() as patch:
         patch.setattr(polytope, "simplex_max", recording)
-        critical_visibility(rho, NoiseSpec.white(), meas)
+        solve()
     return lps[0]
 
 
-def test_simplex_keeps_the_reference_pivots(monkeypatch):
+def yx_assignment(n):
     yx = (Measurement.dichotomic_from_observable(SY), Measurement.dichotomic_from_observable(SX))
-    problems = [visibility_lp(monkeypatch, ghz(2, n), MeasurementAssignment((yx,) * n))
-                for n in (3, 4)]
+    return MeasurementAssignment((yx,) * n)
+
+
+def test_simplex_keeps_the_reference_pivots(monkeypatch):
+    problems = [visibility_lp(monkeypatch, lambda n=n: critical_visibility(
+        ghz(2, n), NoiseSpec.white(), yx_assignment(n))) for n in (3, 4)]
+    # this membership LP stalls into the first-improving-column rule
+    mixed = behavior(mix(white_noise(2, 3), ghz(2, 3), 0.2), yx_assignment(3))
+    problems.append(visibility_lp(monkeypatch, lambda: is_local(mixed)))
+    bland_pivots = 0
     for problem in problems + list(random_lps()):
-        got, pivots = solve_counting_pivots(monkeypatch, problem, reference=False)
-        want, want_pivots = solve_counting_pivots(monkeypatch, problem, reference=True)
-        assert got.status == want.status and pivots == want_pivots
+        got, tab = solve_counting_pivots(monkeypatch, problem)
+        want, want_tab = solve_counting_pivots(monkeypatch, problem, reference="dantzig")
+        assert got.status == want.status and tab.pivots == want_tab.pivots
+        bland_pivots += want_tab.bland_pivots
         if want.status == OPTIMAL:
             assert np.array_equal(got.x, want.x) and np.array_equal(got.dual, want.dual)
+            # degenerate LPs may stop at another optimal vertex, at the same objective
+            bland, _ = solve_counting_pivots(monkeypatch, problem, reference="bland")
+            assert got.objective == pytest.approx(bland.objective, abs=1e-9)
+    assert bland_pivots > 0
+
+
+def test_simplex_pivot_limit_raises(monkeypatch):
+    # the Y/X visibility LP of ghz(2, 4) takes 496 pivots, 82 x 258 gives 340
+    monkeypatch.setattr(polytope, "PIVOT_LIMIT_PER_DIM", 1)
+    with pytest.raises(SolverError, match="limit of 340 pivots"):
+        critical_visibility(ghz(2, 4), NoiseSpec.white(), yx_assignment(4))
+
+
+def test_simplex_singular_basis_raises(monkeypatch):
+    def singular(matrix):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(polytope.np.linalg, "inv", singular)
+    with pytest.raises(SolverError, match="singular") as info:
+        critical_visibility(ghz(2, 3), NoiseSpec.white(), yx_assignment(3))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_vertex_soundness():
@@ -360,7 +411,7 @@ def test_visibility_wrong_dual_raises(monkeypatch):
 
 def test_phase1_failure_raises(monkeypatch):
     # phase 1 is bounded by 0; a run that reports otherwise is a numerical failure
-    monkeypatch.setattr(polytope._Tableau, "run_bland", lambda self, cost, eligible: UNBOUNDED)
+    monkeypatch.setattr(polytope._Tableau, "run", lambda self, cost, eligible: UNBOUNDED)
     with pytest.raises(SolverError, match="phase 1"):
         is_local(behavior(ghz(2, 2), chsh_optimal_assignment()))
     with pytest.raises(SolverError, match="phase 1"):
@@ -415,6 +466,35 @@ def test_visibility_w4_matches_highs():
     assign = seesaw(mermin(4), w_state(4), restarts=5, seed=1).assignment
     vis = critical_visibility(w_state(4), NoiseSpec.white(), assign)
     assert vis.beta_star == pytest.approx(0.6094089531365541, abs=1e-9)  # HiGHS
+
+
+def assert_visibility_certificates(vis, rho, assign):
+    """The weights rebuild the behavior at beta*, and the dual's functional
+    stays within its LHV bound, -dual[-1], and exceeds it on rho."""
+    mixed = mix(white_noise(rho.d, rho.n), rho, vis.beta_star)
+    assert_local_certificate(vis.weights, vis.scenario, behavior(mixed, assign).vector())
+    g = separating_functional(vis.scenario, vis.dual)
+    sup = lhv_bounds(g).sup
+    assert sup == pytest.approx(-vis.dual[-1], abs=1e-9)
+    assert evaluate(g, behavior(rho, assign)) > sup
+
+
+@pytest.mark.parametrize("seed, highs", [(4, 0.6094089917066811), (37, 0.6094089882982651)])
+def test_visibility_w4_seeds_that_made_the_basis_singular(seed, highs):
+    # first-improving-column pivoting raised LinAlgError('Singular matrix')
+    # from refactor here
+    assign = seesaw(mermin(4), w_state(4), restarts=5, seed=seed).assignment
+    vis = critical_visibility(w_state(4), NoiseSpec.white(), assign)
+    assert vis.beta_star == pytest.approx(highs, abs=1e-7)
+    assert_visibility_certificates(vis, w_state(4), assign)
+
+
+def test_visibility_ghz5_mermin():
+    # beta* = 2^-(n-1)/2 at the seesaw's MK5 measurements
+    assign = seesaw(mermin(5), ghz(2, 5), restarts=5, seed=1).assignment
+    vis = critical_visibility(ghz(2, 5), NoiseSpec.white(), assign)
+    assert vis.beta_star == pytest.approx(0.25, abs=1e-6)
+    assert_visibility_certificates(vis, ghz(2, 5), assign)
 
 
 @pytest.mark.parametrize("sc", [chsh().scenario, mermin(3).scenario, MIXED_SCENARIO,
