@@ -39,7 +39,6 @@ from .polytope import (
     VisibilityResult,
     critical_visibility,
     is_local,
-    lhv_bounds_lp,
     separating_functional,
     simplex_max,
 )

@@ -28,5 +28,6 @@ class ResourceCapError(BelltolError):
 
 
 class SolverError(BelltolError):
-    """An LP solve failed numerically (a singular basis, its pivot limit) or
-    its solution failed a certificate check; no answer is returned."""
+    """An LP solve failed numerically (a start basis that is singular or not
+    dual feasible, a singular basis later, its pivot limit) or its solution
+    failed a certificate check; no answer is returned."""

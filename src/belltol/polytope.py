@@ -2,14 +2,18 @@
 the local polytope (vertex representation), from one LP whose dual is the
 checked nonlocality certificate (convex separation, arXiv:1609.05011).
 
-Ships a self-contained two-phase simplex solver with deterministic pivoting,
-so results are reproducible bit-for-bit on a given platform. The largest
-reduced cost enters (Dantzig's rule); after a stall of degenerate pivots,
-Bland's anti-cycling rule takes over until a pivot makes progress.
+Ships a self-contained dual simplex with deterministic pivoting, so results
+are reproducible bit-for-bit on a given platform. It starts from a dual
+feasible basis that the LP carries, so there is no phase 1: the visibility LP
+has one for every behavior, the staircase strategies and beta at beta = 1
+(Lemke's dual method, Naval Res. Logist. Q. 1, 36 (1954)). The most negative
+basic variable leaves; if a basis repeats, which is cycling, Bland's rule
+takes over until the objective falls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,21 +46,25 @@ PIVOT_LIMIT_PER_DIM = 10
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize c @ x  subject to  A_eq @ x = b_eq,  x >= 0."""
+    """maximize c @ x  subject to  A_eq @ x = b_eq,  x >= 0, from the start
+    basis ``basis``: one column index per row. ``simplex_max`` raises
+    SolverError unless those columns are nonsingular and dual feasible, no
+    reduced cost c - y @ A_eq with y = c_B @ B^-1 above DEFAULT_LP_TOL."""
 
     c: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
+    basis: np.ndarray
 
     def __post_init__(self) -> None:
         c = np.asarray(self.c, dtype=float)
         a = np.asarray(self.a_eq, dtype=float)
         b = np.asarray(self.b_eq, dtype=float)
+        basis = np.asarray(self.basis)
         if a.ndim != 2 or c.ndim != 1 or b.ndim != 1:
             raise ValidationError("LP needs a matrix A_eq and vectors c, b_eq")
         if a.shape != (b.size, c.size):
@@ -66,9 +74,14 @@ class LinearProgram:
         for name, arr in (("c", c), ("A_eq", a), ("b_eq", b)):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"{name} has non-finite entries")
+        if (basis.shape != (b.size,) or not np.issubdtype(basis.dtype, np.integer)
+                or len(set(basis.tolist())) != b.size
+                or not np.all((basis >= 0) & (basis < c.size))):
+            raise ValidationError(f"the start basis needs {b.size} distinct column indices")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a_eq", a)
         object.__setattr__(self, "b_eq", b)
+        object.__setattr__(self, "basis", basis.astype(np.intp))
 
 
 @dataclass(frozen=True)
@@ -78,34 +91,40 @@ class SimplexResult:
     x: np.ndarray | None = None
     # optimal dual y: y @ A_eq >= c and y @ b_eq = objective
     dual: np.ndarray | None = None
+    pivots: int = 0
 
 
 class _Tableau:
-    """Revised simplex state over [A | I] with an explicit basis inverse."""
+    """Revised simplex state: an explicit basis inverse, the basic values x_b
+    and the reduced costs c - y @ A."""
 
-    def __init__(self, a: np.ndarray, b: np.ndarray) -> None:
-        m, n = a.shape
-        self.signs = np.where(b < 0.0, -1.0, 1.0)
-        self.a_ext = np.hstack([a * self.signs[:, None], np.eye(m)])
-        self.b = b * self.signs
-        self.m = m
-        self.basis = np.arange(n, n + m)
-        self.b_inv = np.eye(m)
-        self.x_b = self.b.copy()
+    def __init__(self, lp: LinearProgram) -> None:
+        m, n = lp.a_eq.shape
+        self.a, self.b, self.c = lp.a_eq, lp.b_eq, lp.c
+        self.basis = lp.basis.copy()
         self.pivots = 0
         self.max_pivots = PIVOT_LIMIT_PER_DIM * (m + n)
+        self.refactor()
 
     def refactor(self) -> None:
         try:
-            self.b_inv = np.linalg.inv(self.a_ext[:, self.basis])
+            self.b_inv = np.linalg.inv(self.a[:, self.basis])
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"the basis is singular after {self.pivots} pivots") from exc
         self.x_b = self.b_inv @ self.b
+        self.reduced = self.c - (self.c[self.basis] @ self.b_inv) @ self.a
+        self.reduced[self.basis] = 0.0
 
-    def pivot(self, row: int, col: int, u: np.ndarray) -> None:
-        """Bring column ``col`` into the basis at ``row``; ``u`` is B^-1 a_col."""
+    def pivot(self, row: int, col: int, alpha: np.ndarray, step: float) -> None:
+        """Bring column ``col`` into the basis at ``row``; ``alpha`` is that
+        row of B^-1 A and ``step`` the dual step reduced[col] / alpha[col]."""
+        self.reduced -= step * alpha
+        u = self.b_inv @ self.a[:, col]
         piv = u[row]
+        if not piv < 0.0:
+            raise SolverError(f"the pivot's row and column disagree after {self.pivots} pivots")
         self.basis[row] = col
+        self.reduced[self.basis] = 0.0
         # product-form update: premultiply by the eta matrix sending u to e_row
         eta = -u / piv
         eta[row] = 1.0 / piv - 1.0
@@ -115,93 +134,61 @@ class _Tableau:
         if self.pivots % REFACTOR_EVERY == 0:
             self.refactor()
 
-    def run(self, cost: np.ndarray, eligible: int) -> str:
-        """Maximize cost @ x over eligible columns [0, eligible); returns
-        OPTIMAL or UNBOUNDED.
-
-        The largest reduced cost enters. After m degenerate pivots in a row
-        the lowest-index improving column enters (Bland's rule) until a pivot
-        makes progress, so the loop cannot cycle; a solve that reaches
-        ``max_pivots`` raises SolverError."""
-        stalled = 0
-        while True:
-            y = cost[self.basis] @ self.b_inv
-            reduced = cost[:eligible] - y @ self.a_ext[:, :eligible]
-            reduced[self.basis[self.basis < eligible]] = 0.0
-            improving = reduced > DEFAULT_LP_TOL
-            if not improving.any():
-                return OPTIMAL
-            if self.pivots >= self.max_pivots:
-                raise SolverError(f"the simplex reached its limit of {self.max_pivots} pivots")
-            entering = int(np.argmax(improving if stalled >= self.m else reduced))
-            u = self.b_inv @ self.a_ext[:, entering]
-            # pivots are relative to the column's scale: on an ill-conditioned
-            # basis a round-off entry above the tolerance would leave a
-            # singular basis
-            piv_tol = DEFAULT_LP_TOL * max(1.0, float(np.max(np.abs(u))))
-            rows = np.flatnonzero(u > piv_tol)
-            if rows.size == 0:
-                return UNBOUNDED
-            ratios = self.x_b[rows] / u[rows]
-            # a tie replaces the best ratio by one at most 1e-15 above it, so
-            # no row above this cut can win the sequential test below
-            near = ratios <= ratios.min() + 1e-15 * (rows.size + 1)
-            best_row, best_ratio, best_var = -1, np.inf, np.inf
-            for i, ratio in zip(rows[near].tolist(), ratios[near]):
-                # Bland tie-break: smallest leaving variable index
-                if ratio < best_ratio - 1e-15 or (
-                    abs(ratio - best_ratio) <= 1e-15 and self.basis[i] < best_var
-                ):
-                    best_row, best_ratio, best_var = i, ratio, self.basis[i]
-            stalled = stalled + 1 if best_ratio <= 0.0 else 0
-            self.pivot(best_row, entering, u)
-            self.x_b = np.maximum(self.x_b, 0.0)
-
 
 def simplex_max(lp: LinearProgram) -> SimplexResult:
-    """Two-phase primal simplex with Dantzig pricing and Bland's rule after a
-    stall (see ``_Tableau.run``); A_eq must have full row rank.
+    """Dual simplex from the LP's start basis, which must be nonsingular and
+    dual feasible; every pivot keeps it dual feasible, and the loop ends when
+    x_b >= -DEFAULT_LP_TOL (optimal).
 
-    Infeasible and unbounded instances are reported as statuses. A phase 1
-    that ends other than optimal, or leaves an artificial column basic that no
-    original column can replace (dependent rows), is a numerical failure and
-    raises SolverError, and so do a singular basis and a solve that reaches
-    PIVOT_LIMIT_PER_DIM * (m + n) pivots. An optimum carries its dual for the
-    original (unflipped) rows.
+    The most negative basic variable leaves. The entering column is the one
+    of smallest ratio reduced / alpha over the leaving row's alpha < 0 (the
+    pivot taken relative to the row's scale), ties going to the largest
+    |alpha|. If a basis repeats, which is cycling, Bland's rule takes over
+    until the objective falls: the lowest-index infeasible basic variable
+    leaves and the lowest-index tied column enters. A leaving row with no
+    entering column proves the LP infeasible. A start that is singular or not
+    dual feasible raises SolverError, and so do a singular basis later and a
+    solve that reaches PIVOT_LIMIT_PER_DIM * (m + n) pivots.
     """
-    a, b, c = lp.a_eq, lp.b_eq, lp.c
-    m, n = a.shape
-    tab = _Tableau(a, b)
-
-    # phase 1: drive artificials to zero
-    phase1_cost = np.concatenate([np.zeros(n), -np.ones(m)])
-    status = tab.run(phase1_cost, eligible=n + m)
-    if status != OPTIMAL:
-        raise SolverError(f"phase 1 ended {status!r}, but its objective is bounded by 0")
-    infeas = -float(phase1_cost[tab.basis] @ tab.x_b)
-    if infeas > DEFAULT_LP_TOL:
-        return SimplexResult(status=INFEASIBLE)
-
-    # pivot artificials left basic at level 0 out of the basis
-    for i in range(m):
-        if tab.basis[i] < n:
-            continue
-        row = tab.b_inv[i] @ tab.a_ext[:, :n]
-        candidates = [j for j in np.flatnonzero(np.abs(row) > DEFAULT_LP_TOL)
-                      if j not in tab.basis]
-        if not candidates:
-            raise SolverError(f"row {i} of A_eq depends on the others")
-        j = int(candidates[0])
-        tab.pivot(i, j, tab.b_inv @ tab.a_ext[:, j])
-
-    phase2_cost = np.concatenate([c, np.zeros(m)])
-    status = tab.run(phase2_cost, eligible=n)
-    if status == UNBOUNDED:
-        return SimplexResult(status=UNBOUNDED)
-    x = np.zeros(n)
+    tab = _Tableau(lp)
+    worst = float(tab.reduced.max())
+    if worst > DEFAULT_LP_TOL:
+        raise SolverError(f"the start basis is not dual feasible: a reduced cost is {worst!r}")
+    seen: set[int] = set()
+    bland = False
+    while True:
+        infeasible = np.flatnonzero(tab.x_b < -DEFAULT_LP_TOL)
+        if infeasible.size == 0:
+            break
+        if tab.pivots >= tab.max_pivots:
+            raise SolverError(f"the simplex reached its limit of {tab.max_pivots} pivots")
+        key = hash(frozenset(tab.basis.tolist()))
+        bland = bland or key in seen
+        seen.add(key)
+        if bland:
+            row = int(infeasible[np.argmin(tab.basis[infeasible])])
+        else:
+            row = int(np.argmin(tab.x_b))
+        alpha = tab.b_inv[row] @ tab.a
+        # pivots are relative to the row's scale: on an ill-conditioned basis
+        # a round-off entry above the tolerance would leave a singular basis
+        piv_tol = DEFAULT_LP_TOL * max(1.0, float(np.max(np.abs(alpha))))
+        entering = alpha < -piv_tol
+        entering[tab.basis] = False
+        cols = np.flatnonzero(entering)
+        if cols.size == 0:
+            return SimplexResult(status=INFEASIBLE, pivots=tab.pivots)
+        ratios = np.minimum(tab.reduced[cols], 0.0) / alpha[cols]
+        ties = cols[ratios <= ratios.min() + 1e-15 * (cols.size + 1)]
+        col = int(ties[0] if bland else ties[np.argmin(alpha[ties])])
+        step = min(float(tab.reduced[col]), 0.0) / alpha[col]
+        bland = bland and step <= 0.0
+        tab.pivot(row, col, alpha, step)
+    x = np.zeros(lp.c.size)
     x[tab.basis] = np.maximum(tab.x_b, 0.0)
-    dual = (phase2_cost[tab.basis] @ tab.b_inv) * tab.signs  # unflip the rows
-    return SimplexResult(status=OPTIMAL, objective=float(c @ x), x=x, dual=dual)
+    dual = lp.c[tab.basis] @ tab.b_inv
+    return SimplexResult(status=OPTIMAL, objective=float(lp.c @ x), x=x, dual=dual,
+                         pivots=tab.pivots)
 
 
 # --- local polytope ----------------------------------------------------------
@@ -255,6 +242,22 @@ def _check_farkas(d: np.ndarray, farkas: np.ndarray, target: np.ndarray) -> None
         )
 
 
+def _staircase(sc: Scenario) -> np.ndarray:
+    """Strategy indices (columns of ``vertex_matrix``) of the Kronecker product
+    of per-site staircases: all outcomes 0, then setting 0 stepping through
+    its other outcomes, then setting 1, and so on, with every other setting at
+    outcome 0. That is 1 + sum_s (m_s - 1) strategies per site, as many as its
+    ``basis_rows``, and D[keep] on these columns is triangular per site up to
+    a row order, so |det| = 1."""
+    cols = np.zeros(1, dtype=np.intp)
+    for party in sc.outcomes:
+        sizes = [len(values) for values in party]
+        stair = [0] + [a * math.prod(sizes[s + 1:])
+                       for s, m in enumerate(sizes) for a in range(1, m)]
+        cols = (cols[:, None] * math.prod(sizes) + np.array(stair)).ravel()
+    return cols
+
+
 def _membership(
     sc: Scenario, base: np.ndarray, delta: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
@@ -264,7 +267,12 @@ def _membership(
     the Farkas vector F of the dual y in canonical rows, F[:-1][keep] = -y[:k] and
     F[-1] = 0: F[:-1] @ v <= 0 on every vertex, F[:-1] @ delta >= 1 and
     F[:-1] @ base = -beta, so F[:-1] separates base + b * delta from the local
-    polytope for every b in (beta, 1]."""
+    polytope for every b in (beta, 1].
+
+    The start basis is the staircase strategies and beta, at beta = 1. Its
+    dual is y = e_k, the beta <= 1 row, so every weight and beta have reduced
+    cost 0 and the slack -1: dual feasible for any base and delta. An LP that
+    is infeasible, which means a nonlocal base, raises DomainError."""
     d = vertex_matrix(sc)
     keep = basis_rows(sc)
     rows, count = d.shape
@@ -277,15 +285,15 @@ def _membership(
     b_eq = np.append(base[keep], 1.0)
     c = np.zeros(count + 2)
     c[count] = 1.0
+    start = np.append(_staircase(sc), count)
 
-    res = simplex_max(LinearProgram(c=c, a_eq=a, b_eq=b_eq))
+    res = simplex_max(LinearProgram(c=c, a_eq=a, b_eq=b_eq, basis=start))
     if res.status != OPTIMAL:
         raise DomainError(
             f"visibility LP ended with status {res.status!r}; at beta = 0 this "
             "means the noise behavior itself is outside the local polytope "
             "(an explicit noise state must be Bell-local)"
         )
-    assert res.x is not None and res.dual is not None
     beta = float(res.x[count])
     weights = res.x[:count]
     _check_weights(d, weights, base + beta * delta)
@@ -375,17 +383,3 @@ def critical_visibility(
     return VisibilityResult(beta_star=min(max(beta, 0.0), 1.0), certificate_kind="local-weights",
                             weights=weights, scenario=sc, dual=dual)
 
-
-def lhv_bounds_lp(f: BellFunctional) -> tuple[float, float]:
-    """(sup, inf) of a functional over the local polytope via the LP route,
-    for cross-checking the enumeration path. Raises SolverError unless both
-    LPs end optimal."""
-    values = functional_row_vector(f) @ vertex_matrix(f.scenario)
-    a, b_eq = np.ones((1, values.size)), np.array([1.0])
-    objectives = []
-    for c in (values, -values):
-        res = simplex_max(LinearProgram(c=c, a_eq=a, b_eq=b_eq))
-        if res.status != OPTIMAL:
-            raise SolverError(f"LHV extremum LP ended {res.status!r} on a nonempty polytope")
-        objectives.append(float(res.objective))
-    return objectives[0], -objectives[1]

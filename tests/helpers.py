@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from belltol.polytope import functional_row_vector, vertex_matrix
 from belltol.qvalue import Measurement, MeasurementAssignment
 from belltol.scenario import Scenario
 from belltol.states import DensityMatrix
@@ -33,6 +34,13 @@ def chsh_optimal_assignment() -> MeasurementAssignment:
         (Measurement.dichotomic_from_observable(planar_observable(-math.pi / 4)),
          Measurement.dichotomic_from_observable(planar_observable(math.pi / 4))),
     ))
+
+
+def vertex_scan_bounds(f) -> tuple[float, float]:
+    """(sup, inf) of a functional over the local polytope: the optima of the
+    LP over convex weights of the vertices, read off the vertex matrix."""
+    values = functional_row_vector(f) @ vertex_matrix(f.scenario)
+    return float(values.max()), float(values.min())
 
 
 def mermin3_optimal_assignment() -> MeasurementAssignment:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_assignment, random_density
+from helpers import random_assignment, random_density, vertex_scan_bounds
 
 import belltol as bt
 from belltol.bounds import (
@@ -21,7 +21,6 @@ from belltol.bounds import (
     S_INF,
     sweep_reports,
 )
-from belltol.polytope import lhv_bounds_lp
 from belltol.scenario import BellFunctional, Scenario
 
 SQRT2 = math.sqrt(2.0)
@@ -78,11 +77,11 @@ def test_criterion_3_lhv_constants():
     details = []
     for f in (bt.chsh(), bt.mermin(3), bt.mermin(4)):
         b = bt.lhv_bounds(f)
-        sup_lp, inf_lp = lhv_bounds_lp(f)
+        sup_scan, inf_scan = vertex_scan_bounds(f)
         exact = b.b_lhv == 2.0
-        crossed = abs(sup_lp - b.sup) <= 1e-9 and abs(inf_lp - b.inf) <= 1e-9
+        crossed = abs(sup_scan - b.sup) <= 1e-9 and abs(inf_scan - b.inf) <= 1e-9
         ok = ok and exact and crossed
-        details.append(f"{f.label}: b_lhv={b.b_lhv} lp=({sup_lp:.12f},{inf_lp:.12f})")
+        details.append(f"{f.label}: b_lhv={b.b_lhv} scan=({sup_scan:.12f},{inf_scan:.12f})")
     announce(3, ok, "; ".join(details))
     assert ok
 
@@ -211,7 +210,7 @@ def test_criterion_6_property_suites():
     # enumeration vs LP equivalence, including a 10^4-strategy scenario
     shapes = [(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3), (2, 2, 4),
               (4, 2, 2), (2, 2, 10)]
-    worst_lp = 0.0
+    worst_scan = 0.0
     for parties, settings, outcomes in shapes:
         sc = Scenario.uniform(parties, settings, outcomes)
         count = bt.strategy_count(sc)
@@ -222,13 +221,13 @@ def test_criterion_6_property_suites():
         }
         f_rand = BellFunctional(sc, coeffs)
         b = bt.lhv_bounds(f_rand)
-        sup_lp, inf_lp = lhv_bounds_lp(f_rand)
-        worst_lp = max(worst_lp, abs(sup_lp - b.sup), abs(inf_lp - b.inf))
-    ok = ok and worst_lp <= 1e-9
+        sup_scan, inf_scan = vertex_scan_bounds(f_rand)
+        worst_scan = max(worst_scan, abs(sup_scan - b.sup), abs(inf_scan - b.inf))
+    ok = ok and worst_scan <= 1e-9
 
     announce(6, ok, f"behavior sum gap {worst_sum:.2e}, nonsignaling gap "
                     f"{worst_ns:.2e}, affinity gap {worst_aff:.2e}, "
-                    f"seesaw drop {worst_drop:.2e}, lhv-vs-lp gap {worst_lp:.2e}")
+                    f"seesaw drop {worst_drop:.2e}, lhv-vs-scan gap {worst_scan:.2e}")
     assert ok
 
 

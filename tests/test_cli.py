@@ -2,6 +2,8 @@ import csv
 import json
 import math
 
+import numpy as np
+
 import pytest
 
 from belltol.cli import main
@@ -317,14 +319,18 @@ def test_exit_code_numerical_failure(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("internal error: Singular matrix")
 
 
-def test_exit_code_phase1_failure(monkeypatch, capsys):
+def test_exit_code_start_not_dual_feasible(monkeypatch, capsys):
     from belltol import polytope
 
-    monkeypatch.setattr(polytope._Tableau, "run",
-                        lambda self, cost, eligible: polytope.UNBOUNDED)
+    real = polytope.LinearProgram
+
+    def slack_start(c, a_eq, b_eq, basis):
+        return real(c=c, a_eq=a_eq, b_eq=b_eq, basis=np.append(basis[:-1], c.size - 1))
+
+    monkeypatch.setattr(polytope, "LinearProgram", slack_start)
     code = main(["visibility", "--state", "ghz:2,2", "--restarts", "1"])
     assert code == 1
-    assert capsys.readouterr().err.startswith("internal error: phase 1")
+    assert capsys.readouterr().err.startswith("internal error: the start basis is not dual feasible")
 
 
 def test_deterministic_output(tmp_path):

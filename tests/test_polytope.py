@@ -9,22 +9,21 @@ from helpers import (
     MIXED_SCENARIO,
     SX,
     SY,
+    SZ,
     chsh_optimal_assignment,
     mermin3_optimal_assignment,
+    vertex_scan_bounds,
 )
 
 from belltol import polytope
-from belltol.errors import ResourceCapError, SolverError
+from belltol.errors import DomainError, ResourceCapError, SolverError, ValidationError
 from belltol.polytope import (
     INFEASIBLE,
     OPTIMAL,
-    UNBOUNDED,
     LinearProgram,
-    SimplexResult,
     critical_visibility,
     functional_row_vector,
     is_local,
-    lhv_bounds_lp,
     separating_functional,
     simplex_max,
     vertex_matrix,
@@ -40,44 +39,56 @@ from belltol.scenario import (
     mermin,
     uniform_behavior,
 )
-from belltol.states import NoiseSpec, ghz, mix, product_zero, w_state, white_noise
+from belltol.states import DensityMatrix, NoiseSpec, ghz, mix, product_zero, w_state, white_noise
 
 SQRT2 = math.sqrt(2.0)
 
 
-def lp(c, a, b):
+def lp(c, a, b, basis):
     return LinearProgram(c=np.asarray(c, float), a_eq=np.asarray(a, float),
-                         b_eq=np.asarray(b, float))
+                         b_eq=np.asarray(b, float), basis=np.asarray(basis))
 
 
 def test_simplex_single_variable():
-    res = simplex_max(lp([1.0], [[1.0]], [1.0]))
+    res = simplex_max(lp([1.0], [[1.0]], [1.0], [0]))
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(1.0, abs=1e-12)
 
 
 def test_simplex_two_variables():
-    res = simplex_max(lp([1.0, 1.0], [[1.0, 1.0]], [1.0]))
+    res = simplex_max(lp([1.0, 1.0], [[1.0, 1.0]], [1.0], [0]))
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(1.0, abs=1e-12)
 
 
 def test_simplex_infeasible():
-    res = simplex_max(lp([1.0], [[1.0], [1.0]], [1.0, 2.0]))
+    # x1 + x2 = 2 and x1 + x2 + x3 = 1 force x3 = -1; the start is dual
+    # feasible, x3 leaves, and its row has no negative entry to enter
+    res = simplex_max(lp([0.0, 0.0, -1.0], [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]], [2.0, 1.0], [0, 2]))
     assert res.status == INFEASIBLE
     assert res.x is None and res.dual is None
 
 
 def test_simplex_unbounded():
-    res = simplex_max(lp([1.0, 0.0], [[1.0, -1.0]], [0.0]))
-    assert res.status == UNBOUNDED
+    # an unbounded LP has an infeasible dual, so no start basis is dual feasible
+    for basis in ([0], [1]):
+        with pytest.raises(SolverError, match="not dual feasible"):
+            simplex_max(lp([1.0, 0.0], [[1.0, -1.0]], [0.0], basis))
 
 
 def test_simplex_negative_rhs():
-    # -x - y = -1 is x + y = 1 after row normalization
-    res = simplex_max(lp([2.0, 1.0], [[-1.0, -1.0]], [-1.0]))
+    # -x - y = -1, solved as it stands: there is no row sign flip
+    res = simplex_max(lp([2.0, 1.0], [[-1.0, -1.0]], [-1.0], [0]))
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(2.0, abs=1e-9)
+    assert np.array_equal(res.dual, [-2.0])
+
+
+def test_simplex_start_basis_is_validated():
+    with pytest.raises(ValidationError, match="distinct column indices"):
+        lp([1.0, 1.0], [[1.0, 1.0], [1.0, 2.0]], [1.0, 1.0], [0, 0])
+    with pytest.raises(ValidationError, match="distinct column indices"):
+        lp([1.0, 1.0], [[1.0, 1.0]], [1.0], [2])
 
 
 def assert_optimal_dual(res, c, a, b):
@@ -88,65 +99,86 @@ def assert_optimal_dual(res, c, a, b):
 
 
 def test_simplex_redundant_rows():
-    # the simplex needs full row rank: a dependent row leaves an artificial
-    # column basic that nothing replaces, which is an error, not a row drop
+    # the simplex needs full row rank: a dependent row makes every start
+    # basis singular, which is an error, not a row drop
     c, a, b = np.array([1.0, 1.0]), np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([1.0, 2.0])
-    with pytest.raises(SolverError, match="depends"):
-        simplex_max(lp(c, a, b))
+    with pytest.raises(SolverError, match="singular") as info:
+        simplex_max(lp(c, a, b, [0, 1]))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def bases(a):
+    """Every nonsingular basis of A, lexicographically."""
+    m, n = a.shape
+    for cols in itertools.combinations(range(n), m):
+        if abs(np.linalg.det(a[:, cols])) >= 1e-12:
+            yield list(cols)
 
 
 def brute_force_lp_max(c, a, b, tol=1e-9):
     """Vertex-scan oracle: all basic solutions of Ax = b, x >= 0."""
-    m, n = a.shape
     best = None
-    for cols in itertools.combinations(range(n), m):
-        sub = a[:, cols]
-        if abs(np.linalg.det(sub)) < 1e-12:
-            continue
-        x_b = np.linalg.solve(sub, b)
+    for cols in bases(a):
+        x_b = np.linalg.solve(a[:, cols], b)
         if np.min(x_b) < -tol:
             continue
-        x = np.zeros(n)
-        x[list(cols)] = x_b
+        x = np.zeros(a.shape[1])
+        x[cols] = x_b
         val = float(c @ x)
         if best is None or val > best:
             best = val
     return best
 
 
+def dual_feasible_start(c, a, b):
+    """The first dual feasible basis that is primal infeasible, else the first
+    dual feasible one."""
+    found = None
+    for cols in bases(a):
+        b_inv = np.linalg.inv(a[:, cols])
+        if np.max(c - (c[cols] @ b_inv) @ a) > 1e-9:
+            continue
+        if np.min(b_inv @ b) < -1e-9:
+            return cols
+        found = found or cols
+    return found
+
+
 def random_lps():
-    """Random LPs, feasible by construction."""
+    """Random LPs, feasible by construction and bounded by a last row
+    sum(x) = sum(x0), as the visibility LP's weights sum to 1, each with a
+    dual feasible start."""
     rng = np.random.default_rng(13)
     shapes = [(int(rng.integers(2, 5)), int(rng.integers(6, 12))) for _ in range(25)]
     shapes += [(2, 50), (3, 30), (2, 40)]  # wider instances, small bases
     for m, n in shapes:
-        a = rng.standard_normal((m, n))
+        a = np.vstack([rng.standard_normal((m - 1, n)), np.ones(n)])
         b = a @ rng.uniform(0.0, 1.0, n)
-        yield lp(rng.standard_normal(n), a, b)
+        c = rng.standard_normal(n)
+        yield c, a, b, dual_feasible_start(c, a, b)
 
 
 def test_simplex_random_lps_against_vertex_scan():
-    for problem in random_lps():
-        c, a, b = problem.c, problem.a_eq, problem.b_eq
-        res = simplex_max(problem)
-        oracle = brute_force_lp_max(c, a, b)
-        if res.status == UNBOUNDED:
-            # oracle cannot certify unboundedness; skip the comparison
-            continue
+    solved = 0
+    for c, a, b, start in random_lps():
+        res = simplex_max(lp(c, a, b, start))
         assert res.status == OPTIMAL
-        assert oracle is not None
-        assert res.objective == pytest.approx(oracle, abs=1e-8)
+        solved += res.pivots > 0
+        assert res.objective == pytest.approx(brute_force_lp_max(c, a, b), abs=1e-8)
         # primal feasibility of the returned solution
         assert np.allclose(a @ res.x, b, atol=1e-8)
         assert np.min(res.x) >= -1e-9
         assert_optimal_dual(res, c, a, b)
+    assert solved >= 10
 
 
-def reference_pivot(tab, row, col):
-    """The pivot as it was written first: u recomputed, b_inv rebuilt."""
-    u = tab.b_inv @ tab.a_ext[:, col]
+def reference_pivot(tab, row, col, alpha, step):
+    """The pivot as a plain rebuild of b_inv and of the reduced costs."""
+    tab.reduced = tab.reduced - step * alpha
+    u = tab.b_inv @ tab.a[:, col]
     piv = u[row]
     tab.basis[row] = col
+    tab.reduced[tab.basis] = 0.0
     eta = -u / piv
     eta[row] = 1.0 / piv - 1.0
     tab.b_inv = tab.b_inv + np.outer(eta, tab.b_inv[row])
@@ -156,74 +188,42 @@ def reference_pivot(tab, row, col):
         tab.refactor()
 
 
-def reference_leaving_row(tab, u):
-    """The ratio test with Bland's tie-break, as a plain loop over every row."""
-    best_row, best_ratio, best_var = -1, np.inf, np.inf
-    piv_tol = polytope.DEFAULT_LP_TOL * max(1.0, float(np.max(np.abs(u))))
-    for i in range(tab.m):
-        if u[i] > piv_tol:
-            ratio = tab.x_b[i] / u[i]
-            if ratio < best_ratio - 1e-15 or (
-                abs(ratio - best_ratio) <= 1e-15 and tab.basis[i] < best_var
-            ):
-                best_row, best_ratio, best_var = i, ratio, tab.basis[i]
-    return best_row, best_ratio
-
-
-def reference_run(tab, cost, eligible, bland_only=False):
-    """The largest reduced cost enters; after m degenerate pivots in a row the
-    first improving column does, until a pivot makes progress. Plain loops
-    over the columns and the rows; bland_only takes the first improving
-    column always, which is the rule the simplex had first."""
-    stalled = 0
+def reference_solve(problem, repeated=lambda pivot: False):
+    """The dual simplex as plain loops over the rows and the columns: the most
+    negative basic variable leaves and the least ratio enters, ties within
+    1e-15 * (candidates + 1) going to the most negative alpha. From a pivot
+    where repeated(pivot) holds until the objective falls, Bland's rule: the
+    lowest-index basic variable leaves and the lowest-index tied column
+    enters."""
+    tab = polytope._Tableau(problem)
+    m, n = tab.a.shape
+    bland = False
     while True:
-        y = cost[tab.basis] @ tab.b_inv
-        reduced = cost[:eligible] - y @ tab.a_ext[:, :eligible]
+        bland = bland or repeated(tab.pivots)
+        row = -1
+        for i in range(m):
+            if tab.x_b[i] < -polytope.DEFAULT_LP_TOL and (
+                row < 0 or (tab.basis[i] < tab.basis[row] if bland else tab.x_b[i] < tab.x_b[row])
+            ):
+                row = i
+        if row < 0:
+            break
+        alpha = tab.b_inv[row] @ tab.a
+        piv_tol = polytope.DEFAULT_LP_TOL * max(1.0, float(np.max(np.abs(alpha))))
         basic = set(tab.basis.tolist())
-        bland = bland_only or stalled >= tab.m
-        entering = -1
-        for j in np.flatnonzero(reduced > polytope.DEFAULT_LP_TOL):
-            if int(j) in basic:
-                continue
-            if entering < 0 or reduced[j] > reduced[entering]:
-                entering = int(j)
-            if bland:
-                break
-        if entering < 0:
-            return OPTIMAL
-        if bland and not bland_only:
-            tab.bland_pivots += 1
-        u = tab.b_inv @ tab.a_ext[:, entering]
-        best_row, best_ratio = reference_leaving_row(tab, u)
-        if best_row < 0:
-            return UNBOUNDED
-        stalled = stalled + 1 if best_ratio <= 0.0 else 0
-        reference_pivot(tab, best_row, entering)
-        tab.x_b = np.maximum(tab.x_b, 0.0)
-
-
-def solve_counting_pivots(monkeypatch, problem, reference=None):
-    """Solve with the simplex, or with reference_run and reference_pivot when
-    reference is "dantzig" or "bland"; returns the result and the tableau."""
-    tableaus = []
-
-    class Recording(polytope._Tableau):
-        def __init__(self, a, b):
-            super().__init__(a, b)
-            self.bland_pivots = 0
-            tableaus.append(self)
-
-        if reference is not None:
-            def run(self, cost, eligible):
-                return reference_run(self, cost, eligible, bland_only=reference == "bland")
-
-            def pivot(self, row, col, u):
-                reference_pivot(self, row, col)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(polytope, "_Tableau", Recording)
-        res = simplex_max(problem)
-    return res, tableaus[0]
+        ratios = {j: min(tab.reduced[j], 0.0) / alpha[j] for j in range(n)
+                  if alpha[j] < -piv_tol and j not in basic}
+        if not ratios:
+            return INFEASIBLE, tab
+        cut = min(ratios.values()) + 1e-15 * (len(ratios) + 1)
+        col = -1
+        for j, ratio in ratios.items():
+            if ratio <= cut and (col < 0 or (not bland and alpha[j] < alpha[col])):
+                col = j
+        step = min(float(tab.reduced[col]), 0.0) / alpha[col]
+        bland = bland and step <= 0.0
+        reference_pivot(tab, row, col, alpha, step)
+    return OPTIMAL, tab
 
 
 def visibility_lp(monkeypatch, solve):
@@ -244,30 +244,55 @@ def yx_assignment(n):
     return MeasurementAssignment((yx,) * n)
 
 
-def test_simplex_keeps_the_reference_pivots(monkeypatch):
+def reference_problems(monkeypatch):
     problems = [visibility_lp(monkeypatch, lambda n=n: critical_visibility(
         ghz(2, n), NoiseSpec.white(), yx_assignment(n))) for n in (3, 4)]
-    # this membership LP stalls into the first-improving-column rule
     mixed = behavior(mix(white_noise(2, 3), ghz(2, 3), 0.2), yx_assignment(3))
     problems.append(visibility_lp(monkeypatch, lambda: is_local(mixed)))
-    bland_pivots = 0
-    for problem in problems + list(random_lps()):
-        got, tab = solve_counting_pivots(monkeypatch, problem)
-        want, want_tab = solve_counting_pivots(monkeypatch, problem, reference="dantzig")
-        assert got.status == want.status and tab.pivots == want_tab.pivots
-        bland_pivots += want_tab.bland_pivots
-        if want.status == OPTIMAL:
-            assert np.array_equal(got.x, want.x) and np.array_equal(got.dual, want.dual)
-            # degenerate LPs may stop at another optimal vertex, at the same objective
-            bland, _ = solve_counting_pivots(monkeypatch, problem, reference="bland")
-            assert got.objective == pytest.approx(bland.objective, abs=1e-9)
-    assert bland_pivots > 0
+    problems += [lp(c, a, b, start) for c, a, b, start in random_lps()]
+    return problems
+
+
+def assert_reference_pivots(got, problem, repeated=lambda pivot: False):
+    status, tab = reference_solve(problem, repeated)
+    assert got.status == status == OPTIMAL and got.pivots == tab.pivots
+    x = np.zeros(problem.c.size)
+    x[tab.basis] = np.maximum(tab.x_b, 0.0)
+    assert np.array_equal(got.x, x)
+    assert np.array_equal(got.dual, problem.c[tab.basis] @ tab.b_inv)
+
+
+def test_simplex_keeps_the_reference_pivots(monkeypatch):
+    for problem in reference_problems(monkeypatch):
+        assert_reference_pivots(simplex_max(problem), problem)
+
+
+@pytest.mark.parametrize("keys, repeated", [
+    # every basis after the first looks repeated: Bland's rule solves alone
+    (lambda: itertools.repeat(0), lambda pivot: pivot >= 1),
+    # one repeat at the second basis: Bland's rule until the objective falls
+    (lambda: itertools.chain([0, 0], itertools.count(1)), lambda pivot: pivot == 1),
+], ids=["always", "once"])
+def test_simplex_bland_fallback_keeps_the_reference_pivots(monkeypatch, keys, repeated):
+    # the basis keys are patched, as no LP at hand cycles; the fallback must
+    # match the reference and reach the default rule's optimum
+    differ = 0
+    for problem in reference_problems(monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(polytope, "hash", lambda key, keys=keys(): next(keys), raising=False)
+            got = simplex_max(problem)
+        assert_reference_pivots(got, problem, repeated)
+        default = simplex_max(problem)
+        assert got.objective == pytest.approx(default.objective, abs=1e-9)
+        differ += got.pivots != default.pivots
+    assert differ > 0
 
 
 def test_simplex_pivot_limit_raises(monkeypatch):
-    # the Y/X visibility LP of ghz(2, 4) takes 496 pivots, 82 x 258 gives 340
-    monkeypatch.setattr(polytope, "PIVOT_LIMIT_PER_DIM", 1)
-    with pytest.raises(SolverError, match="limit of 340 pivots"):
+    # the Y/X visibility LP of ghz(2, 4) takes 94 pivots, 82 x 258 at a
+    # quarter pivot per dimension allows 85
+    monkeypatch.setattr(polytope, "PIVOT_LIMIT_PER_DIM", 0.25)
+    with pytest.raises(SolverError, match="limit of 85.0 pivots"):
         critical_visibility(ghz(2, 4), NoiseSpec.white(), yx_assignment(4))
 
 
@@ -327,7 +352,7 @@ def test_vertex_matrix_columns_are_deterministic_behaviors():
 
 def test_lhv_lp_cross_check():
     for f in (chsh(), mermin(3)):
-        sup, inf = lhv_bounds_lp(f)
+        sup, inf = vertex_scan_bounds(f)
         b = lhv_bounds(f)
         assert sup == pytest.approx(b.sup, abs=1e-9)
         assert inf == pytest.approx(b.inf, abs=1e-9)
@@ -344,7 +369,7 @@ def test_lhv_lp_cross_check_random_scenarios():
             for s in sc.joint_settings()
         }
         f = BellFunctional(sc, coeffs)
-        sup, inf = lhv_bounds_lp(f)
+        sup, inf = vertex_scan_bounds(f)
         b = lhv_bounds(f)
         assert sup == pytest.approx(b.sup, abs=1e-9)
         assert inf == pytest.approx(b.inf, abs=1e-9)
@@ -409,21 +434,35 @@ def test_visibility_wrong_dual_raises(monkeypatch):
         is_local(behavior(ghz(2, 2), chsh_optimal_assignment()))
 
 
-def test_phase1_failure_raises(monkeypatch):
-    # phase 1 is bounded by 0; a run that reports otherwise is a numerical failure
-    monkeypatch.setattr(polytope._Tableau, "run", lambda self, cost, eligible: UNBOUNDED)
-    with pytest.raises(SolverError, match="phase 1"):
+def test_start_not_dual_feasible_raises(monkeypatch):
+    # the slack of beta <= 1 in place of beta: y = 0, and beta's reduced cost is 1
+    real = polytope.LinearProgram
+
+    def slack_start(c, a_eq, b_eq, basis):
+        return real(c=c, a_eq=a_eq, b_eq=b_eq, basis=np.append(basis[:-1], c.size - 1))
+
+    monkeypatch.setattr(polytope, "LinearProgram", slack_start)
+    with pytest.raises(SolverError, match="not dual feasible"):
         is_local(behavior(ghz(2, 2), chsh_optimal_assignment()))
-    with pytest.raises(SolverError, match="phase 1"):
+    with pytest.raises(SolverError, match="not dual feasible"):
         critical_visibility(ghz(2, 2), NoiseSpec.white(), chsh_optimal_assignment())
 
 
-def test_lhv_bounds_lp_not_optimal_raises(monkeypatch):
-    # the extremum LP over a nonempty polytope is always optimal; a solve that
-    # reports otherwise must raise, also under python -O
-    monkeypatch.setattr(polytope, "simplex_max", lambda lp: SimplexResult(INFEASIBLE))
-    with pytest.raises(SolverError, match="infeasible"):
-        lhv_bounds_lp(chsh())
+def scenario_of(*sites):
+    """A scenario from each site's outcome counts, values spread over [-1, 1]."""
+    return Scenario(tuple(tuple(tuple(np.linspace(1.0, -1.0, m).tolist()) for m in site)
+                          for site in sites))
+
+
+@pytest.mark.parametrize("sites", [((2, 2), (2, 2)), ((3, 3), (3, 3)), ((2, 3, 4), (3,), (2, 2)),
+                                   ((4, 2), (2, 3, 2)), ((1, 2), (2,)), ((2,), (3,), (2,), (2,))],
+                         ids=str)
+def test_start_basis_is_unimodular(sites):
+    # the staircase strategies on the basis rows: square, |det| = 1
+    sc = scenario_of(*sites)
+    block = vertex_matrix(sc)[basis_rows(sc)][:, polytope._staircase(sc)]
+    assert block.shape[0] == block.shape[1]
+    assert abs(np.linalg.det(block)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_visibility_monotone_in_beta():
@@ -468,10 +507,11 @@ def test_visibility_w4_matches_highs():
     assert vis.beta_star == pytest.approx(0.6094089531365541, abs=1e-9)  # HiGHS
 
 
-def assert_visibility_certificates(vis, rho, assign):
+def assert_visibility_certificates(vis, rho, assign, noise=None):
     """The weights rebuild the behavior at beta*, and the dual's functional
     stays within its LHV bound, -dual[-1], and exceeds it on rho."""
-    mixed = mix(white_noise(rho.d, rho.n), rho, vis.beta_star)
+    noise = noise or white_noise(rho.d, rho.n)
+    mixed = mix(noise, rho, vis.beta_star)
     assert_local_certificate(vis.weights, vis.scenario, behavior(mixed, assign).vector())
     g = separating_functional(vis.scenario, vis.dual)
     sup = lhv_bounds(g).sup
@@ -489,11 +529,65 @@ def test_visibility_w4_seeds_that_made_the_basis_singular(seed, highs):
     assert_visibility_certificates(vis, w_state(4), assign)
 
 
-def test_visibility_ghz5_mermin():
-    # beta* = 2^-(n-1)/2 at the seesaw's MK5 measurements
+def recorded_solves(monkeypatch):
+    results = []
+
+    def recording(problem):
+        results.append(simplex_max(problem))
+        return results[-1]
+
+    monkeypatch.setattr(polytope, "simplex_max", recording)
+    return results
+
+
+@pytest.mark.parametrize("n, phase1_pivots", [(3, 84), (4, 304)])
+def test_visibility_ghz_mermin_pivots(monkeypatch, n, phase1_pivots):
+    # the two-phase primal simplex took phase1_pivots on these LPs; n = 5 is
+    # test_visibility_ghz5_mermin
+    assign = seesaw(mermin(n), ghz(2, n), restarts=5, seed=1).assignment
+    solves = recorded_solves(monkeypatch)
+    vis = critical_visibility(ghz(2, n), NoiseSpec.white(), assign)
+    assert vis.beta_star == pytest.approx(2.0 ** (-(n - 1) / 2), abs=1e-9)
+    assert solves[0].pivots < phase1_pivots
+
+
+CORRELATED_NOISE = DensityMatrix(d=2, n=2, matrix=np.diag([0.5, 0.0, 0.0, 0.5]))
+
+
+def zx_chsh_assignment():
+    """Z, X against (Z +- X)/sqrt(2): CHSH-optimal, and the noise's ZZ
+    correlation counts."""
+    dich = Measurement.dichotomic_from_observable
+    return MeasurementAssignment(((dich(SZ), dich(SX)),
+                                  (dich((SZ + SX) / SQRT2), dich((SZ - SX) / SQRT2))))
+
+
+@pytest.mark.parametrize("assign, highs", [(chsh_optimal_assignment(), 0.7071067811865479),
+                                           (zx_chsh_assignment(), 0.4142135623730953)],
+                         ids=["xy-plane", "zx-plane"])
+def test_visibility_correlated_local_noise(assign, highs):
+    # (|00><00| + |11><11|)/2 is local; in the ZX plane beta* = sqrt(2) - 1
+    vis = critical_visibility(ghz(2, 2), NoiseSpec.explicit(CORRELATED_NOISE), assign)
+    assert vis.beta_star == pytest.approx(highs, abs=1e-7)  # HiGHS
+    assert_visibility_certificates(vis, ghz(2, 2), assign, CORRELATED_NOISE)
+
+
+def test_visibility_nonlocal_noise_raises(monkeypatch):
+    # noise equal to the nonlocal state: no beta is local, the LP is infeasible
+    solves = recorded_solves(monkeypatch)
+    with pytest.raises(DomainError, match="outside the local polytope"):
+        critical_visibility(ghz(2, 2), NoiseSpec.explicit(ghz(2, 2)), chsh_optimal_assignment())
+    assert [res.status for res in solves] == [INFEASIBLE]
+
+
+def test_visibility_ghz5_mermin(monkeypatch):
+    # beta* = 2^-(n-1)/2 at the seesaw's MK5 measurements; the two-phase
+    # primal simplex took 1439 pivots
     assign = seesaw(mermin(5), ghz(2, 5), restarts=5, seed=1).assignment
+    solves = recorded_solves(monkeypatch)
     vis = critical_visibility(ghz(2, 5), NoiseSpec.white(), assign)
     assert vis.beta_star == pytest.approx(0.25, abs=1e-6)
+    assert solves[0].pivots < 1439
     assert_visibility_certificates(vis, ghz(2, 5), assign)
 
 
