@@ -6,7 +6,8 @@ Exit codes: 0 success, 2 domain error, an unreadable or malformed input file
 or an unwritable output file, 3 unsupported functional (a seesaw functional
 with a setting that does not have exactly two outcomes), 4 resource cap
 exceeded, 1 internal error (a SolverError from an LP solve or its certificate
-check, or a numerical failure such as numpy's LinAlgError).
+check or from the seesaw's self-check, or a numerical failure such as numpy's
+LinAlgError).
 """
 
 from __future__ import annotations
@@ -301,8 +302,9 @@ def cmd_tolerance(args: argparse.Namespace) -> int:
         ["mermin", "chsh"] if state.n > 2 else ["chsh"]
     )
     library = [_parse_functional(s, state.n) for s in specs]
+    # only the best value is printed, so a functional that cannot beat it is skipped
     found = upsilon_lower_bound(
-        state, library, restarts=args.restarts, seed=args.seed
+        state, library, restarts=args.restarts, seed=args.seed, best_only=True
     )
     seesaw_tol_upper = tolerance_from_violation(max(found.value, 1.0))
 

@@ -29,5 +29,6 @@ class ResourceCapError(BelltolError):
 
 class SolverError(BelltolError):
     """An LP solve failed numerically (a start basis that is singular or not
-    dual feasible, a singular basis later, its pivot limit) or its solution
-    failed a certificate check; no answer is returned."""
+    dual feasible, a singular basis later, its pivot limit), its solution
+    failed a certificate check, or a seesaw's objective differs from the
+    value of the assignment it returns; no answer is returned."""

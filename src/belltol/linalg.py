@@ -1,8 +1,8 @@
-"""Dense complex linear algebra: validated complex matrices and Hermitian
-eigensystems, whose Hermiticity check is the one that states given without
-a proof, measurement effects and the seesaw's sign steps pass; the
-dimension cap of the state builders; the JSON form of matrices and the
-``save``/``load`` pair of the package's JSON files.
+"""Dense complex linear algebra: validated complex matrices; Hermitian
+eigensystems and smallest eigenvalues behind one Hermiticity check, the one
+that states given without a proof, measurement effects and the seesaw's
+sign steps pass; the dimension cap of the state builders; the JSON form of
+matrices and the ``save``/``load`` pair of the package's JSON files.
 
 All functions are pure and operate on immutable inputs; matrices are plain
 ``numpy`` complex arrays in row-major layout.
@@ -94,6 +94,24 @@ class JsonFile:
             raise ValidationError(f"malformed {cls.__name__} JSON: {exc!r}") from exc
 
 
+def _hermitian_part(h: np.ndarray, tol: float) -> np.ndarray:
+    """(h + h^dagger)/2 for a square matrix or stack h whose entries are
+    finite and whose max-entry deviation from h^dagger, over the whole stack,
+    is within ``tol``; ValidationError otherwise."""
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.shape[-1] < 1:
+        raise ValidationError(f"expected a square matrix, got shape {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValidationError("h contains non-finite entries")
+    h_dagger = h.conj().swapaxes(-1, -2)
+    defect = float(np.max(np.abs(h - h_dagger)))
+    if defect > tol:
+        raise ValidationError(
+            f"matrix is not Hermitian within {tol:g} (max deviation {defect:.3e})"
+        )
+    return (h + h_dagger) / 2.0
+
+
 def eig_hermitian(
     h: np.ndarray, tol: float = DEFAULT_HERM_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -110,18 +128,14 @@ def eig_hermitian(
     deviation of h from its conjugate transpose, over the whole stack,
     exceeds ``tol``.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.shape[-1] < 1:
-        raise ValidationError(f"expected a square matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValidationError("h contains non-finite entries")
-    h_dagger = h.conj().swapaxes(-1, -2)
-    defect = float(np.max(np.abs(h - h_dagger)))
-    if defect > tol:
-        raise ValidationError(
-            f"matrix is not Hermitian within {tol:g} (max deviation {defect:.3e})"
-        )
-    sym = (h + h_dagger) / 2.0
-    w, v = np.linalg.eigh(sym)
+    w, v = np.linalg.eigh(_hermitian_part(h, tol))
     # eigh returns ascending order; the exported convention is descending
     return w[..., ::-1].copy(), v[..., ::-1].copy()
+
+
+def min_eigenvalue(h: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> float:
+    """Smallest eigenvalue of a Hermitian matrix, after ``eig_hermitian``'s
+    checks and with its error texts, from the eigenvalues alone
+    (``np.linalg.eigvalsh``): the positivity check of a validator needs no
+    eigenvectors."""
+    return float(np.linalg.eigvalsh(_hermitian_part(h, tol))[0])

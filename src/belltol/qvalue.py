@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedFunctionalError, ValidationError
+from .errors import DomainError, SolverError, UnsupportedFunctionalError, ValidationError
 from .linalg import (
     JsonFile,
     as_cmatrix,
@@ -43,8 +43,9 @@ from .linalg import (
     complex_to_json,
     eig_hermitian,
     frozen,
+    min_eigenvalue,
 )
-from .scenario import Behavior, BellFunctional, Scenario, lhv_bounds
+from .scenario import Behavior, BellFunctional, LhvBounds, Scenario, lhv_bounds
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-9
@@ -56,6 +57,9 @@ MAX_SWEEPS = 500
 # only if it beats it by more than RESTART_GAIN_TOL * max(1, |best|).
 SWEEP_TOL = 1e-10
 RESTART_GAIN_TOL = 1e-9
+# seesaw re-evaluates its returned assignment and raises SolverError when the
+# value differs from the objective by more than SELF_CHECK_TOL * max(1, |objective|).
+SELF_CHECK_TOL = 1e-9
 # The seesaw advances its restarts together, as many per batch as keep the
 # batch's largest intermediate within BATCH_CELLS complex cells (at least one),
 # in the manner of scenario.GRID_BLOCK; the others run in later batches.
@@ -86,11 +90,9 @@ class Measurement:
                 dim = m.shape[0]
             elif m.shape[0] != dim:
                 raise ValidationError("effects have inconsistent dimensions")
-            w, _ = eig_hermitian(m, tol=EFFECT_PSD_TOL)
-            if w[-1] < -EFFECT_PSD_TOL:
-                raise ValidationError(
-                    f"effect {i} is not PSD (min eigenvalue {w[-1]:.3e})"
-                )
+            low = min_eigenvalue(m, tol=EFFECT_PSD_TOL)
+            if low < -EFFECT_PSD_TOL:
+                raise ValidationError(f"effect {i} is not PSD (min eigenvalue {low:.3e})")
             canon.append(frozen(m))
         total = sum(canon)
         if np.max(np.abs(total - np.eye(dim))) > COMPLETENESS_TOL:
@@ -241,18 +243,33 @@ class SeesawResult:
     converged: bool = True  # False when the returned restart hit MAX_SWEEPS
 
 
-def _haar_basis(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Columns of a Haar-random unitary (Ginibre + QR with phase fix)."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-
-
-def _random_observable(d: int, rng: np.random.Generator) -> np.ndarray:
-    # even +1/-1 eigenvalue split over a Haar-random basis
-    basis = _haar_basis(d, rng)
+def _initial_stacks(
+    d: int, settings: tuple[int, ...], seed: int, restarts: range
+) -> list[np.ndarray]:
+    """Per party, the stacks (R, S_p + 1, d, d) [I, E_0, ..., E_(S_p-1)] the
+    restarts start from: E = (I + O)/2, O an observable with an even +1/-1
+    eigenvalue split over the columns of a Haar-random unitary (Ginibre + QR
+    with phase fix). Each restart draws its Ginibre matrices, party by party
+    and setting by setting, from its own stream ``default_rng([seed,
+    restart])``, so its stacks do not depend on the batch it runs in; one
+    stacked QR and one stacked product serve every draw of the batch."""
+    total = sum(settings)
+    z = np.stack([np.random.default_rng([seed, restart]).standard_normal((total, 2, d, d))
+                  for restart in restarts])
+    q, r = np.linalg.qr((z[:, :, 0] + 1j * z[:, :, 1]) / math.sqrt(2.0))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    phases = np.zeros_like(r)
+    phases[..., range(d), range(d)] = diag / np.abs(diag)
+    basis = q @ phases
     signs = np.array([1.0 if k < (d + 1) // 2 else -1.0 for k in range(d)])
-    return (basis * signs) @ basis.conj().T
+    effects = (np.eye(d) + (basis * signs) @ basis.conj().swapaxes(-1, -2)) / 2
+    stacks = []
+    for p, first in enumerate(np.cumsum([0, *settings[:-1]])):
+        stack = np.empty((len(restarts), settings[p] + 1, d, d), dtype=np.complex128)
+        stack[:, 0] = np.eye(d)
+        stack[:, 1:] = effects[:, first:first + settings[p]]
+        stacks.append(stack)
+    return stacks
 
 
 def sign_operator(h: np.ndarray) -> np.ndarray:
@@ -325,20 +342,27 @@ def _closed(rho: DensityMatrix, stacks: list[np.ndarray]) -> np.ndarray:
     return left
 
 
+def _party_coefficients(c: np.ndarray) -> list[np.ndarray]:
+    """Per party p, the coefficient tensor as the (m_p, M / m_p) matrix whose
+    rows are p's stack entries and whose columns run over the other sites'
+    entries in site order, the form ``_local_operators`` contracts with."""
+    return [np.moveaxis(c, p, 0).reshape(m, -1) for p, m in enumerate(c.shape)]
+
+
 def _local_operators(
-    env: np.ndarray, sites: list[np.ndarray], c: np.ndarray, party: int
+    env: np.ndarray, sites: list[np.ndarray], coeffs: np.ndarray, party: int
 ) -> np.ndarray:
     """K of shape (R, m_p, d^2) with objective sum_s tr[K[:, s] A_s] in party
     p's stack A, K[:, s] read as [ket, bra]: its left environment L_p, given
     as ``env``, closed at the sites p+1..n-1, one product per restart and
-    entry of site p each, then contracted with the coefficient tensor.
-    ``env`` is rebound as it shrinks, so a caller that holds no reference to
-    L_p does not keep it alive."""
+    entry of site p each, then contracted with p's coefficient matrix
+    ``coeffs`` (``_party_coefficients``). ``env`` is rebound as it shrinks,
+    so a caller that holds no reference to L_p does not keep it alive."""
     for site in sites[party + 1:]:
         k = site.shape[1]
         env = np.matmul(env.reshape(len(env), k, k, -1).swapaxes(2, 3), site[:, None])
         env = env.reshape(len(env), k, -1)
-    return np.matmul(np.moveaxis(c, party, 0).reshape(c.shape[party], -1), env.swapaxes(1, 2))
+    return np.matmul(coeffs, env.swapaxes(1, 2))
 
 
 def _objective(left: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -357,33 +381,32 @@ class _Restart:
 def _run_batch(
     rho: DensityMatrix, c: np.ndarray, seed: int, restarts: range
 ) -> list[_Restart]:
-    """Seesaw restarts ``restarts`` advanced together, each from the effects
-    (I + O)/2 of Haar-random observables O drawn from its own stream
-    ``default_rng([seed, restart])``; a restart leaves the batch when a sweep
-    gains less than SWEEP_TOL.
+    """Seesaw restarts ``restarts`` advanced together, each from its own
+    ``_initial_stacks``; a restart leaves the batch when a sweep gains less
+    than SWEEP_TOL.
 
-    The state is laid out as L_0 afresh where a sweep needs it, for party 0's
+    What does not change from sweep to sweep is made once per batch: the
+    initial stacks of all restarts, each party's coefficient matrix and the
+    sites of the stacks, which are shrunk with the batch and rebuilt only for
+    the party just updated. A sweep's bookkeeping (the check that no
+    objective fell, the traces) is one array operation over the batch. The
+    state is laid out as L_0 afresh where a sweep needs it, for party 0's
     local operators and for L_1, so that no copy of it is held beside the
     other left environments."""
     n, d = rho.n, rho.d
     eye = np.eye(d, dtype=np.complex128)
-    drawn = []
-    for restart in restarts:
-        rng = np.random.default_rng([seed, restart])
-        drawn.append([
-            np.stack([eye] + [(eye + _random_observable(d, rng)) / 2 for _ in range(m - 1)])
-            for m in c.shape
-        ])
-    ops = [np.stack([run[p] for run in drawn]) for p in range(n)]
+    ops = _initial_stacks(d, tuple(m - 1 for m in c.shape), seed, restarts)
+    coeffs = _party_coefficients(c)
+    sites = [_site(stack) for stack in ops]
 
     value = _objective(_closed(rho, ops), c)
     active = list(restarts)
-    traces: dict[int, list[float]] = {r: [] for r in restarts}
+    traces: list[list[float]] = [[] for _ in active]
     done: dict[int, _Restart] = {}
     for _ in range(MAX_SWEEPS):
-        sites = [_site(stack) for stack in ops]
         for party in range(n):
-            k = _local_operators(_site_pairs(rho) if party == 0 else left, sites, c, party)
+            k = _local_operators(_site_pairs(rho) if party == 0 else left, sites, coeffs[party],
+                                 party)
             k = k[:, 1:].reshape(len(k), -1, d, d)
             # the best effect projects onto the nonnegative eigenspace of K; a
             # vanishing K carries no update direction (every effect is
@@ -395,26 +418,41 @@ def _run_batch(
                 sites[party] = _site(ops[party])
             left = _advance(_site_pairs(rho) if party == 0 else left, sites[party])
         new_value = _objective(left, c)
-        for i, restart in enumerate(active):
-            traces[restart].append(float(new_value[i]))
-            if new_value[i] < value[i] - 1e-12:
-                raise ValidationError(
-                    f"seesaw objective decreased from {value[i]!r} to {new_value[i]!r}"
-                )
+        fell = new_value < value - 1e-12
+        if fell.any():
+            i = int(np.argmax(fell))
+            raise ValidationError(
+                f"seesaw objective decreased from {value[i]!r} to {new_value[i]!r}"
+            )
+        for trace, v in zip(traces, new_value.tolist()):
+            trace.append(v)
         stop = new_value - value < SWEEP_TOL
-        for i in np.flatnonzero(stop):
-            restart = active[i]
-            done[restart] = _Restart(float(new_value[i]), tuple(traces[restart]), True,
-                                     [stack[i, 1:] for stack in ops])
-        value = new_value[~stop]
-        ops = [stack[~stop] for stack in ops]
-        active = [r for r, s in zip(active, stop) if not s]
-        if not active:
-            break
+        value = new_value
+        if stop.any():
+            for i in np.flatnonzero(stop):
+                done[active[i]] = _Restart(float(value[i]), tuple(traces[i]), True,
+                                           [stack[i, 1:] for stack in ops])
+            keep = ~stop
+            value = value[keep]
+            ops = [stack[keep] for stack in ops]
+            sites = [site[keep] for site in sites]
+            active = [r for r, s in zip(active, keep) if s]
+            traces = [t for t, s in zip(traces, keep) if s]
+            if not active:
+                break
     for i, restart in enumerate(active):
-        done[restart] = _Restart(float(value[i]), tuple(traces[restart]), False,
+        done[restart] = _Restart(float(value[i]), tuple(traces[i]), False,
                                  [stack[i, 1:] for stack in ops])
     return [done[r] for r in restarts]
+
+
+def _checked_tensor(f: BellFunctional, rho: DensityMatrix, restarts: int) -> np.ndarray:
+    """``seesaw``'s argument checks, in its order, then ``_effect_tensor(f)``."""
+    if f.scenario.parties != rho.n:
+        raise ValidationError(f"functional has {f.scenario.parties} parties, state has {rho.n}")
+    if restarts < 1:
+        raise DomainError(f"restarts must be >= 1, got {restarts}")
+    return _effect_tensor(f)
 
 
 def seesaw(
@@ -422,6 +460,7 @@ def seesaw(
     rho: DensityMatrix,
     restarts: int = 20,
     seed: int = 0,
+    bounds: LhvBounds | None = None,
 ) -> SeesawResult:
     """Heuristic lower bound on the maximal violation of ``f`` by ``rho``.
 
@@ -434,21 +473,23 @@ def seesaw(
     from a stream seeded by (seed, restart) and stops when a sweep gains less
     than SWEEP_TOL, or after MAX_SWEEPS sweeps. Returns the best restart,
     ties going to the earliest; its ``value`` is the objective's violation
-    ratio against the functional's LHV range, so adding a constant to ``f``
-    leaves it unchanged. The search only raises ``f``: to look below its LHV
-    range, pass ``f.scaled(-1)``.
+    ratio against the functional's LHV range (``bounds``, computed here
+    unless the caller has them), so adding a constant to ``f`` leaves it
+    unchanged. The search only raises ``f``: to look below its LHV range,
+    pass ``f.scaled(-1)``.
+
+    The returned objective is checked against the functional's value on the
+    returned assignment, ``evaluate(f, behavior(rho, assignment))``: a
+    difference above SELF_CHECK_TOL * max(1, |objective|) raises SolverError,
+    so the value returned is one that the assignment reaches.
 
     The restarts run as batches (``_run_batch``) of as many as keep the
     largest intermediate within BATCH_CELLS; a restart's arithmetic does not
     depend on the batch it runs in.
     """
-    sc = f.scenario
-    if sc.parties != rho.n:
-        raise ValidationError(f"functional has {sc.parties} parties, state has {rho.n}")
-    if restarts < 1:
-        raise DomainError(f"restarts must be >= 1, got {restarts}")
-    c = _effect_tensor(f)
-    bounds = lhv_bounds(f)
+    c = _checked_tensor(f, rho, restarts)
+    if bounds is None:
+        bounds = lhv_bounds(f)
     d = rho.d
     # every intermediate has one axis per site, of length m_p or d^2
     per_restart = math.prod(max(m, d * d) for m in c.shape)
@@ -461,12 +502,18 @@ def seesaw(
     for run in runs[1:]:
         if run.objective > best.objective + RESTART_GAIN_TOL * max(1.0, abs(best.objective)):
             best = run
+    sc = f.scenario
     assignment = MeasurementAssignment(
         tuple(
             tuple(Measurement((e, np.eye(d) - e), values) for e, values in zip(row, sc.outcomes[p]))
             for p, row in enumerate(best.effects)
         )
     )
+    replay = evaluate(f, behavior(rho, assignment))
+    if abs(replay - best.objective) > SELF_CHECK_TOL * max(1.0, abs(best.objective)):
+        raise SolverError(
+            f"seesaw objective {best.objective!r} differs from its assignment's value {replay!r}"
+        )
     return SeesawResult(
         value=bounds.violation(best.objective),
         assignment=assignment,
@@ -475,6 +522,17 @@ def seesaw(
         objective=best.objective,
         converged=best.converged,
     )
+
+
+def _algebraic_bound(f: BellFunctional, bounds: LhvBounds) -> float:
+    """Largest violation ratio of ``f`` on any behavior, quantum or not: each
+    table's value lies between its least and its largest entry, so the value
+    lies in [A_inf, A_sup], the sums of those entries, and its ratio is at
+    most max(A_sup - mid, mid - A_inf) / half. DegenerateFunctionalError when
+    ``f`` is constant on the local polytope, as from ``bounds.violation``."""
+    tables = f.coeffs.values()
+    return max(bounds.violation(sum(float(t.max()) for t in tables)),
+               bounds.violation(sum(float(t.min()) for t in tables)))
 
 
 @dataclass(frozen=True)
@@ -490,16 +548,36 @@ def upsilon_lower_bound(
     functional_library: list[BellFunctional],
     restarts: int = 20,
     seed: int = 0,
+    best_only: bool = False,
 ) -> UpsilonLowerBound:
-    """Best seesaw violation over a functional library: a certified lower bound
-    on the maximal violation, with the achieving functional's identity."""
+    """Best seesaw violation over a functional library, in library order, ties
+    going to the earliest: a certified lower bound on the maximal violation
+    (each seesaw checks its objective against its assignment), with the
+    achieving functional's identity.
+
+    With ``best_only``, for a caller that needs only the best value, a
+    functional runs only if it could beat the best value found so far: it
+    is skipped when that value exceeds its algebraic bound
+    (``_algebraic_bound``) by more than RESTART_GAIN_TOL * max(1, bound).
+    The pick needs a strictly higher value, so a skipped functional could
+    never have been picked: ``value``, ``best_label`` and ``result`` are
+    those of the full run, and ``per_functional`` lists the functionals that
+    ran. A functional the seesaw rejects raises as it would have, skipped or
+    not, and each functional's LHV range is computed once."""
     if not functional_library:
         raise DomainError("functional library must be nonempty")
     best: SeesawResult | None = None
     best_i = -1
     per = []
     for i, f in enumerate(functional_library):
-        res = seesaw(f, rho, restarts=restarts, seed=seed)
+        bounds = None
+        if best_only and best is not None:
+            _checked_tensor(f, rho, restarts)
+            bounds = lhv_bounds(f)
+            cap = _algebraic_bound(f, bounds)
+            if best.value > cap + RESTART_GAIN_TOL * max(1.0, cap):
+                continue
+        res = seesaw(f, rho, restarts=restarts, seed=seed, bounds=bounds)
         per.append((f.label or f"functional{i}", res.value))
         if best is None or res.value > best.value:
             best, best_i = res, i

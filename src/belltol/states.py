@@ -17,8 +17,8 @@ from .linalg import (
     as_cmatrix,
     complex_from_json,
     complex_to_json,
-    eig_hermitian,
     frozen,
+    min_eigenvalue,
     resolve_max_dim,
 )
 
@@ -63,10 +63,10 @@ class DensityMatrix(JsonFile):
 
     def __post_init__(self) -> None:
         m = _checked(self.d, self.n, self.matrix)
-        w, _ = eig_hermitian(m, tol=HERM_TOL)
-        if w[-1] < -PSD_TOL:
+        low = min_eigenvalue(m, tol=HERM_TOL)
+        if low < -PSD_TOL:
             raise ValidationError(
-                f"matrix is not PSD within {PSD_TOL:g} (min eigenvalue {w[-1]:.3e})"
+                f"matrix is not PSD within {PSD_TOL:g} (min eigenvalue {low:.3e})"
             )
         object.__setattr__(self, "matrix", frozen(m))
 

@@ -58,6 +58,21 @@ def random_density(d: int, n: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(d=d, n=n, matrix=m / np.trace(m).real)
 
 
+def haar_basis(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Columns of a Haar-random unitary (Ginibre + QR with phase fix), one
+    draw at a time: the reference for the seesaw's stacked draws."""
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_observable(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Even +1/-1 eigenvalue split over a ``haar_basis``."""
+    basis = haar_basis(d, rng)
+    signs = np.array([1.0 if k < (d + 1) // 2 else -1.0 for k in range(d)])
+    return (basis * signs) @ basis.conj().T
+
+
 def random_povm(d: int, outcomes: int, rng: np.random.Generator) -> Measurement:
     """Random POVM: Ginibre lumps E_k = S^{-1/2} G_k G_k^† S^{-1/2}."""
     lumps = []

@@ -78,6 +78,18 @@ def test_violation_ghz24_mermin4(capsys):
     assert data["results"]["upsilon_lower_bound"] == pytest.approx(2.0 ** 1.5, abs=1e-6)
 
 
+def test_violation_runs_every_functional(capsys):
+    # violation prints every functional's value, so none is skipped, even one
+    # (padded CHSH, at most 2) that cannot beat Mermin's 2 sqrt(2)
+    code, data = run_json(capsys, ["violation", "--state", "ghz:2,4", "--functional", "mermin:4",
+                                   "--functional", "chsh", "--restarts", "4", "--seed", "3"])
+    assert code == 0
+    per = data["results"]["per_functional"]
+    assert [entry["functional"] for entry in per] == ["mermin4", "chsh+2passive"]
+    assert per[0]["value"] == pytest.approx(2 * SQRT2, abs=1e-6)
+    assert 1.0 < per[1]["value"] <= 2.0
+
+
 def test_tolerance_ghz22(capsys):
     code, data = run_json(capsys, [
         "tolerance", "--state", "ghz:2,2", "--seed", "1", "--restarts", "5",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from belltol.errors import ValidationError
-from belltol.linalg import eig_hermitian, resolve_max_dim
+from belltol.linalg import eig_hermitian, min_eigenvalue, resolve_max_dim
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -83,3 +83,18 @@ def test_is_psd_ghz_projector():
 def test_rejects_nonfinite():
     with pytest.raises(ValidationError):
         eig_hermitian(np.array([[np.nan, 0], [0, 1]]))
+
+
+def test_min_eigenvalue_checks_as_eig_hermitian():
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = (g + g.conj().T) / 2
+    assert min_eigenvalue(h) == pytest.approx(eig_hermitian(h)[0][-1], abs=1e-12)
+    skew = np.array([[1.0, 2e-9], [0.0, 1.0]], dtype=complex)
+    assert min_eigenvalue(skew, tol=5e-9) == pytest.approx(1.0, abs=1e-8)
+    for bad, match in ((skew, "not Hermitian within 1e-09"),
+                       (np.array([[np.nan, 0], [0, 1]]), "non-finite"),
+                       (np.zeros((2, 3)), "square")):
+        for solve in (eig_hermitian, min_eigenvalue):
+            with pytest.raises(ValidationError, match=match):
+                solve(bad, tol=1e-9)

@@ -17,6 +17,7 @@ from helpers import (
     pure_state_tables,
     random_assignment,
     random_density,
+    random_observable,
     random_povm,
 )
 
@@ -24,6 +25,7 @@ from belltol import qvalue
 from belltol.errors import (
     DegenerateFunctionalError,
     DomainError,
+    SolverError,
     UnsupportedFunctionalError,
     ValidationError,
 )
@@ -39,10 +41,12 @@ from belltol.qvalue import (
     violation_ratio,
 )
 from belltol.scenario import (
+    Behavior,
     BellFunctional,
     Scenario,
     _mk_weights,
     chsh,
+    deterministic_behavior,
     extend_with_passive_parties,
     lhv_bounds,
     mermin,
@@ -330,7 +334,7 @@ def effect_stacks(d, settings, rng):
     """Per site, the effects E_s of random projective measurements, one per
     setting."""
     eye = np.eye(d, dtype=complex)
-    return [[(eye + qvalue._random_observable(d, rng)) / 2 for _ in range(m)] for m in settings]
+    return [[(eye + random_observable(d, rng)) / 2 for _ in range(m)] for m in settings]
 
 
 def assert_effect_tensor_matches_evaluate(f, rng):
@@ -439,7 +443,8 @@ def test_site_contraction_matches_per_term_reference(d, n):
             )
             assert abs(objective[r] - want) <= 1e-12
         for party in range(n):
-            got = qvalue._local_operators(lefts[party], sites, c, party)
+            got = qvalue._local_operators(lefts[party], sites,
+                                          qvalue._party_coefficients(c)[party], party)
             assert got.shape == (2, settings[party] + 1, d * d)
             got = got.reshape(2, -1, d, d)
             for r in range(2):
@@ -608,6 +613,133 @@ def test_seesaw_pinned_runs(f, rho, seed, restarts, sweeps, objective):
     assert len(res.trace) == sweeps
     assert res.converged
     assert res.objective == pytest.approx(objective, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_initial_stacks_match_per_restart_draws(d):
+    # the batch's stacked draws are the per-restart, per-draw loop's, bit for bit
+    settings, seed, restarts = (2, 1, 3), 9, range(3, 7)
+    got = qvalue._initial_stacks(d, settings, seed, restarts)
+    eye = np.eye(d, dtype=complex)
+    for i, restart in enumerate(restarts):
+        rng = np.random.default_rng([seed, restart])
+        for p, m in enumerate(settings):
+            want = np.stack([eye] + [(eye + random_observable(d, rng)) / 2 for _ in range(m)])
+            assert np.array_equal(got[p][i], want)
+
+
+def test_seesaw_self_check_catches_a_planted_fault(monkeypatch):
+    # an objective that its assignment does not reach is an error, not a value
+    real = qvalue._objective
+    monkeypatch.setattr(qvalue, "_objective", lambda left, c: real(left, c) + 1e-6)
+    with pytest.raises(SolverError, match="differs from its assignment's value"):
+        seesaw(mermin(3), ghz(2, 3), restarts=2, seed=1)
+
+
+def test_seesaw_objective_that_falls_raises(monkeypatch):
+    # the per-sweep check covers every restart of the batch; only the second
+    # and third restarts' objectives are pulled down, further each sweep
+    real = qvalue._objective
+    calls = []
+
+    def falling(left, c):
+        calls.append(1)
+        out = real(left, c)
+        out[1:] -= 1e-6 * len(calls)
+        return out
+
+    monkeypatch.setattr(qvalue, "_objective", falling)
+    with pytest.raises(ValidationError, match="seesaw objective decreased"):
+        seesaw(mermin(3), ghz(2, 3), restarts=3, seed=1)
+
+
+def pr_box() -> Behavior:
+    """Popescu-Rohrlich box: outcomes equal unless both settings are 1."""
+    same, differ = np.eye(2) / 2, (1 - np.eye(2)) / 2
+    return Behavior(Scenario.uniform(2, 2, values=(1.0, -1.0)),
+                    {(x, y): differ if x * y else same for x in range(2) for y in range(2)})
+
+
+def test_algebraic_bound_bounds_every_behavior():
+    rng = np.random.default_rng(17)
+    functionals = ([mermin(n) for n in (2, 3, 4)]
+                   + [extend_with_passive_parties(chsh(), k) for k in (1, 2, 3)]
+                   + [random_pm_functional(n, rng) for n in (2, 3, 3, 4)])
+    for f in functionals:
+        sc = f.scenario
+        bounds = lhv_bounds(f)
+        cap = qvalue._algebraic_bound(f, bounds)
+        # Y is symmetric about the LHV range, so -f has the same bound
+        flipped = f.scaled(-1)
+        assert qvalue._algebraic_bound(flipped, lhv_bounds(flipped)) == pytest.approx(cap, rel=1e-12)
+        behaviors = []
+        for _ in range(3):
+            meas = MeasurementAssignment(tuple(
+                tuple(Measurement(random_povm(2, 2, rng).effects, values) for values in party)
+                for party in sc.outcomes))
+            behaviors.append(behavior(random_density(2, sc.parties, rng), meas))
+            strategy = tuple(tuple(int(a) for a in rng.integers(2, size=m)) for m in sc.settings)
+            behaviors.append(deterministic_behavior(sc, strategy))
+        for b in behaviors:
+            assert bounds.violation(evaluate(f, b)) <= cap + 1e-12
+    # padded CHSH cannot pass 2 on any behavior, and the PR box reaches it
+    for k in (1, 2, 3):
+        padded = extend_with_passive_parties(chsh(), k)
+        assert qvalue._algebraic_bound(padded, lhv_bounds(padded)) == 2.0
+    assert qvalue._algebraic_bound(chsh(), lhv_bounds(chsh())) == 2.0
+    assert lhv_bounds(chsh()).violation(evaluate(chsh(), pr_box())) == 2.0
+
+
+def counted_seesaw(monkeypatch) -> list[str]:
+    """Labels of the functionals that upsilon_lower_bound runs a seesaw on."""
+    calls = []
+    real = qvalue.seesaw
+
+    def counted(f, *args, **kwargs):
+        calls.append(f.label)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(qvalue, "seesaw", counted)
+    return calls
+
+
+def assert_same_search(got, want):
+    assert got.value == want.value and got.best_label == want.best_label
+    a, b = got.result, want.result
+    assert (a.value, a.objective, a.trace, a.converged, a.restarts_used) == \
+        (b.value, b.objective, b.trace, b.converged, b.restarts_used)
+    assert all(np.array_equal(x, y) for x, y in
+               zip(assignment_effects(a), assignment_effects(b), strict=True))
+
+
+@pytest.mark.parametrize("rho, skipped", [
+    (ghz(2, 4), True), (dicke(4, 2), True), (dicke(6, 3), True),
+    (w_state(3), False), (ghz(3, 3), False),
+], ids=["ghz24", "dicke42", "dicke63", "w3", "ghz33"])
+def test_best_only_skips_only_what_cannot_be_picked(monkeypatch, rho, skipped):
+    # Mermin passes padded CHSH's algebraic bound 2 on the first three states;
+    # on W(3) and the qutrit GHZ state it stays below 2, so CHSH still runs
+    library = [mermin(rho.n), extend_with_passive_parties(chsh(), rho.n - 2)]
+    calls = counted_seesaw(monkeypatch)
+    full = upsilon_lower_bound(rho, library, restarts=3, seed=1)
+    assert len(calls) == 2
+    calls.clear()
+    fast = upsilon_lower_bound(rho, library, restarts=3, seed=1, best_only=True)
+    assert calls == [f.label for f in library[:1 if skipped else 2]]
+    assert_same_search(fast, full)
+    assert fast.per_functional == full.per_functional[:len(calls)]
+    assert (full.value > 2.0) == skipped
+
+
+def test_best_only_raises_as_the_seesaw_would(monkeypatch):
+    # a skipped functional is checked as the seesaw checks it
+    three = Scenario.uniform(4, 2, 3)
+    unsupported = BellFunctional(three, {s: np.ones((3,) * 4) for s in three.joint_settings()})
+    with pytest.raises(UnsupportedFunctionalError):
+        upsilon_lower_bound(ghz(2, 4), [mermin(4), unsupported], restarts=2, seed=1,
+                            best_only=True)
+    with pytest.raises(ValidationError, match="functional has 2 parties, state has 4"):
+        upsilon_lower_bound(ghz(2, 4), [mermin(4), chsh()], restarts=2, seed=1, best_only=True)
 
 
 def test_upsilon_lower_bound_library():

@@ -201,9 +201,9 @@ def test_builders_never_call_the_eigensolver(monkeypatch, tmp_path):
     explicit = random_density(2, 3, np.random.default_rng(5))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("eig_hermitian called")
+        raise AssertionError("the eigensolver was called")
 
-    monkeypatch.setattr(belltol.states, "eig_hermitian", forbidden)
+    monkeypatch.setattr(belltol.states, "min_eigenvalue", forbidden)
     white = white_noise(2, 3)
     for build in (
         lambda: ghz(2, 3),
@@ -219,13 +219,13 @@ def test_builders_never_call_the_eigensolver(monkeypatch, tmp_path):
     monkeypatch.undo()
 
     calls = []
-    real = belltol.states.eig_hermitian
+    real = belltol.states.min_eigenvalue
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(belltol.states, "eig_hermitian", counted)
+    monkeypatch.setattr(belltol.states, "min_eigenvalue", counted)
     DensityMatrix(2, 1, np.eye(2) / 2)
     assert len(calls) >= 1
     path = tmp_path / "state.json"
