@@ -25,9 +25,8 @@ from .scenario import (
     BellFunctional,
     Scenario,
     basis_rows,
-    grid_shape,
-    row_layout,
-    slot_shape,
+    canonical_rows,
+    setting_views,
     strategy_count,
     uniform_behavior,
 )
@@ -195,25 +194,27 @@ def simplex_max(lp: LinearProgram) -> SimplexResult:
 
 
 def vertex_matrix(sc: Scenario) -> np.ndarray:
-    """Deterministic behaviors as columns, rows in canonical order."""
+    """Deterministic behaviors as columns, rows in canonical order: the
+    Kronecker product of per-site 0/1 (slot, local strategy) matrices, local
+    strategies in C order over the settings as on the strategy grid. It is
+    taken in booleans, which move an eighth of the bytes of float64."""
     count = strategy_count(sc)
     if count > DEFAULT_VERTEX_CAP:
         raise ResourceCapError(
             f"{count} deterministic behaviors exceed the LP vertex cap {DEFAULT_VERTEX_CAP}"
         )
-    offsets, rows = row_layout(sc)
-    grid, cols = grid_shape(sc), np.arange(count)
-    d = np.zeros((rows, count))
-    for s, offset in offsets.items():
-        # each strategy's outcome cell in this joint setting's table
-        cell = np.arange(np.prod(sc.outcome_counts(s))).reshape(slot_shape(sc, s))
-        d[offset + np.broadcast_to(cell, grid).ravel(), cols] = 1.0
-    return d
+    d = np.ones((1, 1), dtype=bool)
+    for party in sc.outcomes:
+        sizes = [len(values) for values in party]
+        outcome = np.unravel_index(np.arange(math.prod(sizes)), sizes)
+        d = np.kron(d, np.vstack([np.eye(m, dtype=bool)[:, a] for m, a in zip(sizes, outcome)]))
+    dims = [sum(map(len, party)) for party in sc.outcomes]
+    return canonical_rows(sc, d.reshape(dims + [count])).astype(float)
 
 
 def functional_row_vector(f: BellFunctional) -> np.ndarray:
     """Coefficients flattened in the canonical row order."""
-    return np.concatenate([f.coeffs[s].ravel() for s in sorted(f.coeffs)])
+    return canonical_rows(f.scenario, f.slots)
 
 
 def _check_weights(d: np.ndarray, weights: np.ndarray, target: np.ndarray) -> None:
@@ -327,14 +328,13 @@ def is_local(b: Behavior) -> LocalityResult:
 def separating_functional(sc: Scenario, farkas: np.ndarray) -> BellFunctional:
     """Bell functional built from a Farkas vector: its value on the rejected
     behavior exceeds its LHV supremum, which is -farkas[-1]."""
-    offsets, rows = row_layout(sc)
-    if farkas.size != rows + 1:
+    slots = np.empty([sum(map(len, party)) for party in sc.outcomes])
+    if farkas.size != slots.size + 1:
         raise ValidationError(
-            f"Farkas vector has {farkas.size} entries, expected {rows + 1}"
+            f"Farkas vector has {farkas.size} entries, expected {slots.size + 1}"
         )
-    blocks = np.split(farkas[:rows], list(offsets.values())[1:])
-    coeffs = {s: b.reshape(sc.outcome_counts(s)) for s, b in zip(offsets, blocks)}
-    return BellFunctional(scenario=sc, coeffs=coeffs, label="separating")
+    slots.flat[canonical_rows(sc, np.arange(slots.size).reshape(slots.shape))] = farkas[:-1]
+    return BellFunctional(scenario=sc, coeffs=setting_views(sc, slots), label="separating")
 
 
 @dataclass(frozen=True)

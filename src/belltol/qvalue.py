@@ -12,7 +12,7 @@ projector onto the nonnegative eigenspace of each local operator.
 holds the effects of all its settings, setting-major, M_p of them, and the
 sites are closed in order by the seesaw's kernel below (``_closed``). Site p
 costs about d^(2(n-p)) M_0 ... M_p multiply-adds, and the (M_0, ..., M_(n-1))
-result is sliced into one table per joint setting.
+result is the behavior's slot grid (``scenario.setting_views``).
 
 The seesaw advances all its restarts as one batch. Each party holds an
 array (R, m, d, d) of stacks [I, E_0, ..., E_(S-1)], one per restart, and the
@@ -45,7 +45,7 @@ from .linalg import (
     frozen,
     min_eigenvalue,
 )
-from .scenario import Behavior, BellFunctional, LhvBounds, Scenario, lhv_bounds
+from .scenario import Behavior, BellFunctional, LhvBounds, Scenario, lhv_bounds, setting_views
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-9
@@ -200,12 +200,7 @@ def behavior(rho: DensityMatrix, meas: MeasurementAssignment) -> Behavior:
     t = _closed(rho, stacks).real.reshape([stack.shape[1] for stack in stacks])
     # clip roundoff-negative entries at the 1e-12 invariant boundary
     t[(t < 0) & (t > -1e-12)] = 0.0
-    starts = [np.cumsum([0, *(m.n_outcomes for m in party)]) for party in meas.measurements]
-    tables = {
-        s: t[tuple(slice(start[s_p], start[s_p + 1]) for start, s_p in zip(starts, s))]
-        for s in sc.joint_settings()
-    }
-    return Behavior(scenario=sc, tables=tables)
+    return Behavior(scenario=sc, tables=setting_views(sc, t))
 
 
 def evaluate(f: BellFunctional, b: Behavior) -> float:
@@ -219,7 +214,7 @@ def evaluate(f: BellFunctional, b: Behavior) -> float:
             f"functional outcomes {f.scenario.outcomes} != behavior outcomes "
             f"{b.scenario.outcomes}"
         )
-    return sum(float(np.sum(table * b.tables[s])) for s, table in f.coeffs.items())
+    return float(np.vdot(f.slots, b.slots))
 
 
 def violation_ratio(
@@ -286,10 +281,10 @@ def _effect_tensor(f: BellFunctional) -> np.ndarray:
     index 0 at a site means the identity, index s + 1 the effect E_s (the
     per-site basis of Collins & Gisin, J. Phys. A 37, 1775 (2004)).
 
-    The tables are laid on one grid of per-site (setting, outcome) slots, and
-    each site axis is contracted with the matrix that writes a setting's
-    f(0) E + f(1) (I - E) as f(1) I + (f(0) - f(1)) E. Raises
-    UnsupportedFunctionalError unless every setting has two outcomes."""
+    Each site axis of the functional's slot grid is contracted with the
+    matrix that writes a setting's f(0) E + f(1) (I - E) as
+    f(1) I + (f(0) - f(1)) E. Raises UnsupportedFunctionalError unless every
+    setting has two outcomes."""
     sc = f.scenario
     for p, party in enumerate(sc.outcomes):
         for s, vals in enumerate(party):
@@ -297,11 +292,8 @@ def _effect_tensor(f: BellFunctional) -> np.ndarray:
                 raise UnsupportedFunctionalError(
                     f"party {p}, setting {s} has {len(vals)} outcomes, the seesaw needs 2"
                 )
-    n, settings = sc.parties, sc.settings
-    # f.coeffs lists the joint settings in C order
-    c = np.stack(list(f.coeffs.values())).reshape(settings + (2,) * n)
-    c = c.transpose([a for p in range(n) for a in (p, n + p)]).reshape([2 * m for m in settings])
-    for p, m in enumerate(settings):
+    c = f.slots
+    for p, m in enumerate(sc.settings):
         w = np.vstack([np.tile([0.0, 1.0], m), np.kron(np.eye(m), [1.0, -1.0])])
         c = np.moveaxis(np.tensordot(w, c, axes=(1, p)), 0, p)
     return c

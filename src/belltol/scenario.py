@@ -1,15 +1,17 @@
 """Correlation scenarios, Bell functionals over discrete outcomes, behaviors,
 deterministic-strategy enumeration and exact LHV constants.
 
-A functional is stored as one dense real coefficient table per joint setting,
-so evaluation against a behavior is a plain tensor contraction.
+A functional or a behavior lays its tables out once, on the read-only slot
+grid ``slots``: site p's axis holds its settings' outcomes, setting-major, so
+joint setting s's table is the block at each site's s_p (``setting_views``).
+``canonical_rows`` reads a grid in the LP's row order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -128,42 +130,65 @@ def enumerate_strategies(sc: Scenario) -> Iterator[Strategy]:
     )
 
 
-def _setting_tables(
-    sc: Scenario, tables: dict[tuple[int, ...], np.ndarray]
-) -> dict[tuple[int, ...], np.ndarray]:
-    """Read-only float copies of one finite table per joint setting, shaped by
-    its outcome counts, in sorted joint-setting order."""
-    expected = set(sc.joint_settings())
-    if set(tables) != expected:
-        raise ValidationError(
-            f"tables cover {len(tables)} joint settings, expected {len(expected)}"
-        )
-    canon: dict[tuple[int, ...], np.ndarray] = {}
-    for s in sorted(tables):
-        t = np.array(tables[s], dtype=float)
-        if t.shape != sc.outcome_counts(s):
+def setting_views(sc: Scenario, slots: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
+    """Each joint setting's block of a slot grid, as views in sorted
+    joint-setting order: on site p's axis, the outcomes of setting s_p. Axes
+    past the sites are kept whole."""
+    ends = [np.cumsum([0, *map(len, party)]) for party in sc.outcomes]
+    return {s: slots[tuple(slice(e[s_p], e[s_p + 1]) for e, s_p in zip(ends, s))]
+            for s in sc.joint_settings()}
+
+
+def canonical_rows(sc: Scenario, slots: np.ndarray) -> np.ndarray:
+    """A slot grid read in the canonical row order of ``Behavior.vector`` and
+    the vertex matrix: sorted joint settings, each table raveled. Axes past
+    the sites are kept whole."""
+    tail = slots.shape[sc.parties:]
+    return np.concatenate([v.reshape((-1, *tail)) for v in setting_views(sc, slots).values()])
+
+
+def _lay_out(obj: BellFunctional | Behavior, name: str) -> None:
+    """Replace the tables ``obj.<name>``, one finite table per joint setting
+    shaped by its outcome counts, by read-only views of a new slot grid that
+    holds a float copy of each, and keep the grid as ``obj.slots``."""
+    sc, tables = obj.scenario, getattr(obj, name)
+    slots = np.empty([sum(map(len, party)) for party in sc.outcomes])
+    views = setting_views(sc, slots)
+    if tables.keys() != views.keys():
+        missing = [f"no table for joint setting {s}" for s in views if s not in tables]
+        unexpected = [f"a table for joint setting {s}, which does not exist with settings "
+                      f"per party {sc.settings}" for s in tables if s not in views]
+        raise ValidationError("; ".join(missing[:1] + unexpected[:1]))
+    for s, view in views.items():
+        t = np.asarray(tables[s], dtype=float)
+        if t.shape != view.shape:
             raise ValidationError(
-                f"table for joint setting {s} has shape {t.shape}, "
-                f"expected {sc.outcome_counts(s)}"
+                f"table for joint setting {s} has shape {t.shape}, expected {view.shape}"
             )
-        if not np.all(np.isfinite(t)):
-            raise ValidationError(f"table for joint setting {s} has non-finite entries")
-        t.setflags(write=False)
-        canon[s] = t
-    return canon
+        view[...] = t
+    if not np.all(np.isfinite(slots)):
+        s = next(s for s, view in views.items() if not np.all(np.isfinite(view)))
+        raise ValidationError(f"table for joint setting {s} has non-finite entries")
+    slots.setflags(write=False)
+    for view in views.values():
+        view.setflags(write=False)
+    object.__setattr__(obj, "slots", slots)
+    object.__setattr__(obj, name, views)
 
 
 @dataclass(frozen=True)
 class BellFunctional(JsonFile):
     """Linear functional on behaviors: one dense coefficient table per joint
-    setting, table axes ordered by party."""
+    setting, table axes ordered by party, laid out on the slot grid ``slots``
+    (``coeffs`` holds views of its blocks)."""
 
     scenario: Scenario
     coeffs: dict[tuple[int, ...], np.ndarray]
     label: str = ""
+    slots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _setting_tables(self.scenario, self.coeffs))
+        _lay_out(self, "coeffs")
 
     def scaled(self, c: float, label: str | None = None) -> "BellFunctional":
         return BellFunctional(
@@ -340,20 +365,17 @@ def extend_with_passive_parties(f: BellFunctional, extra: int) -> BellFunctional
         raise DomainError(f"extra must be >= 1, got {extra}")
     tail = tuple(((1.0, -1.0),) for _ in range(extra))
     sc = Scenario(f.scenario.outcomes + tail)
-    lam = np.array([1.0, -1.0])
-    coeffs = {}
-    for s, table in f.coeffs.items():
-        t = table
-        for _ in range(extra):
-            t = np.multiply.outer(t, lam)
-        coeffs[s + (0,) * extra] = t
+    slots = f.slots
+    for _ in range(extra):
+        slots = np.multiply.outer(slots, [1.0, -1.0])
     label = f.label + f"+{extra}passive" if f.label else ""
-    return BellFunctional(scenario=sc, coeffs=coeffs, label=label)
+    return BellFunctional(scenario=sc, coeffs=setting_views(sc, slots), label=label)
 
 
 @dataclass(frozen=True)
 class Behavior:
-    """Joint outcome probability tables, one per joint setting.
+    """Joint outcome probability tables, one per joint setting, laid out on
+    the slot grid ``slots`` (``tables`` holds views of its blocks).
 
     Construction validates finiteness, normalization (1e-9), nonnegativity
     (1e-12) and nonsignaling (1e-9).
@@ -361,15 +383,15 @@ class Behavior:
 
     scenario: Scenario
     tables: dict[tuple[int, ...], np.ndarray]
+    slots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tables", _setting_tables(self.scenario, self.tables))
+        _lay_out(self, "tables")
         self._check_tables()
 
     def _check_tables(self) -> None:
         """Nonnegativity and normalization of every table, then nonsignaling,
-        on one grid of per-site (setting, outcome) slots that holds each table
-        on its block. Contracting a site's axis with its (setting, slot)
+        on the slot grid. Contracting a site's axis with its (setting, slot)
         indicator sums each setting's outcomes and appends the setting axis
         last. An error names the first offending joint setting, or party and
         setting, in sorted order."""
@@ -377,13 +399,10 @@ class Behavior:
         counts = [[len(values) for values in party] for party in sc.outcomes]
         starts = [np.cumsum([0, *m])[:-1] for m in counts]
         indicators = [np.repeat(np.eye(len(m)), m, axis=1) for m in counts]
-        grid = np.empty([sum(m) for m in counts])
-        for s, t in self.tables.items():
-            grid[tuple(slice(st[s_p], st[s_p] + m) for st, s_p, m in zip(starts, s, t.shape))] = t
-        total = grid
+        total = self.slots
         for ind in indicators:
             total = np.tensordot(total, ind, axes=(0, 1))
-        if grid.min() < -1e-12 or np.max(np.abs(total - 1.0)) > 1e-9:
+        if self.slots.min() < -1e-12 or np.max(np.abs(total - 1.0)) > 1e-9:
             # self.tables lists the joint settings in C order
             low = np.reshape([t.min() for t in self.tables.values()], sc.settings)
             s = tuple(int(i) for i in np.argwhere((low < -1e-12) | (np.abs(total - 1.0) > 1e-9))[0])
@@ -392,7 +411,7 @@ class Behavior:
             raise ValidationError(f"table at joint setting {s} sums to {float(total[s])!r}")
         for party, ind in enumerate(indicators):
             # the other parties' marginals, by party's setting on the last axis
-            marg = np.tensordot(grid, ind, axes=(party, 1))
+            marg = np.tensordot(self.slots, ind, axes=(party, 1))
             diff = np.abs(marg - marg[..., :1])
             if diff.max() > 1e-9:
                 # the largest difference per joint setting: (other settings, setting)
@@ -407,15 +426,7 @@ class Behavior:
 
     def vector(self) -> np.ndarray:
         """Flatten in the canonical row order shared with the LP vertex matrix."""
-        return np.concatenate([self.tables[s].ravel() for s in sorted(self.tables)])
-
-
-def row_layout(sc: Scenario) -> tuple[dict[tuple[int, ...], int], int]:
-    """Offsets of each joint setting's block in the canonical row order of
-    ``Behavior.vector``, and the total row count."""
-    sizes = {s: math.prod(sc.outcome_counts(s)) for s in sorted(sc.joint_settings())}
-    starts = itertools.accumulate(sizes.values(), initial=0)
-    return dict(zip(sizes, starts)), sum(sizes.values())
+        return canonical_rows(self.scenario, self.slots)
 
 
 def basis_rows(sc: Scenario) -> np.ndarray:
@@ -424,25 +435,20 @@ def basis_rows(sc: Scenario) -> np.ndarray:
     setting 0 and all but the last of its other settings, as row(s, last) =
     sum_a row(0, a) - sum_{a < last} row(s, a). That is prod_p (1 + sum_s
     (m_ps - 1)) rows; those of joint setting (0, ..., 0) sum to the weight."""
-    offsets, rows = row_layout(sc)
-    keep = np.zeros(rows, dtype=bool)
-    for s, offset in offsets.items():
-        block = np.ones((), dtype=bool)
-        for p, s_p in enumerate(s):
-            m = len(sc.outcomes[p][s_p])
-            block = np.multiply.outer(block, np.arange(m) < m - (s_p > 0))
-        keep[offset:offset + block.size] = block.ravel()
-    return keep
+    keep = np.ones((), dtype=bool)
+    for party in sc.outcomes:
+        site = [np.arange(len(values)) < len(values) - (s > 0) for s, values in enumerate(party)]
+        keep = np.multiply.outer(keep, np.concatenate(site))
+    return canonical_rows(sc, keep)
 
 
 def deterministic_behavior(sc: Scenario, strategy: Strategy) -> Behavior:
     """Point-mass behavior of one deterministic strategy."""
-    tables = {}
-    for s in sc.joint_settings():
-        t = np.zeros(sc.outcome_counts(s))
-        t[tuple(strategy[p][s_p] for p, s_p in enumerate(s))] = 1.0
-        tables[s] = t
-    return Behavior(scenario=sc, tables=tables)
+    slots = np.ones(())
+    for party, choice in zip(sc.outcomes, strategy):
+        site = [np.eye(len(values))[a] for values, a in zip(party, choice)]
+        slots = np.multiply.outer(slots, np.concatenate(site))
+    return Behavior(scenario=sc, tables=setting_views(sc, slots))
 
 
 def uniform_behavior(sc: Scenario) -> Behavior:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from belltol.polytope import functional_row_vector, vertex_matrix
 from belltol.qvalue import Measurement, MeasurementAssignment
-from belltol.scenario import Scenario
+from belltol.scenario import Scenario, grid_shape, slot_shape
 from belltol.states import DensityMatrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -149,3 +150,58 @@ def pure_state_tables(psi: np.ndarray, meas: MeasurementAssignment) -> dict:
         shape = [x for k in ks for x in (k.shape[0] // d, d)]
         tables[s] = np.sum(np.abs(amp.reshape(shape)) ** 2, axis=tuple(range(1, len(shape), 2)))
     return tables
+
+
+# --- reference layouts ----------------------------------------------------------
+# The canonical rows and the seesaw's coefficient tensor built one joint
+# setting at a time, from each table's offset in the canonical row order: the
+# tests check the slot-grid code against these.
+
+
+def _row_offsets(sc: Scenario) -> tuple[dict[tuple[int, ...], int], int]:
+    """Offset of each joint setting's block in the canonical row order, and
+    the row count."""
+    sizes = {s: math.prod(sc.outcome_counts(s)) for s in sorted(sc.joint_settings())}
+    starts = itertools.accumulate(sizes.values(), initial=0)
+    return dict(zip(sizes, starts)), sum(sizes.values())
+
+
+def reference_vertex_matrix(sc: Scenario) -> np.ndarray:
+    """Deterministic behaviors as columns, rows in canonical order: each
+    strategy's outcome cell in each table, at that table's offset."""
+    offsets, rows = _row_offsets(sc)
+    grid = grid_shape(sc)
+    cols = np.arange(math.prod(grid))
+    d = np.zeros((rows, cols.size))
+    for s, offset in offsets.items():
+        cell = np.arange(math.prod(sc.outcome_counts(s))).reshape(slot_shape(sc, s))
+        d[offset + np.broadcast_to(cell, grid).ravel(), cols] = 1.0
+    return d
+
+
+def reference_basis_rows(sc: Scenario) -> np.ndarray:
+    """Mask of canonical rows: in each table, every outcome of setting 0 and
+    all but the last outcome of the other settings, site by site."""
+    offsets, rows = _row_offsets(sc)
+    keep = np.zeros(rows, dtype=bool)
+    for s, offset in offsets.items():
+        block = np.ones((), dtype=bool)
+        for p, s_p in enumerate(s):
+            m = len(sc.outcomes[p][s_p])
+            block = np.multiply.outer(block, np.arange(m) < m - (s_p > 0))
+        keep[offset:offset + block.size] = block.ravel()
+    return keep
+
+
+def reference_effect_tensor(f) -> np.ndarray:
+    """The seesaw's coefficient tensor over the stacks [I, E_0, ..., E_(S-1)]
+    for two outcomes per setting: the tables stacked in sorted joint-setting
+    order, each site's (setting, outcome) axes fused, then each site axis
+    contracted with the map f(0) E + f(1) (I - E) -> f(1) I + (f(0) - f(1)) E."""
+    n, settings = f.scenario.parties, f.scenario.settings
+    c = np.stack([f.coeffs[s] for s in sorted(f.coeffs)]).reshape(settings + (2,) * n)
+    c = c.transpose([a for p in range(n) for a in (p, n + p)]).reshape([2 * m for m in settings])
+    for p, m in enumerate(settings):
+        w = np.vstack([np.tile([0.0, 1.0], m), np.kron(np.eye(m), [1.0, -1.0])])
+        c = np.moveaxis(np.tensordot(w, c, axes=(1, p)), 0, p)
+    return c

@@ -279,6 +279,19 @@ def test_bounds_sweep_without_rows_exits_2(capsys, fmt):
     assert captured.err.count("\n") == 1
 
 
+def test_functional_json_with_unknown_joint_setting_exits_2(tmp_path, capsys):
+    from belltol.scenario import chsh
+
+    data = chsh().to_json_dict()
+    data["coeffs"]["3,3"] = data["coeffs"].pop("2,2")
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["violation", "--state", "ghz:2,2", "--functional", f"json:{path}"]) == 2
+    err = capsys.readouterr().err
+    assert "no table for joint setting (1, 1)" in err
+    assert "a table for joint setting (2, 2), which does not exist" in err
+
+
 def test_exit_code_unsupported_functional(tmp_path):
     import numpy as np
 

@@ -12,6 +12,8 @@ from helpers import (
     SZ,
     chsh_optimal_assignment,
     mermin3_optimal_assignment,
+    reference_basis_rows,
+    reference_vertex_matrix,
     vertex_scan_bounds,
 )
 
@@ -30,6 +32,7 @@ from belltol.polytope import (
 )
 from belltol.qvalue import Measurement, MeasurementAssignment, behavior, evaluate, seesaw
 from belltol.scenario import (
+    BellFunctional,
     Scenario,
     basis_rows,
     chsh,
@@ -454,15 +457,43 @@ def scenario_of(*sites):
                           for site in sites))
 
 
-@pytest.mark.parametrize("sites", [((2, 2), (2, 2)), ((3, 3), (3, 3)), ((2, 3, 4), (3,), (2, 2)),
-                                   ((4, 2), (2, 3, 2)), ((1, 2), (2,)), ((2,), (3,), (2,), (2,))],
-                         ids=str)
+# per site, the outcome counts of its settings
+SITE_COUNTS = [((2, 2), (2, 2)), ((3, 3), (3, 3)), ((2, 3, 4), (3,), (2, 2)),
+               ((4, 2), (2, 3, 2)), ((1, 2), (2,)), ((2,), (3,), (2,), (2,))]
+
+
+@pytest.mark.parametrize("sites", SITE_COUNTS, ids=str)
 def test_start_basis_is_unimodular(sites):
     # the staircase strategies on the basis rows: square, |det| = 1
     sc = scenario_of(*sites)
     block = vertex_matrix(sc)[basis_rows(sc)][:, polytope._staircase(sc)]
     assert block.shape[0] == block.shape[1]
     assert abs(np.linalg.det(block)) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("sites", SITE_COUNTS, ids=str)
+def test_slot_grid_rows_equal_per_table_reference(sites):
+    sc = scenario_of(*sites)
+    assert np.array_equal(vertex_matrix(sc), reference_vertex_matrix(sc))
+    assert np.array_equal(basis_rows(sc), reference_basis_rows(sc))
+
+
+@pytest.mark.parametrize("sc", [MIXED_SCENARIO, Scenario.uniform(3, 2)], ids=["mixed", "uniform"])
+def test_slot_grid_layout_contract(sc):
+    # coeffs and tables are read-only views of one grid, and the canonical
+    # rows of a Farkas vector come back unchanged through its functional
+    rng = np.random.default_rng(7)
+    f = BellFunctional(sc, {s: rng.standard_normal(sc.outcome_counts(s))
+                            for s in sc.joint_settings()})
+    b = uniform_behavior(sc)
+    for obj, tables in ((f, f.coeffs), (b, b.tables)):
+        assert not obj.slots.flags.writeable
+        for t in tables.values():
+            assert np.shares_memory(t, obj.slots)
+            with pytest.raises(ValueError, match="read-only"):
+                t[(0,) * t.ndim] = 1.0
+    farkas = rng.standard_normal(vertex_matrix(sc).shape[0] + 1)
+    assert np.array_equal(functional_row_vector(separating_functional(sc, farkas)), farkas[:-1])
 
 
 def test_visibility_monotone_in_beta():

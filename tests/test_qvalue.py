@@ -19,6 +19,7 @@ from helpers import (
     random_density,
     random_observable,
     random_povm,
+    reference_effect_tensor,
 )
 
 from belltol import qvalue
@@ -381,6 +382,12 @@ def test_correlation_form_mermin_weights(n):
     for s in itertools.product(range(2), repeat=n):
         assert c[tuple(s_p + 1 for s_p in s)] == 2.0**n * expected.get(s, 0.0)
     assert_effect_tensor_matches_evaluate(mermin(n), np.random.default_rng(110 + n))
+
+
+@pytest.mark.parametrize("f", [mermin(4), extend_with_passive_parties(chsh(), 2)],
+                         ids=["mk4", "chsh+2passive"])
+def test_effect_tensor_equals_stacked_reference(f):
+    assert np.array_equal(qvalue._effect_tensor(f), reference_effect_tensor(f))
 
 
 def random_pm_functional(n: int, rng: np.random.Generator) -> BellFunctional:

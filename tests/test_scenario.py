@@ -332,6 +332,22 @@ def test_behavior_checks_match_loop_reference(sc):
     assert outcomes == {"accepted", "negative", "table", "signaling"}
 
 
+def test_behavior_names_missing_and_unexpected_joint_settings():
+    sc = Scenario.uniform(2, 2, values=(1.0, -1.0))
+    tables = {s: np.full((2, 2), 0.25) for s in sc.joint_settings()}
+    tables[(2, 0)] = tables.pop((0, 1))
+    with pytest.raises(ValidationError, match=re.escape(
+            "no table for joint setting (0, 1); a table for joint setting (2, 0), which does "
+            "not exist with settings per party (2, 2)")):
+        Behavior(sc, tables)
+    del tables[(2, 0)]
+    with pytest.raises(ValidationError, match=r"^no table for joint setting \(0, 1\)$"):
+        Behavior(sc, tables)
+    tables[(0, 1)], tables[(0, 0, 0)] = tables[(0, 0)], tables[(0, 0)]
+    with pytest.raises(ValidationError, match=r"^a table for joint setting \(0, 0, 0\)"):
+        Behavior(sc, tables)
+
+
 @pytest.mark.parametrize("entry", [math.nan, math.inf], ids=["nan", "inf"])
 def test_behavior_rejects_non_finite_entries(entry):
     # NaN compares False in the sign and sum checks, so only a finiteness check
