@@ -101,10 +101,10 @@ def _hermitian_part(h: np.ndarray, tol: float) -> np.ndarray:
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.shape[-1] < 1:
         raise ValidationError(f"expected a square matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise ValidationError("h contains non-finite entries")
     h_dagger = h.conj().swapaxes(-1, -2)
-    defect = float(np.max(np.abs(h - h_dagger)))
+    defect = float(np.abs(h - h_dagger).max())
     if defect > tol:
         raise ValidationError(
             f"matrix is not Hermitian within {tol:g} (max deviation {defect:.3e})"

@@ -6,9 +6,8 @@ Ships a self-contained dual simplex with deterministic pivoting, so results
 are reproducible bit-for-bit on a given platform. It starts from a dual
 feasible basis that the LP carries, so there is no phase 1: the visibility LP
 has one for every behavior, the staircase strategies and beta at beta = 1
-(Lemke's dual method, Naval Res. Logist. Q. 1, 36 (1954)). The most negative
-basic variable leaves; if a basis repeats, which is cycling, Bland's rule
-takes over until the objective falls.
+(Lemke's dual method, Naval Res. Logist. Q. 1, 36 (1954)); ``simplex_max``
+states its pivoting rules.
 """
 
 from __future__ import annotations
@@ -60,18 +59,15 @@ class LinearProgram:
     basis: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.c, dtype=float)
-        a = np.asarray(self.a_eq, dtype=float)
-        b = np.asarray(self.b_eq, dtype=float)
+        c, a, b = (np.asarray(v, dtype=float) for v in (self.c, self.a_eq, self.b_eq))
         basis = np.asarray(self.basis)
         if a.ndim != 2 or c.ndim != 1 or b.ndim != 1:
             raise ValidationError("LP needs a matrix A_eq and vectors c, b_eq")
         if a.shape != (b.size, c.size):
-            raise ValidationError(
-                f"inconsistent LP shapes: A is {a.shape}, c has {c.size}, b has {b.size}"
-            )
+            raise ValidationError(f"inconsistent LP shapes: A is {a.shape}, c has {c.size}, "
+                                  f"b has {b.size}")
         for name, arr in (("c", c), ("A_eq", a), ("b_eq", b)):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValidationError(f"{name} has non-finite entries")
         if (basis.shape != (b.size,) or not np.issubdtype(basis.dtype, np.integer)
                 or len(set(basis.tolist())) != b.size
@@ -94,13 +90,14 @@ class SimplexResult:
 
 
 class _Tableau:
-    """Revised simplex state: an explicit basis inverse, the basic values x_b
-    and the reduced costs c - y @ A."""
+    """Revised simplex state: an explicit basis inverse, the basic values x_b,
+    the reduced costs c - y @ A and the basic columns as a set, ``members``."""
 
     def __init__(self, lp: LinearProgram) -> None:
         m, n = lp.a_eq.shape
         self.a, self.b, self.c = lp.a_eq, lp.b_eq, lp.c
         self.basis = lp.basis.copy()
+        self.members = set(self.basis.tolist())
         self.pivots = 0
         self.max_pivots = PIVOT_LIMIT_PER_DIM * (m + n)
         self.refactor()
@@ -119,16 +116,17 @@ class _Tableau:
         row of B^-1 A and ``step`` the dual step reduced[col] / alpha[col]."""
         self.reduced -= step * alpha
         u = self.b_inv @ self.a[:, col]
-        piv = u[row]
+        piv = float(u[row])
         if not piv < 0.0:
             raise SolverError(f"the pivot's row and column disagree after {self.pivots} pivots")
+        self.members ^= {int(self.basis[row]), col}
         self.basis[row] = col
         self.reduced[self.basis] = 0.0
         # product-form update: premultiply by the eta matrix sending u to e_row
-        eta = -u / piv
+        eta = u / -piv
         eta[row] = 1.0 / piv - 1.0
         self.b_inv += eta[:, None] * self.b_inv[row]
-        self.x_b = self.x_b + eta * self.x_b[row]
+        self.x_b += eta * self.x_b[row]
         self.pivots += 1
         if self.pivots % REFACTOR_EVERY == 0:
             self.refactor()
@@ -142,12 +140,15 @@ def simplex_max(lp: LinearProgram) -> SimplexResult:
     The most negative basic variable leaves. The entering column is the one
     of smallest ratio reduced / alpha over the leaving row's alpha < 0 (the
     pivot taken relative to the row's scale), ties going to the largest
-    |alpha|. If a basis repeats, which is cycling, Bland's rule takes over
-    until the objective falls: the lowest-index infeasible basic variable
-    leaves and the lowest-index tied column enters. A leaving row with no
-    entering column proves the LP infeasible. A start that is singular or not
-    dual feasible raises SolverError, and so do a singular basis later and a
-    solve that reaches PIVOT_LIMIT_PER_DIM * (m + n) pivots.
+    |alpha|. A pivot costs one row product alpha = B^-1[row] @ A, one column
+    product u = B^-1 @ A[:, col] and one rank-1 update of B^-1; x_b and the
+    reduced costs take vector updates. A basis is keyed by the hash of the
+    frozenset of its columns; if a key repeats, which is cycling, Bland's rule
+    takes over until the objective falls: the lowest-index infeasible basic
+    variable leaves and the lowest-index tied column enters. A leaving row
+    with no entering column proves the LP infeasible. A start that is
+    singular or not dual feasible raises SolverError, and so do a singular
+    basis later and a solve that reaches PIVOT_LIMIT_PER_DIM * (m + n) pivots.
     """
     tab = _Tableau(lp)
     worst = float(tab.reduced.max())
@@ -156,38 +157,36 @@ def simplex_max(lp: LinearProgram) -> SimplexResult:
     seen: set[int] = set()
     bland = False
     while True:
-        infeasible = np.flatnonzero(tab.x_b < -DEFAULT_LP_TOL)
-        if infeasible.size == 0:
+        row = int(tab.x_b.argmin())
+        if not tab.x_b[row] < -DEFAULT_LP_TOL:
             break
         if tab.pivots >= tab.max_pivots:
             raise SolverError(f"the simplex reached its limit of {tab.max_pivots} pivots")
-        key = hash(frozenset(tab.basis.tolist()))
+        key = hash(frozenset(tab.members))
         bland = bland or key in seen
         seen.add(key)
-        if bland:
-            row = int(infeasible[np.argmin(tab.basis[infeasible])])
-        else:
-            row = int(np.argmin(tab.x_b))
+        if bland:  # the lowest basic index over x_b < -tol; lp.c.size exceeds them all
+            row = int(np.where(tab.x_b < -DEFAULT_LP_TOL, tab.basis, lp.c.size).argmin())
         alpha = tab.b_inv[row] @ tab.a
         # pivots are relative to the row's scale: on an ill-conditioned basis
         # a round-off entry above the tolerance would leave a singular basis
-        piv_tol = DEFAULT_LP_TOL * max(1.0, float(np.max(np.abs(alpha))))
+        piv_tol = DEFAULT_LP_TOL * max(1.0, float(abs(alpha).max()))
         entering = alpha < -piv_tol
         entering[tab.basis] = False
-        cols = np.flatnonzero(entering)
+        cols = entering.nonzero()[0]
         if cols.size == 0:
             return SimplexResult(status=INFEASIBLE, pivots=tab.pivots)
-        ratios = np.minimum(tab.reduced[cols], 0.0) / alpha[cols]
-        ties = cols[ratios <= ratios.min() + 1e-15 * (cols.size + 1)]
-        col = int(ties[0] if bland else ties[np.argmin(alpha[ties])])
+        alpha_in = alpha[cols]
+        ratios = np.minimum(tab.reduced[cols], 0.0) / alpha_in
+        tied = ratios <= ratios[ratios.argmin()] + 1e-15 * (cols.size + 1)
+        col = int(cols[tied][0 if bland else alpha_in[tied].argmin()])
         step = min(float(tab.reduced[col]), 0.0) / alpha[col]
         bland = bland and step <= 0.0
         tab.pivot(row, col, alpha, step)
     x = np.zeros(lp.c.size)
     x[tab.basis] = np.maximum(tab.x_b, 0.0)
-    dual = lp.c[tab.basis] @ tab.b_inv
-    return SimplexResult(status=OPTIMAL, objective=float(lp.c @ x), x=x, dual=dual,
-                         pivots=tab.pivots)
+    return SimplexResult(status=OPTIMAL, objective=float(lp.c @ x), x=x,
+                         dual=lp.c[tab.basis] @ tab.b_inv, pivots=tab.pivots)
 
 
 # --- local polytope ----------------------------------------------------------
@@ -207,7 +206,8 @@ def vertex_matrix(sc: Scenario) -> np.ndarray:
     for party in sc.outcomes:
         sizes = [len(values) for values in party]
         outcome = np.unravel_index(np.arange(math.prod(sizes)), sizes)
-        d = np.kron(d, np.vstack([np.eye(m, dtype=bool)[:, a] for m, a in zip(sizes, outcome)]))
+        site = np.vstack([np.eye(m, dtype=bool)[:, a] for m, a in zip(sizes, outcome)])
+        d = (d[:, None, :, None] & site[:, None]).reshape(d.shape[0] * site.shape[0], -1)
     dims = [sum(map(len, party)) for party in sc.outcomes]
     return canonical_rows(sc, d.reshape(dims + [count])).astype(float)
 

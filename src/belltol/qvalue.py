@@ -405,8 +405,10 @@ def _run_batch(
             # optimal), so the current effect stays
             moves = np.max(np.abs(k), axis=(2, 3)) > SIGN_EIG_TOL
             if moves.any():
-                ops[party][:, 1:] = np.where(moves[..., None, None], (eye + sign_operator(k)) / 2,
-                                             ops[party][:, 1:])
+                best = (eye + sign_operator(k)) / 2
+                if not moves.all():
+                    best = np.where(moves[..., None, None], best, ops[party][:, 1:])
+                ops[party][:, 1:] = best
                 sites[party] = _site(ops[party])
             left = _advance(_site_pairs(rho) if party == 0 else left, sites[party])
         new_value = _objective(left, c)

@@ -134,9 +134,9 @@ def setting_views(sc: Scenario, slots: np.ndarray) -> dict[tuple[int, ...], np.n
     """Each joint setting's block of a slot grid, as views in sorted
     joint-setting order: on site p's axis, the outcomes of setting s_p. Axes
     past the sites are kept whole."""
-    ends = [np.cumsum([0, *map(len, party)]) for party in sc.outcomes]
-    return {s: slots[tuple(slice(e[s_p], e[s_p + 1]) for e, s_p in zip(ends, s))]
-            for s in sc.joint_settings()}
+    cuts = [[slice(a, b) for a, b in itertools.pairwise(
+        itertools.accumulate(map(len, party), initial=0))] for party in sc.outcomes]
+    return {s: slots[index] for s, index in zip(sc.joint_settings(), itertools.product(*cuts))}
 
 
 def canonical_rows(sc: Scenario, slots: np.ndarray) -> np.ndarray:
@@ -397,7 +397,6 @@ class Behavior:
         setting, in sorted order."""
         sc = self.scenario
         counts = [[len(values) for values in party] for party in sc.outcomes]
-        starts = [np.cumsum([0, *m])[:-1] for m in counts]
         indicators = [np.repeat(np.eye(len(m)), m, axis=1) for m in counts]
         total = self.slots
         for ind in indicators:
@@ -417,7 +416,8 @@ class Behavior:
                 # the largest difference per joint setting: (other settings, setting)
                 others = [p for p in range(sc.parties) if p != party]
                 for axis, p in enumerate(others):
-                    diff = np.maximum.reduceat(diff, starts[p], axis=axis)
+                    starts = list(itertools.accumulate(counts[p][:-1], initial=0))
+                    diff = np.maximum.reduceat(diff, starts, axis=axis)
                 first = tuple(np.argwhere(diff > 1e-9)[0])
                 raise ValidationError(
                     f"signaling marginal for party {party}: settings 0 vs "
@@ -452,9 +452,9 @@ def deterministic_behavior(sc: Scenario, strategy: Strategy) -> Behavior:
 
 
 def uniform_behavior(sc: Scenario) -> Behavior:
-    """Independent uniform outcomes at every site."""
-    tables = {}
-    for s in sc.joint_settings():
-        shape = sc.outcome_counts(s)
-        tables[s] = np.full(shape, 1.0 / float(np.prod(shape)))
-    return Behavior(scenario=sc, tables=tables)
+    """Independent uniform outcomes at every site: 1 / prod_p m_p on the
+    slot grid, the outer product of each site's outcome count per slot."""
+    counts = np.ones(())
+    for party in sc.outcomes:
+        counts = np.multiply.outer(counts, [len(values) for values in party for _ in values])
+    return Behavior(scenario=sc, tables=setting_views(sc, 1.0 / counts))

@@ -81,8 +81,14 @@ def test_is_psd_ghz_projector():
 
 
 def test_rejects_nonfinite():
-    with pytest.raises(ValidationError):
-        eig_hermitian(np.array([[np.nan, 0], [0, 1]]))
+    # an inf fails the finiteness check before the Hermiticity check, where
+    # inf - inf would raise a RuntimeWarning instead of a ValidationError
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+        h = np.array([[bad, 0], [0, 1]], dtype=complex)
+        for solve in (eig_hermitian, min_eigenvalue):
+            for arg in (h, np.stack([np.eye(2), h])):
+                with pytest.raises(ValidationError, match="non-finite"):
+                    solve(arg)
 
 
 def test_min_eigenvalue_checks_as_eig_hermitian():
@@ -94,6 +100,7 @@ def test_min_eigenvalue_checks_as_eig_hermitian():
     assert min_eigenvalue(skew, tol=5e-9) == pytest.approx(1.0, abs=1e-8)
     for bad, match in ((skew, "not Hermitian within 1e-09"),
                        (np.array([[np.nan, 0], [0, 1]]), "non-finite"),
+                       (np.array([[np.inf, 0], [0, 1]]), "non-finite"),
                        (np.zeros((2, 3)), "square")):
         for solve in (eig_hermitian, min_eigenvalue):
             with pytest.raises(ValidationError, match=match):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -42,7 +43,16 @@ from belltol.scenario import (
     mermin,
     uniform_behavior,
 )
-from belltol.states import DensityMatrix, NoiseSpec, ghz, mix, product_zero, w_state, white_noise
+from belltol.states import (
+    DensityMatrix,
+    NoiseSpec,
+    dicke,
+    ghz,
+    mix,
+    product_zero,
+    w_state,
+    white_noise,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -247,11 +257,27 @@ def yx_assignment(n):
     return MeasurementAssignment((yx,) * n)
 
 
+@functools.cache
+def mk4_assignment(state):
+    """The seed-1 seesaw's MK4 measurements on ``state``, ghz or dicke."""
+    rho = ghz(2, 4) if state == "ghz" else dicke(4, 2)
+    return seesaw(mermin(4), rho, restarts=5, seed=1).assignment
+
+
 def reference_problems(monkeypatch):
+    """Y/X visibility LPs on GHZ(3) and GHZ(4), a membership LP on GHZ(3),
+    the seed-1 MK4 visibility LP on GHZ(4) and MK4 membership LPs on
+    Dicke(4,2) at beta = 0.4 (local) and 0.95 (nonlocal): the degenerate
+    82 x 258 shape of most LPs of a visibility pass. Then the random LPs."""
     problems = [visibility_lp(monkeypatch, lambda n=n: critical_visibility(
         ghz(2, n), NoiseSpec.white(), yx_assignment(n))) for n in (3, 4)]
     mixed = behavior(mix(white_noise(2, 3), ghz(2, 3), 0.2), yx_assignment(3))
     problems.append(visibility_lp(monkeypatch, lambda: is_local(mixed)))
+    problems.append(visibility_lp(monkeypatch, lambda: critical_visibility(
+        ghz(2, 4), NoiseSpec.white(), mk4_assignment("ghz"))))
+    for beta in (0.4, 0.95):
+        probe = behavior(mix(white_noise(2, 4), dicke(4, 2), beta), mk4_assignment("dicke"))
+        problems.append(visibility_lp(monkeypatch, lambda b=probe: is_local(b)))
     problems += [lp(c, a, b, start) for c, a, b, start in random_lps()]
     return problems
 
@@ -571,6 +597,12 @@ def recorded_solves(monkeypatch):
     return results
 
 
+# pivots of the seed-1 MK_n visibility LPs on ghz(2, n). At n = 5 the count
+# holds for a multithreaded OpenBLAS: with one BLAS thread, np.linalg.inv of
+# the 244 x 244 start basis differs in its last bits, and the solve takes 604
+MERMIN_PIVOTS = {3: 16, 4: 102, 5: 491}
+
+
 @pytest.mark.parametrize("n, phase1_pivots", [(3, 84), (4, 304)])
 def test_visibility_ghz_mermin_pivots(monkeypatch, n, phase1_pivots):
     # the two-phase primal simplex took phase1_pivots on these LPs; n = 5 is
@@ -579,7 +611,7 @@ def test_visibility_ghz_mermin_pivots(monkeypatch, n, phase1_pivots):
     solves = recorded_solves(monkeypatch)
     vis = critical_visibility(ghz(2, n), NoiseSpec.white(), assign)
     assert vis.beta_star == pytest.approx(2.0 ** (-(n - 1) / 2), abs=1e-9)
-    assert solves[0].pivots < phase1_pivots
+    assert solves[0].pivots == MERMIN_PIVOTS[n] < phase1_pivots
 
 
 CORRELATED_NOISE = DensityMatrix(d=2, n=2, matrix=np.diag([0.5, 0.0, 0.0, 0.5]))
@@ -618,7 +650,7 @@ def test_visibility_ghz5_mermin(monkeypatch):
     solves = recorded_solves(monkeypatch)
     vis = critical_visibility(ghz(2, 5), NoiseSpec.white(), assign)
     assert vis.beta_star == pytest.approx(0.25, abs=1e-6)
-    assert solves[0].pivots < 1439
+    assert solves[0].pivots == MERMIN_PIVOTS[5] < 1439
     assert_visibility_certificates(vis, ghz(2, 5), assign)
 
 

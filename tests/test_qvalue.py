@@ -635,6 +635,17 @@ def test_initial_stacks_match_per_restart_draws(d):
             assert np.array_equal(got[p][i], want)
 
 
+def test_seesaw_keeps_effects_whose_operator_vanishes():
+    # <A_0 B_0> alone: setting 1's operator is 0 at both sites, so its effect
+    # stays the initial draw while setting 0's is updated in the same stack
+    f = product_expectation_functional(chsh().scenario, (0, 0), [0, 1])
+    res = seesaw(f, ghz(2, 2), restarts=1, seed=4)
+    start = qvalue._initial_stacks(2, (2, 2), 4, range(1))
+    for p, (_, kept) in enumerate(res.assignment.measurements):
+        assert np.array_equal(kept.effects[0], start[p][0, 2])
+    assert res.objective == pytest.approx(1.0, abs=1e-9)
+
+
 def test_seesaw_self_check_catches_a_planted_fault(monkeypatch):
     # an objective that its assignment does not reach is an error, not a value
     real = qvalue._objective

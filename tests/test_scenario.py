@@ -149,6 +149,21 @@ def test_chsh_on_uniform_behavior():
     assert abs(evaluate(chsh(), uniform_behavior(chsh().scenario))) <= 1e-12
 
 
+@pytest.mark.parametrize("sc", [chsh().scenario, mermin(3).scenario, MIXED_SCENARIO,
+                                Scenario.uniform(2, 2, 3)], ids=["chsh", "mk3", "mixed", "2x2x3"])
+def test_uniform_behavior_equals_per_table_build(sc):
+    # the grid built in one step, 1 / outer(counts), against one full table
+    # of 1 / prod(m) per joint setting
+    tables = {}
+    for s in sc.joint_settings():
+        shape = sc.outcome_counts(s)
+        tables[s] = np.full(shape, 1.0 / float(np.prod(shape)))
+    b = uniform_behavior(sc)
+    assert np.array_equal(b.slots, Behavior(scenario=sc, tables=tables).slots)
+    assert b.tables.keys() == tables.keys()
+    assert all(np.array_equal(b.tables[s], t) for s, t in tables.items())
+
+
 def test_lhv_scaling():
     f = chsh()
     b = lhv_bounds(f)
