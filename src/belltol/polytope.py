@@ -3,11 +3,11 @@ the local polytope (vertex representation), from one LP whose dual is the
 checked nonlocality certificate (convex separation, arXiv:1609.05011).
 
 Ships a self-contained dual simplex with deterministic pivoting, so results
-are reproducible bit-for-bit on a given platform. It starts from a dual
-feasible basis that the LP carries, so there is no phase 1: the visibility LP
-has one for every behavior, the staircase strategies and beta at beta = 1
-(Lemke's dual method, Naval Res. Logist. Q. 1, 36 (1954)); ``simplex_max``
-states its pivoting rules.
+are reproducible bit-for-bit on a given platform and BLAS thread count. It
+starts from a dual feasible basis that the LP carries, so there is no phase 1:
+the visibility LP has one for every behavior, the staircase strategies and
+beta at beta = 1 (Lemke's dual method, Naval Res. Logist. Q. 1, 36 (1954));
+``simplex_max`` states its pivoting rules.
 """
 
 from __future__ import annotations
@@ -59,13 +59,16 @@ class LinearProgram:
     basis: np.ndarray
 
     def __post_init__(self) -> None:
-        c, a, b = (np.asarray(v, dtype=float) for v in (self.c, self.a_eq, self.b_eq))
+        c = np.asarray(self.c, dtype=float)
+        a = np.asarray(self.a_eq, dtype=float)
+        b = np.asarray(self.b_eq, dtype=float)
         basis = np.asarray(self.basis)
         if a.ndim != 2 or c.ndim != 1 or b.ndim != 1:
             raise ValidationError("LP needs a matrix A_eq and vectors c, b_eq")
         if a.shape != (b.size, c.size):
-            raise ValidationError(f"inconsistent LP shapes: A is {a.shape}, c has {c.size}, "
-                                  f"b has {b.size}")
+            raise ValidationError(
+                f"inconsistent LP shapes: A is {a.shape}, c has {c.size}, b has {b.size}"
+            )
         for name, arr in (("c", c), ("A_eq", a), ("b_eq", b)):
             if not np.isfinite(arr).all():
                 raise ValidationError(f"{name} has non-finite entries")
@@ -90,14 +93,13 @@ class SimplexResult:
 
 
 class _Tableau:
-    """Revised simplex state: an explicit basis inverse, the basic values x_b,
-    the reduced costs c - y @ A and the basic columns as a set, ``members``."""
+    """Revised simplex state: an explicit basis inverse, the basic values x_b
+    and the reduced costs c - y @ A."""
 
     def __init__(self, lp: LinearProgram) -> None:
         m, n = lp.a_eq.shape
         self.a, self.b, self.c = lp.a_eq, lp.b_eq, lp.c
         self.basis = lp.basis.copy()
-        self.members = set(self.basis.tolist())
         self.pivots = 0
         self.max_pivots = PIVOT_LIMIT_PER_DIM * (m + n)
         self.refactor()
@@ -119,7 +121,6 @@ class _Tableau:
         piv = float(u[row])
         if not piv < 0.0:
             raise SolverError(f"the pivot's row and column disagree after {self.pivots} pivots")
-        self.members ^= {int(self.basis[row]), col}
         self.basis[row] = col
         self.reduced[self.basis] = 0.0
         # product-form update: premultiply by the eta matrix sending u to e_row
@@ -162,7 +163,7 @@ def simplex_max(lp: LinearProgram) -> SimplexResult:
             break
         if tab.pivots >= tab.max_pivots:
             raise SolverError(f"the simplex reached its limit of {tab.max_pivots} pivots")
-        key = hash(frozenset(tab.members))
+        key = hash(frozenset(tab.basis.tolist()))
         bland = bland or key in seen
         seen.add(key)
         if bland:  # the lowest basic index over x_b < -tol; lp.c.size exceeds them all
@@ -185,8 +186,9 @@ def simplex_max(lp: LinearProgram) -> SimplexResult:
         tab.pivot(row, col, alpha, step)
     x = np.zeros(lp.c.size)
     x[tab.basis] = np.maximum(tab.x_b, 0.0)
-    return SimplexResult(status=OPTIMAL, objective=float(lp.c @ x), x=x,
-                         dual=lp.c[tab.basis] @ tab.b_inv, pivots=tab.pivots)
+    dual = lp.c[tab.basis] @ tab.b_inv
+    return SimplexResult(status=OPTIMAL, objective=float(lp.c @ x), x=x, dual=dual,
+                         pivots=tab.pivots)
 
 
 # --- local polytope ----------------------------------------------------------

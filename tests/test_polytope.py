@@ -597,10 +597,11 @@ def recorded_solves(monkeypatch):
     return results
 
 
-# pivots of the seed-1 MK_n visibility LPs on ghz(2, n). At n = 5 the count
-# holds for a multithreaded OpenBLAS: with one BLAS thread, np.linalg.inv of
-# the 244 x 244 start basis differs in its last bits, and the solve takes 604
-MERMIN_PIVOTS = {3: 16, 4: 102, 5: 491}
+# pivots of the seed-1 MK_n visibility LPs on ghz(2, n), the same at every
+# BLAS thread count. n = 5 is not pinned: np.linalg.inv of its 244 x 244
+# start basis differs in its last bits between one OpenBLAS thread and
+# several, and the solve takes 604 or 491 pivots
+MERMIN_PIVOTS = {3: 16, 4: 102}
 
 
 @pytest.mark.parametrize("n, phase1_pivots", [(3, 84), (4, 304)])
@@ -650,7 +651,7 @@ def test_visibility_ghz5_mermin(monkeypatch):
     solves = recorded_solves(monkeypatch)
     vis = critical_visibility(ghz(2, 5), NoiseSpec.white(), assign)
     assert vis.beta_star == pytest.approx(0.25, abs=1e-6)
-    assert solves[0].pivots == MERMIN_PIVOTS[5] < 1439
+    assert solves[0].pivots < 1439
     assert_visibility_certificates(vis, ghz(2, 5), assign)
 
 
