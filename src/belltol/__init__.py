@@ -1,8 +1,9 @@
 """belltol: noise tolerances of nonlocal multi-qudit states.
 
-Exact LHV constants by enumeration, quantum behaviors and seesaw violation
-search, LP critical visibilities over the local polytope, and closed-form
-tolerance/noise bound families for generic, GHZ, W and Dicke states.
+Exact LHV constants over every deterministic strategy, summed site by site,
+quantum behaviors and seesaw violation search, LP critical visibilities over
+the local polytope, and closed-form tolerance/noise bound families for
+generic, GHZ, W and Dicke states.
 """
 
 from .bounds import (

@@ -30,6 +30,7 @@ whole batch, the largest of about m d^(2n) multiply-adds per restart.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -275,27 +276,38 @@ def sign_operator(h: np.ndarray) -> np.ndarray:
     return (v * signs[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _effect_tensor(f: BellFunctional) -> np.ndarray:
-    """C with objective sum(C * T), T = _closed over the stacks
-    [I, E_0, ..., E_(S-1)], E_s the effect of setting s's first outcome:
-    index 0 at a site means the identity, index s + 1 the effect E_s (the
-    per-site basis of Collins & Gisin, J. Phys. A 37, 1775 (2004)).
-
-    Each site axis of the functional's slot grid is contracted with the
-    matrix that writes a setting's f(0) E + f(1) (I - E) as
-    f(1) I + (f(0) - f(1)) E. Raises UnsupportedFunctionalError unless every
-    setting has two outcomes."""
-    sc = f.scenario
+def _check_two_outcomes(sc: Scenario) -> None:
+    """Raise UnsupportedFunctionalError unless every setting has two outcomes."""
     for p, party in enumerate(sc.outcomes):
         for s, vals in enumerate(party):
             if len(vals) != 2:
                 raise UnsupportedFunctionalError(
                     f"party {p}, setting {s} has {len(vals)} outcomes, the seesaw needs 2"
                 )
+
+
+@functools.lru_cache(maxsize=None)
+def _site_map(m: int) -> np.ndarray:
+    """The (m + 1, 2m) matrix that writes each of m settings' f(0) E + f(1)
+    (I - E) as f(1) I + (f(0) - f(1)) E, read-only."""
+    w = np.vstack([np.tile([0.0, 1.0], m), np.kron(np.eye(m), [1.0, -1.0])])
+    w.setflags(write=False)
+    return w
+
+
+def _effect_tensor(f: BellFunctional) -> np.ndarray:
+    """C with objective sum(C * T), T = _closed over the stacks
+    [I, E_0, ..., E_(S-1)], E_s the effect of setting s's first outcome:
+    index 0 at a site means the identity, index s + 1 the effect E_s (the
+    per-site basis of Collins & Gisin, J. Phys. A 37, 1775 (2004)).
+
+    Each site axis of the functional's slot grid is contracted with its
+    ``_site_map``, made once per settings count. Raises
+    UnsupportedFunctionalError unless every setting has two outcomes."""
+    _check_two_outcomes(f.scenario)
     c = f.slots
-    for p, m in enumerate(sc.settings):
-        w = np.vstack([np.tile([0.0, 1.0], m), np.kron(np.eye(m), [1.0, -1.0])])
-        c = np.moveaxis(np.tensordot(w, c, axes=(1, p)), 0, p)
+    for p, m in enumerate(f.scenario.settings):
+        c = np.moveaxis(np.tensordot(_site_map(m), c, axes=(1, p)), 0, p)
     return c
 
 
@@ -440,13 +452,14 @@ def _run_batch(
     return [done[r] for r in restarts]
 
 
-def _checked_tensor(f: BellFunctional, rho: DensityMatrix, restarts: int) -> np.ndarray:
-    """``seesaw``'s argument checks, in its order, then ``_effect_tensor(f)``."""
+def _check_args(f: BellFunctional, rho: DensityMatrix, restarts: int) -> None:
+    """``seesaw``'s argument checks, in its order: the party count, the
+    restarts, then two outcomes per setting (``_effect_tensor``'s check)."""
     if f.scenario.parties != rho.n:
         raise ValidationError(f"functional has {f.scenario.parties} parties, state has {rho.n}")
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts}")
-    return _effect_tensor(f)
+    _check_two_outcomes(f.scenario)
 
 
 def seesaw(
@@ -481,7 +494,8 @@ def seesaw(
     largest intermediate within BATCH_CELLS; a restart's arithmetic does not
     depend on the batch it runs in.
     """
-    c = _checked_tensor(f, rho, restarts)
+    _check_args(f, rho, restarts)
+    c = _effect_tensor(f)
     if bounds is None:
         bounds = lhv_bounds(f)
     d = rho.d
@@ -566,7 +580,7 @@ def upsilon_lower_bound(
     for i, f in enumerate(functional_library):
         bounds = None
         if best_only and best is not None:
-            _checked_tensor(f, rho, restarts)
+            _check_args(f, rho, restarts)
             bounds = lhv_bounds(f)
             cap = _algebraic_bound(f, bounds)
             if best.value > cap + RESTART_GAIN_TOL * max(1.0, cap):

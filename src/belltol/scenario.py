@@ -5,10 +5,19 @@ A functional or a behavior lays its tables out once, on the read-only slot
 grid ``slots``: site p's axis holds its settings' outcomes, setting-major, so
 joint setting s's table is the block at each site's s_p (``setting_views``).
 ``canonical_rows`` reads a grid in the LP's row order.
+
+A deterministic strategy is one local strategy per site, and a local
+strategy reads one slot of its site's axis per setting (``site_strategies``,
+the one rule that ``lhv_bounds`` and the vertex matrix share). So a
+functional's value on every strategy comes from its slot grid site by site:
+each site's axis is replaced by its local strategies, the sum over the
+site's settings of the slots they read (Collins & Gisin, J. Phys. A 37, 1775
+(2004)).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -20,7 +29,8 @@ from .errors import DegenerateFunctionalError, DomainError, ResourceCapError, Va
 from .linalg import JsonFile
 
 DEFAULT_ENUM_CAP = 10**8
-# Most strategy-grid cells lhv_bounds holds at once (8 MB of float64).
+# Most cells of any array lhv_bounds makes (8 MB of float64): a block of
+# strategies, or a grid part way from slots to strategies.
 GRID_BLOCK = 2**20
 
 # A deterministic strategy fixes one outcome index per (party, setting).
@@ -97,15 +107,6 @@ def grid_shape(sc: Scenario) -> tuple[int, ...]:
     return tuple(len(values) for party in sc.outcomes for values in party)
 
 
-def slot_shape(sc: Scenario, joint_setting: tuple[int, ...]) -> tuple[int, ...]:
-    """Shape that lays a joint setting's table on the strategy grid: party p's
-    axis on slot (p, s_p), size 1 on every other slot."""
-    shape = [1] * sum(sc.settings)
-    for p, s_p in enumerate(joint_setting):
-        shape[sum(sc.settings[:p]) + s_p] = len(sc.outcomes[p][s_p])
-    return tuple(shape)
-
-
 def strategy_count(sc: Scenario) -> int:
     return math.prod(grid_shape(sc))
 
@@ -128,6 +129,28 @@ def enumerate_strategies(sc: Scenario) -> Iterator[Strategy]:
         tuple(flat[a:b] for a, b in zip(ends, ends[1:]))
         for flat in itertools.product(*map(range, grid_shape(sc)))
     )
+
+
+def site_strategies(sc: Scenario) -> list[np.ndarray]:
+    """Per site, the (S_p, L_p) slots that its local strategies read: entry
+    [s, l] is the index on site p's slot-grid axis of the outcome that local
+    strategy l gives setting s. Local strategies run in C order over the
+    settings, as on the strategy grid. The arrays are read-only."""
+    return [_site_rule(tuple(map(len, party))) for party in sc.outcomes]
+
+
+@functools.lru_cache(maxsize=None)
+def _site_rule(sizes: tuple[int, ...]) -> np.ndarray:
+    rule = _rule_columns(sizes, 0, math.prod(sizes))
+    rule.setflags(write=False)
+    return rule
+
+
+def _rule_columns(sizes: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+    """Columns start..stop-1 of the rule of a site whose settings have
+    ``sizes`` outcomes (``site_strategies``)."""
+    outcome = np.unravel_index(np.arange(start, min(stop, math.prod(sizes))), sizes)
+    return np.array(outcome) + np.array([*itertools.accumulate(sizes[:-1], initial=0)])[:, None]
 
 
 def setting_views(sc: Scenario, slots: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
@@ -253,23 +276,50 @@ class LhvBounds:
         return abs(value - (self.sup + self.inf) / 2.0) / half
 
 
+def _gathered(values: np.ndarray, rule: np.ndarray, axis: int) -> np.ndarray:
+    """``values`` with the slot axis ``axis`` replaced by local strategies:
+    the sum over the rule's settings of the slots each strategy reads."""
+    total = np.take(values, rule[0], axis=axis)
+    for row in rule[1:]:
+        total += np.take(values, row, axis=axis)
+    return total
+
+
 def lhv_bounds(f: BellFunctional) -> LhvBounds:
-    """Exact LHV constants: the functional's value on every cell of the strategy
-    grid, summed in ``f.value_at``'s order, a block of whole trailing slots at
-    a time."""
+    """Exact LHV constants: the functional's extrema over the strategy grid,
+    which is built from the slot grid site by site (``site_strategies``), one
+    gather and add per setting. A cell sums the J entries that
+    ``f.value_at`` sums, one per joint setting, in another order.
+
+    Every array made has at most GRID_BLOCK cells. Where the grid, a site's
+    rule or a grid part way to it would exceed that, the leading sites are
+    fixed one local strategy each, each entering as the views of the slot
+    grid at the slots it reads, and the next site takes its strategies a
+    chunk at a time."""
     sc = f.scenario
     _check_enum_cap(sc)
-    grid = grid_shape(sc)
-    split = next(k for k in range(len(grid) + 1) if math.prod(grid[k:]) <= GRID_BLOCK)
-    values = np.empty((1,) * split + grid[split:])
-    tables = [table.reshape(slot_shape(sc, s)) for s, table in f.coeffs.items()]
+    sizes = [tuple(map(len, party)) for party in sc.outcomes]
+    counts = [math.prod(m) for m in sizes]
+    cells = [max(sum(m), count) for m, count in zip(sizes, counts)]
+    first = max(0, next(
+        k for k in range(len(sizes) + 1)
+        if math.prod(cells[k:]) <= GRID_BLOCK
+        and all(len(m) * count <= GRID_BLOCK for m, count in zip(sizes[k:], counts[k:]))) - 1)
+    chunk = GRID_BLOCK // max(math.prod(cells[first + 1:]), len(sizes[first]))
+    rules = [_site_rule(m) for m in sizes[first + 1:]]
     sup, inf = -math.inf, math.inf
-    for head in itertools.product(*map(range, grid[:split])):
-        values.fill(0.0)
-        for t in tables:
-            values += t[tuple(slice(i, i + 1) if n > 1 else slice(None)
-                              for i, n in zip(head, t.shape))]
-        sup, inf = max(sup, float(values.max())), min(inf, float(values.min()))
+    for head in itertools.product(*(_site_rule(m).T for m in sizes[:first])):
+        views = [f.slots[index] for index in itertools.product(*head)]
+        for start in range(0, counts[first], chunk):
+            part = (_site_rule(sizes[first]) if chunk >= counts[first]
+                    else _rule_columns(sizes[first], start, start + chunk))
+            values = _gathered(views[0], part, 0)
+            for view in views[1:]:
+                values += _gathered(view, part, 0)
+            for axis, rule in enumerate(rules, start=1):
+                if len(rule) > 1:  # one setting's strategies are its slots
+                    values = _gathered(values, rule, axis)
+            sup, inf = max(sup, float(values.max())), min(inf, float(values.min()))
     return LhvBounds(sup=sup, inf=inf)
 
 
@@ -281,41 +331,36 @@ def _product_table(values: Sequence[Sequence[float]]) -> np.ndarray:
     return table
 
 
-def correlation_functional(
-    sc: Scenario, weights: dict[tuple[int, ...], float], label: str = ""
-) -> BellFunctional:
-    """Functional whose table at joint setting s is w_s times the full product
-    of the parties' outcome values (a weighted sum of correlation functions)."""
-    coeffs = {}
-    for s in sc.joint_settings():
-        w = float(weights.get(s, 0.0))
-        vals = [sc.outcomes[p][s_p] for p, s_p in enumerate(s)]
-        coeffs[s] = w * _product_table(vals)
-    return BellFunctional(scenario=sc, coeffs=coeffs, label=label)
+def correlation_functional(sc: Scenario, weights: np.ndarray, label: str = "") -> BellFunctional:
+    """Functional whose table at joint setting s is weights[s] times the full
+    product of the parties' outcome values (a weighted sum of correlation
+    functions). Its slot grid is one product: the weight tensor, of shape
+    ``sc.settings`` and repeated along each site axis by the settings'
+    outcome counts, times the outer product of the sites' value vectors."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != sc.settings:
+        raise ValidationError(f"weights have shape {w.shape}, expected {sc.settings}")
+    for p, party in enumerate(sc.outcomes):
+        w = np.repeat(w, [len(values) for values in party], axis=p)
+    slots = w * _product_table([np.concatenate(party) for party in sc.outcomes])
+    return BellFunctional(scenario=sc, coeffs=setting_views(sc, slots), label=label)
 
 
 def chsh() -> BellFunctional:
     """Two-party two-setting correlation functional A1B1 + A1B2 + A2B1 - A2B2,
     outcomes (+1, -1); LHV constant 2."""
     sc = Scenario.uniform(2, 2, values=(1.0, -1.0))
-    weights = {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): -1.0}
-    return correlation_functional(sc, weights, label="chsh")
+    return correlation_functional(sc, [[1.0, 1.0], [1.0, -1.0]], label="chsh")
 
 
-def _mk_weights(n: int) -> dict[tuple[int, ...], float]:
+def _mk_weights(n: int) -> np.ndarray:
     # M_1 = a_1; M_k = (M_{k-1} (a_k + a_k') + M'_{k-1} (a_k - a_k')) / 2,
-    # where priming swaps the two settings of every party.
-    weights: dict[tuple[int, ...], float] = {(0,): 1.0}
+    # where priming swaps the two settings of every party, which reverses
+    # every axis of the weight tensor.
+    weights = np.array([1.0, 0.0])
     for _ in range(n - 1):
-        primed = {tuple(1 - s for s in key): c for key, c in weights.items()}
-        new: dict[tuple[int, ...], float] = {}
-        for key, c in weights.items():
-            for s in (0, 1):
-                new[key + (s,)] = new.get(key + (s,), 0.0) + 0.5 * c
-        for key, c in primed.items():
-            for s, sign in ((0, 1.0), (1, -1.0)):
-                new[key + (s,)] = new.get(key + (s,), 0.0) + 0.5 * c * sign
-        weights = new
+        half, primed = 0.5 * weights, 0.5 * weights[(slice(None, None, -1),) * weights.ndim]
+        weights = np.stack([half + primed, half - primed], axis=-1)
     return weights
 
 
@@ -326,8 +371,7 @@ def mermin(n: int) -> BellFunctional:
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     sc = Scenario.uniform(n, 2, values=(1.0, -1.0))
-    weights = {key: 2.0 * c for key, c in _mk_weights(n).items() if c != 0.0}
-    return correlation_functional(sc, weights, label=f"mermin{n}")
+    return correlation_functional(sc, 2.0 * _mk_weights(n), label=f"mermin{n}")
 
 
 def product_expectation_functional(

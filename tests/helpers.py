@@ -9,7 +9,7 @@ import numpy as np
 
 from belltol.polytope import functional_row_vector, vertex_matrix
 from belltol.qvalue import Measurement, MeasurementAssignment
-from belltol.scenario import Scenario, grid_shape, slot_shape
+from belltol.scenario import Scenario, grid_shape
 from belltol.states import DensityMatrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -21,6 +21,22 @@ MIXED_SCENARIO = Scenario((
     ((1.0, -1.0), (1.0, 0.0, -1.0)),
     ((1.0,), (1.0, -1.0), (-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0)),
 ))
+
+
+# single-outcome settings at every site, and a site with only those
+SINGLE_OUTCOME_SCENARIO = Scenario((
+    ((1.0,), (1.0, -1.0)),
+    ((-1.0,),),
+    ((1.0, -1.0), (0.5,), (1.0, 0.0, -1.0)),
+))
+
+
+def summation_bound(f) -> float:
+    """Most by which two sums of a strategy's J entries, one per joint
+    setting, in two orders can differ: each is within (J - 1) 2^-53 sum_s
+    max|t_s| of the exact sum."""
+    tables = f.coeffs.values()
+    return 2 * (len(tables) - 1) * 2.0**-53 * sum(float(np.abs(t).max()) for t in tables)
 
 
 def planar_observable(phi: float) -> np.ndarray:
@@ -164,6 +180,15 @@ def _row_offsets(sc: Scenario) -> tuple[dict[tuple[int, ...], int], int]:
     sizes = {s: math.prod(sc.outcome_counts(s)) for s in sorted(sc.joint_settings())}
     starts = itertools.accumulate(sizes.values(), initial=0)
     return dict(zip(sizes, starts)), sum(sizes.values())
+
+
+def slot_shape(sc: Scenario, joint_setting: tuple[int, ...]) -> tuple[int, ...]:
+    """Shape that lays a joint setting's table on the strategy grid: party p's
+    axis on slot (p, s_p), size 1 on every other slot."""
+    shape = [1] * sum(sc.settings)
+    for p, s_p in enumerate(joint_setting):
+        shape[sum(sc.settings[:p]) + s_p] = len(sc.outcomes[p][s_p])
+    return tuple(shape)
 
 
 def reference_vertex_matrix(sc: Scenario) -> np.ndarray:

@@ -378,9 +378,9 @@ def test_correlation_form_expands_joint_probability():
 def test_correlation_form_mermin_weights(n):
     # a correlator of weight w puts 2^n w on its effects E_(s_0) x ... x E_(s_(n-1))
     c = qvalue._effect_tensor(mermin(n))
-    expected = {s: 2.0 * c for s, c in _mk_weights(n).items()}
+    expected = 2.0 * _mk_weights(n)
     for s in itertools.product(range(2), repeat=n):
-        assert c[tuple(s_p + 1 for s_p in s)] == 2.0**n * expected.get(s, 0.0)
+        assert c[tuple(s_p + 1 for s_p in s)] == 2.0**n * expected[s]
     assert_effect_tensor_matches_evaluate(mermin(n), np.random.default_rng(110 + n))
 
 
@@ -506,6 +506,12 @@ def test_seesaw_mermin8_ghz8():
     res = seesaw(mermin(8), ghz(2, 8), restarts=2, seed=5)
     assert res.value == pytest.approx(2.0**3.5, abs=1e-9)
     assert res.converged
+
+
+def test_seesaw_mermin10_ghz10():
+    # the paper's GHZ value 2^((n-1)/2) at n = 10
+    res = seesaw(mermin(10), ghz(2, 10), restarts=2, seed=1)
+    assert res.value == pytest.approx(2.0**4.5, abs=1e-9)
 
 
 def test_seesaw_white_noise():
@@ -758,6 +764,15 @@ def test_best_only_raises_as_the_seesaw_would(monkeypatch):
                             best_only=True)
     with pytest.raises(ValidationError, match="functional has 2 parties, state has 4"):
         upsilon_lower_bound(ghz(2, 4), [mermin(4), chsh()], restarts=2, seed=1, best_only=True)
+
+
+def test_best_only_builds_no_tensor_for_a_skipped_functional(monkeypatch):
+    built = []
+    effect_tensor = qvalue._effect_tensor
+    monkeypatch.setattr(qvalue, "_effect_tensor", lambda f: built.append(f.label) or effect_tensor(f))
+    library = [mermin(4), extend_with_passive_parties(chsh(), 2)]
+    found = upsilon_lower_bound(ghz(2, 4), library, restarts=2, seed=1, best_only=True)
+    assert [label for label, _ in found.per_functional] == built == ["mermin4"]
 
 
 def test_upsilon_lower_bound_library():

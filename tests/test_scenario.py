@@ -6,8 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from helpers import MIXED_SCENARIO
+from helpers import MIXED_SCENARIO, SINGLE_OUTCOME_SCENARIO, slot_shape, summation_bound
 
+from belltol import scenario
 from belltol.errors import DomainError, ResourceCapError, ValidationError
 from belltol.scenario import (
     GRID_BLOCK,
@@ -20,6 +21,7 @@ from belltol.scenario import (
     deterministic_behavior,
     enumerate_strategies,
     extend_with_passive_parties,
+    grid_shape,
     lhv_bounds,
     mermin,
     product_expectation_functional,
@@ -79,23 +81,79 @@ def test_chsh_lhv_bounds():
 
 
 def test_mermin_lhv_bounds():
-    for n in range(3, 8):
+    # dyadic coefficients sum exactly in any order
+    for n in range(3, 11):
         b = lhv_bounds(mermin(n))
         assert (b.sup, b.inf, b.b_lhv) == (2.0, -2.0, 2.0)
     assert brute_force_lhv(mermin(3)) == (2.0, -2.0)
 
 
-def test_lhv_bounds_equal_value_at_loop():
-    # each strategy's tables are added in value_at's order, so the extrema are
-    # equal to the loop's, not merely close
+def random_functional(sc, rng):
+    return BellFunctional(sc, {
+        s: rng.uniform(-1.0, 1.0, sc.outcome_counts(s)) for s in sc.joint_settings()
+    })
+
+
+def value_at_grid(f):
+    """``f.value_at`` on the whole strategy grid, in its order: from 0.0,
+    each joint setting's table added in turn, spread over the grid."""
+    sc = f.scenario
+    values = np.zeros(grid_shape(sc))
+    for s, table in f.coeffs.items():
+        values += table.reshape(slot_shape(sc, s))
+    return values
+
+
+def test_lhv_bounds_equal_value_at_loop(monkeypatch):
+    # a cell sums value_at's J entries in another order, so the extrema agree
+    # with the loop's within the summation bound, and need not be equal
     rng = np.random.default_rng(7)
-    for sc in (Scenario.uniform(2, 2, 3), Scenario.uniform(3, 2, 2), MIXED_SCENARIO):
-        f = BellFunctional(sc, {
-            s: rng.uniform(-1.0, 1.0, sc.outcome_counts(s)) for s in sc.joint_settings()
-        })
+    for sc, block in [
+        (Scenario.uniform(2, 2, 3), GRID_BLOCK),
+        (Scenario.uniform(3, 2, 2), GRID_BLOCK),
+        (MIXED_SCENARIO, GRID_BLOCK),
+        (SINGLE_OUTCOME_SCENARIO, GRID_BLOCK),
+        # 9 strategies and 6 slots per site: site 0 fixed a strategy at a
+        # time, site 1 in chunks of 5 and 4 strategies
+        (Scenario.uniform(3, 2, 3), 50),
+    ]:
+        monkeypatch.setattr(scenario, "GRID_BLOCK", block)
+        f = random_functional(sc, rng)
         values = [f.value_at(strat) for strat in enumerate_strategies(sc)]
+        assert np.array_equal(value_at_grid(f).ravel(), values)
         b = lhv_bounds(f)
-        assert (b.sup, b.inf) == (max(values), min(values))
+        assert abs(b.sup - max(values)) <= summation_bound(f)
+        assert abs(b.inf - min(values)) <= summation_bound(f)
+
+
+@pytest.mark.parametrize("sc, block", [
+    # 4 strategies and slots per site: block 12 fixes site 0 and takes site 1
+    # in chunks of 3 and 1, block 40 takes site 0 in chunks of 2
+    (Scenario.uniform(3, 2, 2), 12),
+    (Scenario.uniform(3, 2, 2), 40),
+    (Scenario.uniform(3, 2, 2), GRID_BLOCK),
+    # site 1's rule has 3 x 8 entries: site 0 is fixed, site 1 taken in
+    # chunks of 6 and 2
+    (Scenario((((1.0, -1.0),), ((1.0, -1.0),) * 3)), 20),
+], ids=["fix-site-0", "chunk-site-0", "whole", "long-rule"])
+def test_lhv_bounds_blocks_reach_every_strategy(sc, block, monkeypatch):
+    # a point-mass functional is J on its own strategy and less elsewhere,
+    # and no gathered grid or rule has more than GRID_BLOCK cells
+    monkeypatch.setattr(scenario, "GRID_BLOCK", block)
+    cells = []
+    gathered = scenario._gathered
+
+    def counted(values, rule, axis):
+        out = gathered(values, rule, axis)
+        cells.extend([out.size, rule.size])
+        return out
+
+    monkeypatch.setattr(scenario, "_gathered", counted)
+    joint = math.prod(sc.settings)
+    for strat in enumerate_strategies(sc):
+        b = lhv_bounds(BellFunctional(sc, deterministic_behavior(sc, strat).tables))
+        assert (b.sup, b.inf) == (joint, 0.0)
+    assert max(cells) <= block
 
 
 def test_lhv_bounds_cap():
