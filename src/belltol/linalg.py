@@ -42,7 +42,7 @@ def as_cmatrix(a: np.ndarray | list, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValidationError(f"{name} must be a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return m
 

@@ -27,22 +27,25 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 
 
-def _checked(d: int, n: int, matrix: np.ndarray) -> np.ndarray:
-    """The checks every state passes, proved or not: d >= 2, n >= 1, a finite
-    complex matrix of shape (d^n, d^n) and unit trace within TRACE_TOL.
-    Returns the matrix as complex128, the caller's array when it already is."""
+def _check_sites(d: int, n: int) -> None:
     if d < 2:
         raise DomainError(f"site dimension must be >= 2, got {d}")
     if n < 1:
         raise DomainError(f"number of sites must be >= 1, got {n}")
-    m = as_cmatrix(matrix, "density matrix")
+
+
+def _check_trace(tr: float) -> None:
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValidationError(f"trace is {tr!r}, not 1 within {TRACE_TOL:g}")
+
+
+def _check_matrix(d: int, n: int, m: np.ndarray) -> None:
+    """Shape (d^n, d^n) and unit trace within TRACE_TOL, the checks every
+    state passes after d >= 2 and n >= 1, proved or not."""
     dim = d**n
     if m.shape != (dim, dim):
         raise ValidationError(f"density matrix shape {m.shape} does not match d={d}, n={n}")
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValidationError(f"trace is {tr!r}, not 1 within {TRACE_TOL:g}")
-    return m
+    _check_trace(float(np.trace(m).real))
 
 
 @dataclass(frozen=True)
@@ -51,10 +54,11 @@ class DensityMatrix(JsonFile):
 
     Hermitian within 1e-10 (max entry), unit trace within 1e-10 and positive
     semidefinite within 1e-9. A matrix given to the constructor or read by
-    ``load`` carries no proof, so the constructor checks all three, the last
-    two with the eigensolver. The builders (``from_vector``, ``white_noise``,
-    ``mix`` and those built on them) prove Hermiticity and positivity by how
-    they build the matrix, and check only shape, finiteness and trace.
+    ``load`` carries no proof, so the constructor checks that it is finite
+    and all three, the last two with the eigensolver. The builders
+    (``from_vector``, ``white_noise``, ``mix`` and those built on them) prove
+    finiteness, Hermiticity and positivity by how they build the matrix, and
+    check only shape and trace.
     """
 
     d: int
@@ -62,7 +66,9 @@ class DensityMatrix(JsonFile):
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = _checked(self.d, self.n, self.matrix)
+        _check_sites(self.d, self.n)
+        m = as_cmatrix(self.matrix, "density matrix")
+        _check_matrix(self.d, self.n, m)
         low = min_eigenvalue(m, tol=HERM_TOL)
         if low < -PSD_TOL:
             raise ValidationError(
@@ -72,15 +78,17 @@ class DensityMatrix(JsonFile):
 
     @classmethod
     def _proved(cls, d: int, n: int, matrix: np.ndarray) -> "DensityMatrix":
-        """A state whose builder has proved it Hermitian and PSD: only the
-        checks of ``_checked`` run. ``matrix`` must be a fresh array that no
-        caller holds, since it is frozen in place rather than copied."""
-        m = _checked(d, n, matrix)
-        m.setflags(write=False)
+        """A state whose builder has proved it finite, Hermitian and PSD: only
+        d >= 2, n >= 1, shape and trace are checked, in O(d^n), and no entry
+        is scanned. ``matrix`` must be a fresh complex128 array that no caller
+        holds, since it is frozen in place rather than copied."""
+        _check_sites(d, n)
+        _check_matrix(d, n, matrix)
+        matrix.setflags(write=False)
         state = object.__new__(cls)
         object.__setattr__(state, "d", d)
         object.__setattr__(state, "n", n)
-        object.__setattr__(state, "matrix", m)
+        object.__setattr__(state, "matrix", matrix)
         return state
 
     @property
@@ -111,14 +119,29 @@ def _check_cap(d: int, n: int) -> int:
 def from_vector(psi: np.ndarray, d: int, n: int) -> DensityMatrix:
     """Rank-1 density matrix |psi><psi| from a normalized state vector.
 
-    Proof: the outer product is Hermitian exactly, and its one nonzero
-    eigenvalue is ||psi||^2, which is its trace; so the trace check, within
-    TRACE_TOL, is the norm check, and a state that passes it is PSD.
+    psi is checked for finiteness and for ||psi||^2 = 1 within TRACE_TOL
+    before anything is built, in O(d^n). Proof: the outer product is
+    Hermitian exactly, and its one nonzero eigenvalue is ||psi||^2, its
+    trace, so it is PSD; and since ||psi|| is about 1, no |psi_i psi_j|
+    exceeds about 1, so no entry overflows and the matrix is finite.
+
+    Only the rows where psi is nonzero are written; the others keep the
+    zeros of ``np.zeros`` and are never touched. So the entries
+    equal those of ``np.outer(psi, psi.conj())``, and for a psi with
+    nonnegative real amplitudes the bytes do too; elsewhere a zero row of the
+    outer product may hold -0.0 where this one holds +0.0.
     """
     v = np.asarray(psi, dtype=np.complex128).ravel()
     if v.size != d**n:
         raise ValidationError(f"vector length {v.size} does not match d={d}, n={n}")
-    return DensityMatrix._proved(d, n, np.outer(v, v.conj()))
+    _check_sites(d, n)
+    if not np.isfinite(v).all():
+        raise ValidationError("density matrix contains non-finite entries")
+    _check_trace(float(np.vdot(v, v).real))
+    support = np.flatnonzero(v)
+    m = np.zeros((v.size, v.size), dtype=np.complex128)
+    m[support] = np.outer(v[support], v.conj())
+    return DensityMatrix._proved(d, n, m)
 
 
 def ghz(d: int, n: int) -> DensityMatrix:
@@ -155,11 +178,14 @@ def w_state(n: int) -> DensityMatrix:
 
 
 def white_noise(d: int, n: int) -> DensityMatrix:
-    """Maximally mixed state I/d^n, diagonal with positive entries."""
+    """Maximally mixed state I/d^n, diagonal with positive entries: finite,
+    Hermitian and PSD by construction. Only the diagonal is written."""
     if d < 2 or n < 1:
         raise DomainError(f"need d >= 2 and n >= 1, got d={d}, n={n}")
     dim = _check_cap(d, n)
-    return DensityMatrix._proved(d, n, np.eye(dim, dtype=np.complex128) / dim)
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    np.fill_diagonal(m, 1.0 / dim)
+    return DensityMatrix._proved(d, n, m)
 
 
 def product_zero(d: int, n: int) -> DensityMatrix:
@@ -180,6 +206,9 @@ def mix(noise: DensityMatrix, signal: DensityMatrix, beta: float) -> DensityMatr
     combination of the operands' defects) and, by Weyl's inequality
     lambda_min(A + B) >= lambda_min(A) + lambda_min(B) on the Hermitian
     parts, its least eigenvalue is at least -PSD_TOL; both up to round-off.
+    Each entry is a convex combination of two finite entries, so it is
+    finite. The result is written into one array, whose bytes equal those of
+    ``(1 - beta) * noise.matrix + beta * signal.matrix``.
     """
     if not 0.0 <= beta <= 1.0:
         raise DomainError(f"beta must lie in [0, 1], got {beta}")
@@ -188,7 +217,8 @@ def mix(noise: DensityMatrix, signal: DensityMatrix, beta: float) -> DensityMatr
             f"shape mismatch: noise is (d={noise.d}, n={noise.n}), "
             f"signal is (d={signal.d}, n={signal.n})"
         )
-    m = (1.0 - beta) * noise.matrix + beta * signal.matrix
+    m = beta * signal.matrix
+    m += (1.0 - beta) * noise.matrix
     return DensityMatrix._proved(signal.d, signal.n, m)
 
 

@@ -197,13 +197,22 @@ def test_from_vector_rejects_nan():
         from_vector(np.array([np.nan, 0.0, 0.0, 1.0]), 2, 2)
 
 
+def test_from_vector_rejects_overflowing_psi():
+    """Finite entries of 1e200 overflow in |psi><psi|; the norm check on psi
+    rejects them before the outer product is formed."""
+    with pytest.raises(ValidationError, match="trace"):
+        from_vector(np.array([1e200, 0.0, 0.0, 1e200]), 2, 2)
+
+
 def test_builders_never_call_the_eigensolver(monkeypatch, tmp_path):
     explicit = random_density(2, 3, np.random.default_rng(5))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the eigensolver was called")
+        raise AssertionError("a check of unproved states was called")
 
     monkeypatch.setattr(belltol.states, "min_eigenvalue", forbidden)
+    # a proved state is not scanned entry by entry for finiteness either
+    monkeypatch.setattr(belltol.states, "as_cmatrix", forbidden)
     white = white_noise(2, 3)
     for build in (
         lambda: ghz(2, 3),
@@ -264,3 +273,76 @@ def test_purity_matches_the_matmul_formula():
     for state in (rho, mix(rho, ghz(2, 3), 0.6)):
         m = state.matrix
         assert abs(state.purity() - np.trace(m @ m).real) <= 1e-12
+
+
+def _pure(d, n, support, amp):
+    psi = np.zeros(d**n, dtype=np.complex128)
+    psi[list(support)] = amp
+    return np.outer(psi, psi.conj())
+
+
+def _dicke_outer(n, k):
+    support = [i for i in range(2**n) if i.bit_count() == k]
+    return _pure(2, n, support, 1 / math.sqrt(math.comb(n, k)))
+
+
+def _ghz_outer(d, n):
+    return _pure(d, n, [j * (d**n - 1) // (d - 1) for j in range(d)], 1 / math.sqrt(d))
+
+
+_RHO = random_density(2, 3, np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda: ghz(2, 10), lambda: _ghz_outer(2, 10)),
+    (lambda: ghz(3, 6), lambda: _ghz_outer(3, 6)),
+    (lambda: ghz(4, 4), lambda: _ghz_outer(4, 4)),
+    (lambda: dicke(9, 4), lambda: _dicke_outer(9, 4)),
+    (lambda: w_state(10), lambda: _dicke_outer(10, 1)),
+    (lambda: product_zero(2, 10), lambda: _pure(2, 10, [0], 1.0)),
+    (lambda: product_zero(3, 3), lambda: _pure(3, 3, [0], 1.0)),
+    (lambda: white_noise(3, 4), lambda: np.eye(81, dtype=np.complex128) / 81),
+    (lambda: mix(white_noise(2, 9), ghz(2, 9), 0.37),
+     lambda: (1 - 0.37) * (np.eye(512, dtype=np.complex128) / 512) + 0.37 * _ghz_outer(2, 9)),
+    (lambda: mix(_RHO, dicke(3, 2), 0.81),
+     lambda: (1 - 0.81) * _RHO.matrix + 0.81 * _dicke_outer(3, 2)),
+], ids=["ghz2", "ghz3", "ghz4", "dicke", "w_state", "product_zero2", "product_zero3",
+        "white_noise", "mix_white", "mix_explicit"])
+def test_builders_are_byte_identical_to_the_dense_formulas(build, expected):
+    """Writing only the support rows, the diagonal, or one mixture array
+    gives the bits of the dense formula, signed zeros included."""
+    m = build().matrix
+    want = expected()
+    assert m.dtype == want.dtype and m.shape == want.shape
+    assert m.tobytes() == want.tobytes()
+
+
+def test_from_vector_with_complex_amplitudes_equals_the_outer_product():
+    """Entries equal np.outer's; the bytes may not, since np.outer writes
+    -0.0 into some zero rows where the built matrix keeps +0.0."""
+    rng = np.random.default_rng(17)
+    psi = rng.standard_normal(27) + 1j * rng.standard_normal(27)
+    psi[[0, 4, 5, 13, 26]] = 0.0
+    psi /= np.linalg.norm(psi)
+    state = from_vector(psi, 3, 3)
+    assert np.array_equal(state.matrix, np.outer(psi, psi.conj()))
+    assert not state.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("build, support, amp", [
+    (lambda: ghz(2, 12), [0, 4095], 1 / math.sqrt(2)),
+    (lambda: w_state(12), [1 << k for k in range(12)], 1 / math.sqrt(12)),
+    (lambda: product_zero(2, 12), [0], 1.0),
+], ids=["ghz", "w_state", "product_zero"])
+def test_cap_size_pure_states_build(build, support, amp):
+    """Dimension 4096, the default cap. Only the support rows are read, so
+    the untouched zero rows are never paged in."""
+    state = build()
+    m = state.matrix
+    assert m.shape == (4096, 4096) and not m.flags.writeable
+    assert abs(np.trace(m).real - 1.0) <= 1e-12
+    rows = m[support]
+    block = rows[:, support]
+    assert np.array_equal(block, np.full(block.shape, amp * amp, dtype=np.complex128))
+    rows[:, support] = 0.0
+    assert not rows.any()
