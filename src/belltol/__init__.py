@@ -52,7 +52,6 @@ from .qvalue import (
     evaluate,
     seesaw,
     upsilon_lower_bound,
-    violation_ratio,
 )
 from .scenario import (
     Behavior,
@@ -60,8 +59,6 @@ from .scenario import (
     LhvBounds,
     Scenario,
     chsh,
-    deterministic_behavior,
-    enumerate_strategies,
     extend_with_passive_parties,
     lhv_bounds,
     mermin,

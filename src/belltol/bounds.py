@@ -276,8 +276,12 @@ def ghz_qubit_asymptotic(n: int) -> float:
 
 
 def _dicke_upsilon_lower(n: int, k: int) -> float:
-    # exact rational 2^(n-1)/C(n,k) before the sqrt(2)-1 factor
-    ratio = float(Fraction(2 ** (n - 1), math.comb(n, k)))
+    # exact rational 2^(n-1)/C(n,k) before the sqrt(2)-1 factor, saturating
+    # to +inf like _fpow
+    try:
+        ratio = float(Fraction(2 ** (n - 1), math.comb(n, k)))
+    except OverflowError:
+        return math.inf
     return 1.0 + ratio * (SQRT2 - 1.0)
 
 

@@ -215,11 +215,6 @@ def vertex_matrix(sc: Scenario) -> np.ndarray:
     return canonical_rows(sc, d.reshape(dims + [count])).astype(float)
 
 
-def functional_row_vector(f: BellFunctional) -> np.ndarray:
-    """Coefficients flattened in the canonical row order."""
-    return canonical_rows(f.scenario, f.slots)
-
-
 def _check_weights(d: np.ndarray, weights: np.ndarray, target: np.ndarray) -> None:
     """Raise SolverError unless the LP's weights are a convex combination of
     the vertex columns that rebuilds the target behavior."""
@@ -247,7 +242,7 @@ def _check_farkas(d: np.ndarray, farkas: np.ndarray, target: np.ndarray) -> None
 
 
 def _staircase(sc: Scenario) -> np.ndarray:
-    """Strategy indices (columns of ``vertex_matrix``) of the Kronecker product
+    """Columns of ``vertex_matrix`` (strategy indices) of the Kronecker product
     of per-site staircases: all outcomes 0, then setting 0 stepping through
     its other outcomes, then setting 1, and so on, with every other setting at
     outcome 0. That is 1 + sum_s (m_s - 1) strategies per site, as many as its

@@ -113,12 +113,6 @@ class Measurement:
         return len(self.effects)
 
     @classmethod
-    def computational_basis(cls, d: int, values=None) -> "Measurement":
-        vals = values if values is not None else tuple(np.linspace(-1.0, 1.0, d)) if d > 1 else (1.0,)
-        eye = np.eye(d, dtype=np.complex128)
-        return cls(tuple(np.outer(eye[:, k], eye[:, k].conj()) for k in range(d)), tuple(vals))
-
-    @classmethod
     def dichotomic_from_observable(cls, obs: np.ndarray) -> "Measurement":
         """Projective +1/-1 measurement splitting the observable's spectrum at 0."""
         w, v = eig_hermitian(obs)
@@ -218,14 +212,6 @@ def evaluate(f: BellFunctional, b: Behavior) -> float:
     return float(np.vdot(f.slots, b.slots))
 
 
-def violation_ratio(
-    f: BellFunctional, rho: DensityMatrix, meas: MeasurementAssignment
-) -> float:
-    """Violation ratio (``LhvBounds.violation``) of the functional's value for a
-    fixed measurement assignment."""
-    return lhv_bounds(f).violation(evaluate(f, behavior(rho, meas)))
-
-
 # --- seesaw -----------------------------------------------------------------
 
 
@@ -270,8 +256,9 @@ def _initial_stacks(
 
 def sign_operator(h: np.ndarray) -> np.ndarray:
     """sign(h) of each matrix of a stack (..., d, d), by one eigensolver call;
-    eigenvalues within 1e-12 of zero map to +1."""
-    w, v = eig_hermitian(h, tol=1e-8)
+    eigenvalues within 1e-12 of zero map to +1. The stack must be Hermitian
+    within 1e-8 * max(1, max|h|)."""
+    w, v = eig_hermitian(h, tol=1e-8 * max(1.0, float(np.abs(h).max())))
     signs = np.where(w < -SIGN_EIG_TOL, -1.0, 1.0)
     return (v * signs[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
@@ -424,11 +411,11 @@ def _run_batch(
                 sites[party] = _site(ops[party])
             left = _advance(_site_pairs(rho) if party == 0 else left, sites[party])
         new_value = _objective(left, c)
-        fell = new_value < value - 1e-12
+        fell = new_value < value - 1e-12 * np.maximum(1.0, np.abs(value))
         if fell.any():
             i = int(np.argmax(fell))
             raise ValidationError(
-                f"seesaw objective decreased from {value[i]!r} to {new_value[i]!r}"
+                f"seesaw objective decreased from {float(value[i])!r} to {float(new_value[i])!r}"
             )
         for trace, v in zip(traces, new_value.tolist()):
             trace.append(v)

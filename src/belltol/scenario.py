@@ -33,9 +33,6 @@ DEFAULT_ENUM_CAP = 10**8
 # strategies, or a grid part way from slots to strategies.
 GRID_BLOCK = 2**20
 
-# A deterministic strategy fixes one outcome index per (party, setting).
-Strategy = tuple[tuple[int, ...], ...]
-
 
 def default_outcome_grid(m: int) -> tuple[float, ...]:
     """Equally spaced outcome values from -1 to +1; (-1, +1) for m = 2."""
@@ -103,7 +100,7 @@ class Scenario:
 def grid_shape(sc: Scenario) -> tuple[int, ...]:
     """Shape of the strategy grid: one axis per (party, setting) slot, party
     by party, sized by the outcome count. Its C-order ravel is the strategy
-    order of ``enumerate_strategies``, the vertex matrix and LP weights."""
+    order of the vertex matrix and LP weights."""
     return tuple(len(values) for party in sc.outcomes for values in party)
 
 
@@ -118,17 +115,6 @@ def _check_enum_cap(sc: Scenario) -> None:
             f"enumeration infeasible: {total} deterministic strategies exceed cap "
             f"{DEFAULT_ENUM_CAP}"
         )
-
-
-def enumerate_strategies(sc: Scenario) -> Iterator[Strategy]:
-    """Yield every deterministic strategy once, lexicographically in the
-    flattened (party, setting) index tuple."""
-    _check_enum_cap(sc)
-    ends = list(itertools.accumulate(sc.settings, initial=0))
-    return (
-        tuple(flat[a:b] for a, b in zip(ends, ends[1:]))
-        for flat in itertools.product(*map(range, grid_shape(sc)))
-    )
 
 
 def site_strategies(sc: Scenario) -> list[np.ndarray]:
@@ -220,14 +206,6 @@ class BellFunctional(JsonFile):
             label=self.label if label is None else label,
         )
 
-    def value_at(self, strategy: Strategy) -> float:
-        """Functional value on one deterministic strategy."""
-        total = 0.0
-        for s, table in self.coeffs.items():
-            idx = tuple(strategy[p][s_p] for p, s_p in enumerate(s))
-            total += float(table[idx])
-        return total
-
     def to_json_dict(self) -> dict:
         return {
             "label": self.label,
@@ -288,8 +266,8 @@ def _gathered(values: np.ndarray, rule: np.ndarray, axis: int) -> np.ndarray:
 def lhv_bounds(f: BellFunctional) -> LhvBounds:
     """Exact LHV constants: the functional's extrema over the strategy grid,
     which is built from the slot grid site by site (``site_strategies``), one
-    gather and add per setting. A cell sums the J entries that
-    ``f.value_at`` sums, one per joint setting, in another order.
+    gather and add per setting. A cell is the sum of J entries, one per joint
+    setting, that its strategy reads.
 
     Every array made has at most GRID_BLOCK cells. Where the grid, a site's
     rule or a grid part way to it would exceed that, the leading sites are
@@ -484,15 +462,6 @@ def basis_rows(sc: Scenario) -> np.ndarray:
         site = [np.arange(len(values)) < len(values) - (s > 0) for s, values in enumerate(party)]
         keep = np.multiply.outer(keep, np.concatenate(site))
     return canonical_rows(sc, keep)
-
-
-def deterministic_behavior(sc: Scenario, strategy: Strategy) -> Behavior:
-    """Point-mass behavior of one deterministic strategy."""
-    slots = np.ones(())
-    for party, choice in zip(sc.outcomes, strategy):
-        site = [np.eye(len(values))[a] for values, a in zip(party, choice)]
-        slots = np.multiply.outer(slots, np.concatenate(site))
-    return Behavior(scenario=sc, tables=setting_views(sc, slots))
 
 
 def uniform_behavior(sc: Scenario) -> Behavior:

@@ -7,9 +7,9 @@ import math
 
 import numpy as np
 
-from belltol.polytope import functional_row_vector, vertex_matrix
+from belltol.polytope import vertex_matrix
 from belltol.qvalue import Measurement, MeasurementAssignment
-from belltol.scenario import Scenario, grid_shape
+from belltol.scenario import Behavior, Scenario, canonical_rows, grid_shape
 from belltol.states import DensityMatrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -56,7 +56,7 @@ def chsh_optimal_assignment() -> MeasurementAssignment:
 def vertex_scan_bounds(f) -> tuple[float, float]:
     """(sup, inf) of a functional over the local polytope: the optima of the
     LP over convex weights of the vertices, read off the vertex matrix."""
-    values = functional_row_vector(f) @ vertex_matrix(f.scenario)
+    values = canonical_rows(f.scenario, f.slots) @ vertex_matrix(f.scenario)
     return float(values.max()), float(values.min())
 
 
@@ -202,6 +202,19 @@ def reference_vertex_matrix(sc: Scenario) -> np.ndarray:
         cell = np.arange(math.prod(sc.outcome_counts(s))).reshape(slot_shape(sc, s))
         d[offset + np.broadcast_to(cell, grid).ravel(), cols] = 1.0
     return d
+
+
+def deterministic_behavior(sc: Scenario, strategy: tuple[int, ...]) -> Behavior:
+    """Point mass of one deterministic strategy, given as one outcome index
+    per (party, setting) slot in the order of the strategy grid
+    (``grid_shape``): each table is 1 at the outcomes its strategy picks."""
+    ends = list(itertools.accumulate(sc.settings, initial=0))
+    tables = {}
+    for s in sc.joint_settings():
+        t = np.zeros(sc.outcome_counts(s))
+        t[tuple(strategy[ends[p] + s_p] for p, s_p in enumerate(s))] = 1.0
+        tables[s] = t
+    return Behavior(sc, tables)
 
 
 def reference_basis_rows(sc: Scenario) -> np.ndarray:

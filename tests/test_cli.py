@@ -45,6 +45,18 @@ def test_bounds_w(capsys):
     assert data["results"][0]["tol_hi"] == pytest.approx(2.0 / (1.0 + SQRT2), abs=1e-6)
 
 
+@pytest.mark.parametrize("argv", [["--family", "w", "--n", "1100"],
+                                  ["--family", "dicke", "--n", "1100", "--k", "3"]],
+                         ids=["w", "dicke"])
+def test_bounds_dicke_lower_endpoint_saturates(capsys, argv):
+    # 2^(n-1) / C(n, k) overflows a float: the endpoint saturates to inf
+    code, data = run_json(capsys, ["bounds", *argv])
+    assert code == 0
+    row = data["results"][0]
+    assert row["upsilon_lo"] == math.inf
+    assert row["tol_hi"] == 0.0
+
+
 def test_bounds_csv(tmp_path):
     out = tmp_path / "table.csv"
     code = main(["bounds", "--family", "ghz", "--d", "2", "--n", "2..3",
@@ -290,6 +302,17 @@ def test_functional_json_with_unknown_joint_setting_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no table for joint setting (1, 1)" in err
     assert "a table for joint setting (2, 2), which does not exist" in err
+
+
+def test_violation_of_a_scaled_functional(tmp_path, capsys):
+    from belltol.scenario import mermin
+
+    path = tmp_path / "f.json"
+    mermin(3).scaled(1e6).save(str(path))
+    code, data = run_json(capsys, ["violation", "--state", "ghz:2,3",
+                                   "--functional", f"json:{path}", "--restarts", "5"])
+    assert code == 0
+    assert data["results"]["upsilon_lower_bound"] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_exit_code_unsupported_functional(tmp_path):

@@ -13,6 +13,7 @@ from helpers import (
     SY,
     SZ,
     chsh_optimal_assignment,
+    deterministic_behavior,
     mermin3_optimal_assignment,
     reference_basis_rows,
     reference_vertex_matrix,
@@ -27,7 +28,6 @@ from belltol.polytope import (
     OPTIMAL,
     LinearProgram,
     critical_visibility,
-    functional_row_vector,
     is_local,
     separating_functional,
     simplex_max,
@@ -38,9 +38,9 @@ from belltol.scenario import (
     BellFunctional,
     Scenario,
     basis_rows,
+    canonical_rows,
     chsh,
-    deterministic_behavior,
-    enumerate_strategies,
+    grid_shape,
     lhv_bounds,
     mermin,
     uniform_behavior,
@@ -339,7 +339,7 @@ def test_simplex_singular_basis_raises(monkeypatch):
 
 def test_vertex_soundness():
     sc = chsh().scenario
-    for col, strat in enumerate(enumerate_strategies(sc)):
+    for col, strat in enumerate(itertools.product(*map(range, grid_shape(sc)))):
         b = deterministic_behavior(sc, strat)
         res = is_local(b)
         assert res.is_local
@@ -375,7 +375,7 @@ def test_vertex_matrix_cap():
 def test_vertex_matrix_columns_are_deterministic_behaviors():
     sc = MIXED_SCENARIO
     d = vertex_matrix(sc)
-    strategies = list(enumerate_strategies(sc))
+    strategies = list(itertools.product(*map(range, grid_shape(sc))))
     assert d.shape[1] == len(strategies)
     for col, strat in zip(d.T, strategies):
         assert np.array_equal(col, deterministic_behavior(sc, strat).vector())
@@ -524,7 +524,8 @@ def test_slot_grid_layout_contract(sc):
             with pytest.raises(ValueError, match="read-only"):
                 t[(0,) * t.ndim] = 1.0
     farkas = rng.standard_normal(vertex_matrix(sc).shape[0] + 1)
-    assert np.array_equal(functional_row_vector(separating_functional(sc, farkas)), farkas[:-1])
+    g = separating_functional(sc, farkas)
+    assert np.array_equal(canonical_rows(sc, g.slots), farkas[:-1])
 
 
 def test_visibility_monotone_in_beta():
@@ -537,10 +538,10 @@ def test_visibility_monotone_in_beta():
     assert not is_local(behavior(above, assign)).is_local
 
 
-def test_functional_row_vector_order_matches_behavior():
+def test_canonical_rows_order_matches_behavior():
     f = chsh()
     b = behavior(ghz(2, 2), chsh_optimal_assignment())
-    assert float(functional_row_vector(f) @ b.vector()) == pytest.approx(
+    assert float(canonical_rows(f.scenario, f.slots) @ b.vector()) == pytest.approx(
         evaluate(f, b), abs=1e-12
     )
 

@@ -10,6 +10,7 @@ from helpers import (
     SX,
     SY,
     chsh_optimal_assignment,
+    deterministic_behavior,
     expectation,
     local_operator,
     mermin3_optimal_assignment,
@@ -39,7 +40,6 @@ from belltol.qvalue import (
     seesaw,
     sign_operator,
     upsilon_lower_bound,
-    violation_ratio,
 )
 from belltol.scenario import (
     Behavior,
@@ -47,8 +47,8 @@ from belltol.scenario import (
     Scenario,
     _mk_weights,
     chsh,
-    deterministic_behavior,
     extend_with_passive_parties,
+    grid_shape,
     lhv_bounds,
     mermin,
     product_expectation_functional,
@@ -66,7 +66,7 @@ def test_measurement_validation():
         Measurement((np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])), (1.0, -1.0))  # not PSD
     with pytest.raises(ValidationError):
         Measurement((np.eye(2),), (2.0,))  # value out of range
-    m = Measurement.computational_basis(3)
+    m = Measurement(tuple(np.diag(row) for row in np.eye(3)), (-1.0, 0.0, 1.0))
     assert m.n_outcomes == 3
     assert np.allclose(sum(m.effects), np.eye(3))
 
@@ -92,10 +92,8 @@ def test_dichotomic_from_observable():
 
 def test_behavior_product_state():
     rho = product_zero(2, 2)
-    assign = MeasurementAssignment((
-        (Measurement.computational_basis(2, values=(1.0, -1.0)),),
-        (Measurement.computational_basis(2, values=(1.0, -1.0)),),
-    ))
+    z = Measurement((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), (1.0, -1.0))
+    assign = MeasurementAssignment(((z,), (z,)))
     b = behavior(rho, assign)
     assert b.tables[(0, 0)][0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -228,10 +226,8 @@ def test_evaluate_rejects_other_outcome_order():
 
 
 def test_evaluate_deterministic_within_lhv():
-    from belltol.scenario import deterministic_behavior, enumerate_strategies
-
     f = chsh()
-    for strat in enumerate_strategies(f.scenario):
+    for strat in itertools.product(*map(range, grid_shape(f.scenario))):
         v = evaluate(f, deterministic_behavior(f.scenario, strat))
         assert -2.0 - 1e-12 <= v <= 2.0 + 1e-12
 
@@ -244,26 +240,26 @@ def test_evaluate_uniform_behavior_mean():
 
 
 def test_violation_ratio_bell_state():
-    assert violation_ratio(chsh(), ghz(2, 2), chsh_optimal_assignment()) == pytest.approx(
-        SQRT2, abs=1e-6
-    )
+    b = behavior(ghz(2, 2), chsh_optimal_assignment())
+    assert lhv_bounds(chsh()).violation(evaluate(chsh(), b)) == pytest.approx(SQRT2, abs=1e-6)
 
 
 def test_violation_ratio_mermin3():
-    assert violation_ratio(
-        mermin(3), ghz(2, 3), mermin3_optimal_assignment()
-    ) == pytest.approx(2.0, abs=1e-6)
+    b = behavior(ghz(2, 3), mermin3_optimal_assignment())
+    assert lhv_bounds(mermin(3)).violation(evaluate(mermin(3), b)) == pytest.approx(2.0, abs=1e-6)
 
 
 def test_violation_ratio_product_state():
-    assert violation_ratio(chsh(), product_zero(2, 2), chsh_optimal_assignment()) <= 1.0 + 1e-9
+    b = behavior(product_zero(2, 2), chsh_optimal_assignment())
+    assert lhv_bounds(chsh()).violation(evaluate(chsh(), b)) <= 1.0 + 1e-9
 
 
 def test_violation_ratio_degenerate():
     sc = Scenario.uniform(2, 2, values=(1.0, -1.0))
     zero = BellFunctional(sc, {s: np.zeros((2, 2)) for s in sc.joint_settings()})
+    value = evaluate(zero, behavior(ghz(2, 2), chsh_optimal_assignment()))
     with pytest.raises(DegenerateFunctionalError):
-        violation_ratio(zero, ghz(2, 2), chsh_optimal_assignment())
+        lhv_bounds(zero).violation(value)
 
 
 def test_violation_ratio_constant_functional_degenerate():
@@ -271,8 +267,9 @@ def test_violation_ratio_constant_functional_degenerate():
     sc = Scenario.uniform(2, 2, values=(1.0, -1.0))
     const = BellFunctional(sc, {s: np.full((2, 2), 0.75) for s in sc.joint_settings()})
     assert lhv_bounds(const).sup == lhv_bounds(const).inf == 3.0
+    value = evaluate(const, behavior(ghz(2, 2), chsh_optimal_assignment()))
     with pytest.raises(DegenerateFunctionalError):
-        violation_ratio(const, ghz(2, 2), chsh_optimal_assignment())
+        lhv_bounds(const).violation(value)
     with pytest.raises(DegenerateFunctionalError):
         seesaw(const, ghz(2, 2), restarts=2, seed=1)
 
@@ -292,14 +289,21 @@ def test_violation_ratio_shift_invariant(f, n, assign, ratio, c):
     g = _shifted(f, c)
     bounds = lhv_bounds(g)
     assert (bounds.sup, bounds.inf) == pytest.approx((2.0 + c, -2.0 + c), abs=1e-12)
-    assert violation_ratio(g, ghz(2, n), assign()) == pytest.approx(ratio, abs=1e-9)
+    value = evaluate(g, behavior(ghz(2, n), assign()))
+    assert bounds.violation(value) == pytest.approx(ratio, abs=1e-9)
     assert seesaw(g, ghz(2, n), restarts=5, seed=1).value == pytest.approx(ratio, abs=1e-9)
 
 
 def test_violation_ratio_scale_invariant():
-    r1 = violation_ratio(chsh(), ghz(2, 2), chsh_optimal_assignment())
-    r2 = violation_ratio(chsh().scaled(7.5), ghz(2, 2), chsh_optimal_assignment())
-    assert r1 == pytest.approx(r2, abs=1e-12)
+    b = behavior(ghz(2, 2), chsh_optimal_assignment())
+    big = chsh().scaled(7.5)
+    assert lhv_bounds(big).violation(evaluate(big, b)) == pytest.approx(
+        lhv_bounds(chsh()).violation(evaluate(chsh(), b)), abs=1e-12)
+    # the seesaw's checks that no sweep lowers the objective and that each
+    # local operator is Hermitian scale with the functional's values
+    for c in (1e6, 1e9, 1e12):
+        res = seesaw(mermin(3).scaled(c), ghz(2, 3), restarts=5, seed=1)
+        assert res.value == pytest.approx(2.0, abs=1e-9)
 
 
 def test_affinity_in_state():
@@ -553,7 +557,7 @@ def test_seesaw_checks_arguments_first(monkeypatch):
 
 def test_seesaw_assignment_reproduces_value():
     res = seesaw(chsh(), ghz(2, 2), restarts=5, seed=1)
-    replay = violation_ratio(chsh(), ghz(2, 2), res.assignment)
+    replay = lhv_bounds(chsh()).violation(evaluate(chsh(), behavior(ghz(2, 2), res.assignment)))
     assert replay == pytest.approx(res.value, abs=1e-9)
 
 
@@ -574,7 +578,8 @@ def test_seesaw_on_separating_functional():
     assert found.objective > lhv_bounds(g).sup + 1e-6
     # the LP's functional is CHSH up to scale and shift: its ratio is CHSH's
     assert found.value == pytest.approx(SQRT2, abs=1e-6)
-    assert violation_ratio(g, ghz(2, 2), found.assignment) == pytest.approx(found.value, abs=1e-9)
+    replay = evaluate(g, behavior(ghz(2, 2), found.assignment))
+    assert lhv_bounds(g).violation(replay) == pytest.approx(found.value, abs=1e-9)
 
 
 def test_seesaw_deterministic_in_seed():
@@ -702,7 +707,7 @@ def test_algebraic_bound_bounds_every_behavior():
                 tuple(Measurement(random_povm(2, 2, rng).effects, values) for values in party)
                 for party in sc.outcomes))
             behaviors.append(behavior(random_density(2, sc.parties, rng), meas))
-            strategy = tuple(tuple(int(a) for a in rng.integers(2, size=m)) for m in sc.settings)
+            strategy = tuple(int(a) for m in sc.settings for a in rng.integers(2, size=m))
             behaviors.append(deterministic_behavior(sc, strategy))
         for b in behaviors:
             assert bounds.violation(evaluate(f, b)) <= cap + 1e-12

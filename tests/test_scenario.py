@@ -6,7 +6,13 @@ import re
 import numpy as np
 import pytest
 
-from helpers import MIXED_SCENARIO, SINGLE_OUTCOME_SCENARIO, slot_shape, summation_bound
+from helpers import (
+    MIXED_SCENARIO,
+    SINGLE_OUTCOME_SCENARIO,
+    deterministic_behavior,
+    slot_shape,
+    summation_bound,
+)
 
 from belltol import scenario
 from belltol.errors import DomainError, ResourceCapError, ValidationError
@@ -18,8 +24,6 @@ from belltol.scenario import (
     Scenario,
     chsh,
     default_outcome_grid,
-    deterministic_behavior,
-    enumerate_strategies,
     extend_with_passive_parties,
     grid_shape,
     lhv_bounds,
@@ -53,25 +57,8 @@ def brute_force_lhv(f):
 
 def test_enumeration_counts():
     assert strategy_count(chsh().scenario) == 16
-    assert len(list(enumerate_strategies(chsh().scenario))) == 16
-    sc3 = Scenario.uniform(3, 2, values=(1.0, -1.0))
-    assert len(list(enumerate_strategies(sc3))) == 64
-    sc1 = Scenario(((((1.0,),),)))
-    assert list(enumerate_strategies(sc1)) == [((0,),)]
-
-
-def test_enumeration_unique_and_lexicographic():
-    sc = Scenario.uniform(2, 2, values=(1.0, -1.0))
-    got = list(enumerate_strategies(sc))
-    flat = [tuple(i for party in s for i in party) for s in got]
-    assert flat == sorted(flat)
-    assert len(set(got)) == len(got)
-
-
-def test_enumeration_cap():
-    sc = Scenario.uniform(3, 5, 4)  # 4^15 strategies
-    with pytest.raises(ResourceCapError, match="enumeration infeasible"):
-        list(enumerate_strategies(sc))
+    assert strategy_count(Scenario.uniform(3, 2, values=(1.0, -1.0))) == 64
+    assert strategy_count(Scenario(((((1.0,),),)))) == 1
 
 
 def test_chsh_lhv_bounds():
@@ -95,8 +82,8 @@ def random_functional(sc, rng):
 
 
 def value_at_grid(f):
-    """``f.value_at`` on the whole strategy grid, in its order: from 0.0,
-    each joint setting's table added in turn, spread over the grid."""
+    """The functional's value on the whole strategy grid: from 0.0, each
+    joint setting's table added in turn, spread over the grid."""
     sc = f.scenario
     values = np.zeros(grid_shape(sc))
     for s, table in f.coeffs.items():
@@ -104,8 +91,8 @@ def value_at_grid(f):
     return values
 
 
-def test_lhv_bounds_equal_value_at_loop(monkeypatch):
-    # a cell sums value_at's J entries in another order, so the extrema agree
+def test_lhv_bounds_equal_brute_force_loop(monkeypatch):
+    # a cell sums the loop's J entries in another order, so the extrema agree
     # with the loop's within the summation bound, and need not be equal
     rng = np.random.default_rng(7)
     for sc, block in [
@@ -119,11 +106,13 @@ def test_lhv_bounds_equal_value_at_loop(monkeypatch):
     ]:
         monkeypatch.setattr(scenario, "GRID_BLOCK", block)
         f = random_functional(sc, rng)
-        values = [f.value_at(strat) for strat in enumerate_strategies(sc)]
-        assert np.array_equal(value_at_grid(f).ravel(), values)
+        sup, inf = brute_force_lhv(f)
+        # the grid and the loop add the tables in the same order
+        values = value_at_grid(f)
+        assert (values.max(), values.min()) == (sup, inf)
         b = lhv_bounds(f)
-        assert abs(b.sup - max(values)) <= summation_bound(f)
-        assert abs(b.inf - min(values)) <= summation_bound(f)
+        assert abs(b.sup - sup) <= summation_bound(f)
+        assert abs(b.inf - inf) <= summation_bound(f)
 
 
 @pytest.mark.parametrize("sc, block", [
@@ -150,7 +139,7 @@ def test_lhv_bounds_blocks_reach_every_strategy(sc, block, monkeypatch):
 
     monkeypatch.setattr(scenario, "_gathered", counted)
     joint = math.prod(sc.settings)
-    for strat in enumerate_strategies(sc):
+    for strat in itertools.product(*map(range, grid_shape(sc))):
         b = lhv_bounds(BellFunctional(sc, deterministic_behavior(sc, strat).tables))
         assert (b.sup, b.inf) == (joint, 0.0)
     assert max(cells) <= block
@@ -197,8 +186,8 @@ def test_mermin2_equals_chsh():
 
 def test_chsh_on_all_plus_one_strategy():
     f = chsh()
-    all_plus = (((0, 0), (0, 0)))  # outcome index 0 carries value +1
-    assert f.value_at(all_plus) == 2.0
+    # outcome index 0 carries value +1
+    assert value_at_grid(f)[0, 0, 0, 0] == 2.0
 
 
 def test_chsh_on_uniform_behavior():
@@ -434,8 +423,7 @@ def test_behavior_rejects_non_finite_entries(entry):
 
 def test_deterministic_behavior_is_point_mass():
     sc = chsh().scenario
-    strat = ((0, 1), (1, 0))
-    b = deterministic_behavior(sc, strat)
+    b = deterministic_behavior(sc, (0, 1, 1, 0))
     assert b.tables[(0, 1)][0, 0] == 1.0
     assert b.tables[(1, 0)][1, 1] == 1.0
     assert all(abs(t.sum() - 1.0) < 1e-15 for t in b.tables.values())
