@@ -321,7 +321,10 @@ class DickeHalfAsymptotic:
 
     @property
     def binomial_ratio(self) -> float:
-        return self.binomial / self.binomial_stirling
+        """binomial / (2^n sqrt(2 / (pi n))), with binomial / 2^n a correctly
+        rounded quotient of integers, so it stays finite where the Stirling
+        form saturates to inf."""
+        return self.binomial / 2**self.n * math.sqrt(math.pi * self.n) / SQRT2
 
 
 def dicke_half_asymptotic(n: int) -> DickeHalfAsymptotic:
@@ -333,7 +336,7 @@ def dicke_half_asymptotic(n: int) -> DickeHalfAsymptotic:
     k = n // 2
     exact = 1.0 / (1.0 + float(Fraction(2 ** (n - 2), math.comb(n, k))) * (SQRT2 - 1.0))
     approx = (4.0 * SQRT2 / (SQRT2 - 1.0)) / math.sqrt(math.pi * n)
-    stirling = 2.0 ** n * SQRT2 / math.sqrt(math.pi * n)
+    stirling = _fpow(2.0, n) * SQRT2 / math.sqrt(math.pi * n)
     return DickeHalfAsymptotic(
         n=n,
         exact_threshold=exact,

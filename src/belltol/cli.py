@@ -227,7 +227,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_violation(args: argparse.Namespace) -> int:
-    state, meta = _parse_state(args.state)
+    state, _ = _parse_state(args.state)
     specs = args.functional or ["mermin"]
     library = [_parse_functional(s, state.n) for s in specs]
     found = upsilon_lower_bound(state, library, restarts=args.restarts, seed=args.seed)
@@ -256,7 +256,7 @@ def cmd_violation(args: argparse.Namespace) -> int:
 
 
 def cmd_visibility(args: argparse.Namespace) -> int:
-    state, meta = _parse_state(args.state)
+    state, _ = _parse_state(args.state)
     noise = _parse_noise(args.noise)
     functional = _parse_functional(args.functional, state.n)
     if args.measurements == "seesaw":
@@ -311,10 +311,8 @@ def cmd_tolerance(args: argparse.Namespace) -> int:
     warning = None
     formula: ToleranceReport | None = None
     family = meta["family"]
-    if family == "ghz":
-        formula = family_report("ghz", meta["d"], meta["n"], S_INF, GENERALIZED)
-    elif family in ("dicke", "w"):
-        formula = family_report(family, 2, meta["n"], S_INF, GENERALIZED, k=meta["k"])
+    if family in ("ghz", "dicke", "w"):
+        formula = family_report(family, meta["d"], meta["n"], S_INF, GENERALIZED, k=meta.get("k"))
     else:
         warning = (
             f"state family {family!r} has no closed-form bound family; "

@@ -23,10 +23,10 @@ from .scenario import (
     Behavior,
     BellFunctional,
     Scenario,
+    _site_sum,
     basis_rows,
     canonical_rows,
     setting_views,
-    site_strategies,
     strategy_count,
     uniform_behavior,
 )
@@ -198,18 +198,23 @@ def simplex_max(lp: LinearProgram) -> SimplexResult:
 def vertex_matrix(sc: Scenario) -> np.ndarray:
     """Deterministic behaviors as columns, rows in canonical order: the
     Kronecker product of per-site 0/1 (slot, local strategy) matrices, each
-    local strategy marking the slots it reads (``site_strategies``). It is
-    taken in booleans, which move an eighth of the bytes of float64."""
+    the site sum of the site's unit functionals, which marks the slots each
+    local strategy reads. It is taken in booleans, which move an eighth of
+    the bytes of float64."""
     count = strategy_count(sc)
     if count > DEFAULT_VERTEX_CAP:
         raise ResourceCapError(
             f"{count} deterministic behaviors exceed the LP vertex cap {DEFAULT_VERTEX_CAP}"
         )
     d = np.ones((1, 1), dtype=bool)
-    for party, rule in zip(sc.outcomes, site_strategies(sc)):
-        # column-major: the broadcast & below runs about twice as fast over it
-        site = np.zeros((sum(map(len, party)), rule.shape[1]), dtype=bool, order="F")
-        site[rule, np.arange(rule.shape[1])] = True
+    sites = {}  # one block per distinct list of outcome counts
+    for party in sc.outcomes:
+        sizes = tuple(map(len, party))
+        if sizes not in sites:
+            terms = _site_sum([np.eye(sum(sizes), dtype=bool)[None]], sizes, list(map(range, sizes)))
+            # transposed to column-major: the broadcast & below runs about twice as fast over it
+            sites[sizes] = sum(terms[1:], start=terms[0]).T
+        site = sites[sizes]
         d = (d[:, None, :, None] & site[:, None]).reshape(d.shape[0] * site.shape[0], -1)
     dims = [sum(map(len, party)) for party in sc.outcomes]
     return canonical_rows(sc, d.reshape(dims + [count])).astype(float)

@@ -7,17 +7,17 @@ joint setting s's table is the block at each site's s_p (``setting_views``).
 ``canonical_rows`` reads a grid in the LP's row order.
 
 A deterministic strategy is one local strategy per site, and a local
-strategy reads one slot of its site's axis per setting (``site_strategies``,
-the one rule that ``lhv_bounds`` and the vertex matrix share). So a
-functional's value on every strategy comes from its slot grid site by site:
-each site's axis is replaced by its local strategies, the sum over the
-site's settings of the slots they read (Collins & Gisin, J. Phys. A 37, 1775
-(2004)).
+strategy reads one slot of its site's axis per setting. So a functional's
+value on every strategy comes from its slot grid site by site: each site's
+axis is replaced by its local strategies, the sum over the site's settings
+of the slots they read (Collins & Gisin, J. Phys. A 37, 1775 (2004)). One
+site sum (``_site_sum``) does this for ``lhv_bounds`` and, on unit
+functionals, for the vertex matrix: one broadcast add per setting over the
+site's local strategies, which run in C order over its settings.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -115,28 +115,6 @@ def _check_enum_cap(sc: Scenario) -> None:
             f"enumeration infeasible: {total} deterministic strategies exceed cap "
             f"{DEFAULT_ENUM_CAP}"
         )
-
-
-def site_strategies(sc: Scenario) -> list[np.ndarray]:
-    """Per site, the (S_p, L_p) slots that its local strategies read: entry
-    [s, l] is the index on site p's slot-grid axis of the outcome that local
-    strategy l gives setting s. Local strategies run in C order over the
-    settings, as on the strategy grid. The arrays are read-only."""
-    return [_site_rule(tuple(map(len, party))) for party in sc.outcomes]
-
-
-@functools.lru_cache(maxsize=None)
-def _site_rule(sizes: tuple[int, ...]) -> np.ndarray:
-    rule = _rule_columns(sizes, 0, math.prod(sizes))
-    rule.setflags(write=False)
-    return rule
-
-
-def _rule_columns(sizes: tuple[int, ...], start: int, stop: int) -> np.ndarray:
-    """Columns start..stop-1 of the rule of a site whose settings have
-    ``sizes`` outcomes (``site_strategies``)."""
-    outcome = np.unravel_index(np.arange(start, min(stop, math.prod(sizes))), sizes)
-    return np.array(outcome) + np.array([*itertools.accumulate(sizes[:-1], initial=0)])[:, None]
 
 
 def setting_views(sc: Scenario, slots: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
@@ -254,50 +232,62 @@ class LhvBounds:
         return abs(value - (self.sup + self.inf) / 2.0) / half
 
 
-def _gathered(values: np.ndarray, rule: np.ndarray, axis: int) -> np.ndarray:
-    """``values`` with the slot axis ``axis`` replaced by local strategies:
-    the sum over the rule's settings of the slots each strategy reads."""
-    total = np.take(values, rule[0], axis=axis)
-    for row in rule[1:]:
-        total += np.take(values, row, axis=axis)
-    return total
+def _site_sum(terms: list[np.ndarray], sizes: Sequence[int],
+              box: Sequence[range]) -> list[np.ndarray]:
+    """Terms shaped (L, slots of one site, *rest) summed into a box of the
+    site's local strategies, one run of outcomes per setting: each setting
+    adds its run of slots, broadcast over the box's other settings, in
+    setting order. The sum is shaped (L * strategies in the box, *rest), C
+    order over (L, box). A box of one strategy returns the views it reads."""
+    # setting s's run of slots on the axis of its outcomes, after L
+    blank = (None,) * len(box)
+    index = [(slice(None), *blank[:s], slice(a + r.start, a + r.stop), *blank[s + 1:])
+             for s, (a, r) in enumerate(zip(itertools.accumulate(sizes, initial=0), box))]
+    parts = [term[i] for term in terms for i in index]
+    lens = [len(r) for r in box]
+    rest = terms[0].shape[2:]
+    if len(parts) == 1 or math.prod(lens) == 1:
+        return [part.reshape(-1, *rest) for part in parts]
+    total = np.add(parts[0], parts[1], out=np.empty(
+        (len(terms[0]), *lens, *rest), dtype=parts[0].dtype))
+    for part in parts[2:]:
+        total += part
+    return [total.reshape(-1, *rest)]
 
 
 def lhv_bounds(f: BellFunctional) -> LhvBounds:
     """Exact LHV constants: the functional's extrema over the strategy grid,
-    which is built from the slot grid site by site (``site_strategies``), one
-    gather and add per setting. A cell is the sum of J entries, one per joint
-    setting, that its strategy reads.
+    built from the slot grid site by site (``_site_sum``). A cell is the sum
+    of J entries, one per joint setting, that its strategy reads.
 
-    Every array made has at most GRID_BLOCK cells. Where the grid, a site's
-    rule or a grid part way to it would exceed that, the leading sites are
-    fixed one local strategy each, each entering as the views of the slot
-    grid at the slots it reads, and the next site takes its strategies a
-    chunk at a time."""
+    The grid is taken a box at a time, so that no array made holds more than
+    GRID_BLOCK cells: the axes before a cut take one outcome each, the cut
+    axis the longest run that fits, later axes whole. Sites before the cut
+    enter as the views of the slot grid that their strategy reads."""
     sc = f.scenario
     _check_enum_cap(sc)
     sizes = [tuple(map(len, party)) for party in sc.outcomes]
-    counts = [math.prod(m) for m in sizes]
-    cells = [max(sum(m), count) for m, count in zip(sizes, counts)]
-    first = max(0, next(
-        k for k in range(len(sizes) + 1)
-        if math.prod(cells[k:]) <= GRID_BLOCK
-        and all(len(m) * count <= GRID_BLOCK for m, count in zip(sizes[k:], counts[k:]))) - 1)
-    chunk = GRID_BLOCK // max(math.prod(cells[first + 1:]), len(sizes[first]))
-    rules = [_site_rule(m) for m in sizes[first + 1:]]
+    shape, slots = grid_shape(sc), f.slots.shape
+    ends = list(itertools.accumulate(map(len, sizes)))
+
+    def widest(cut: int) -> int:
+        # the most cells of an array made at the cut's site or a later one,
+        # per outcome of the cut axis: the box so far times the later slots
+        site = sum(end <= cut for end in ends)
+        return max(math.prod(shape[cut + 1:ends[p]]) * math.prod(slots[p + 1:])
+                   for p in range(site, len(sizes)))
+
+    cut = next(a for a in range(len(shape)) if widest(a) <= GRID_BLOCK)
+    steps = [1] * cut + [GRID_BLOCK // widest(cut)] + list(shape[cut + 1:])
+    runs = [[range(k, min(k + step, n)) for k in range(0, n, step)]
+            for n, step in zip(shape, steps)]
     sup, inf = -math.inf, math.inf
-    for head in itertools.product(*(_site_rule(m).T for m in sizes[:first])):
-        views = [f.slots[index] for index in itertools.product(*head)]
-        for start in range(0, counts[first], chunk):
-            part = (_site_rule(sizes[first]) if chunk >= counts[first]
-                    else _rule_columns(sizes[first], start, start + chunk))
-            values = _gathered(views[0], part, 0)
-            for view in views[1:]:
-                values += _gathered(view, part, 0)
-            for axis, rule in enumerate(rules, start=1):
-                if len(rule) > 1:  # one setting's strategies are its slots
-                    values = _gathered(values, rule, axis)
-            sup, inf = max(sup, float(values.max())), min(inf, float(values.min()))
+    for box in itertools.product(*runs):
+        terms = [f.slots[None]]
+        for m, end in zip(sizes, ends):
+            terms = _site_sum(terms, m, box[end - len(m):end])
+        values = sum(terms[1:], start=terms[0])
+        sup, inf = max(sup, float(values.max())), min(inf, float(values.min()))
     return LhvBounds(sup=sup, inf=inf)
 
 

@@ -224,6 +224,16 @@ def test_dicke_half_asymptotic_n200():
     assert res.binomial == math.comb(200, 100)
 
 
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_dicke_half_asymptotic_past_float_range(n):
+    # 2^n overflows a float: the Stirling form saturates to inf, and the
+    # ratio, 1 - 1/(4n) + O(n^-2), stays finite
+    res = dicke_half_asymptotic(n)
+    assert res.binomial_stirling == math.inf
+    assert res.binomial_ratio == pytest.approx(1.0 - 1.0 / (4 * n), abs=1.0 / n**2)
+    assert 0.0 < res.exact_threshold < res.approx_threshold
+
+
 def test_dicke_half_asymptotic_rejects_odd():
     with pytest.raises(DomainError):
         dicke_half_asymptotic(21)

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -101,8 +102,11 @@ def test_lhv_bounds_equal_brute_force_loop(monkeypatch):
         (MIXED_SCENARIO, GRID_BLOCK),
         (SINGLE_OUTCOME_SCENARIO, GRID_BLOCK),
         # 9 strategies and 6 slots per site: site 0 fixed a strategy at a
-        # time, site 1 in chunks of 5 and 4 strategies
+        # time, site 1's first setting cut into runs of 1
         (Scenario.uniform(3, 2, 3), 50),
+        # one-strategy boxes over sites whose settings have one outcome
+        (SINGLE_OUTCOME_SCENARIO, 1),
+        (SINGLE_OUTCOME_SCENARIO, 5),
     ]:
         monkeypatch.setattr(scenario, "GRID_BLOCK", block)
         f = random_functional(sc, rng)
@@ -116,33 +120,51 @@ def test_lhv_bounds_equal_brute_force_loop(monkeypatch):
 
 
 @pytest.mark.parametrize("sc, block", [
-    # 4 strategies and slots per site: block 12 fixes site 0 and takes site 1
-    # in chunks of 3 and 1, block 40 takes site 0 in chunks of 2
+    # 4 strategies and slots per site: block 12 fixes site 0, which enters
+    # as views of the slot grid, and cuts site 1's first setting into runs of
+    # 1; block 40 cuts site 0's first setting into runs of 1
     (Scenario.uniform(3, 2, 2), 12),
     (Scenario.uniform(3, 2, 2), 40),
     (Scenario.uniform(3, 2, 2), GRID_BLOCK),
-    # site 1's rule has 3 x 8 entries: site 0 is fixed, site 1 taken in
-    # chunks of 6 and 2
+    # site 1's 8 strategies read 3 of its 6 slots each: one box
     (Scenario((((1.0, -1.0),), ((1.0, -1.0),) * 3)), 20),
-], ids=["fix-site-0", "chunk-site-0", "whole", "long-rule"])
+    # one site of 32 strategies: its first setting fixed, its second cut
+    # into runs of 1, the other three whole
+    (Scenario.uniform(1, 5), 8),
+    # 6 x 6 strategies: site 0's setting cut into runs of 3
+    (Scenario.uniform(2, 1, 6), 18),
+    # every box one strategy: each site enters as views
+    (Scenario.uniform(2, 2, 2), 1),
+    # site 0 fixed whole; site 1's 2-outcome setting cut into runs of 1 and
+    # its 4-outcome setting whole
+    (MIXED_SCENARIO, 7),
+    # site 1's 4 slots hold its one strategy: a run of site 0's strategies
+    # would enter site 1 as 2 x 4 cells, so site 0 is fixed whole
+    (Scenario((((1.0, -1.0),) * 2, ((1.0,),) * 4)), 2),
+], ids=["fix-site-0", "chunk-site-0", "whole", "long-rule", "cut-in-site", "run-on-cut",
+        "one-strategy", "mixed", "wide-slots"])
 def test_lhv_bounds_blocks_reach_every_strategy(sc, block, monkeypatch):
     # a point-mass functional is J on its own strategy and less elsewhere,
-    # and no gathered grid or rule has more than GRID_BLOCK cells
+    # no array the site sum adds into has more than GRID_BLOCK cells, and a
+    # random functional's boxed extrema agree with its one-box extrema
+    f = random_functional(sc, np.random.default_rng(11))
+    whole = lhv_bounds(f)
     monkeypatch.setattr(scenario, "GRID_BLOCK", block)
     cells = []
-    gathered = scenario._gathered
 
-    def counted(values, rule, axis):
-        out = gathered(values, rule, axis)
-        cells.extend([out.size, rule.size])
-        return out
+    def counted(a, b, out):
+        cells.append(out.size)
+        return np.add(a, b, out=out)
 
-    monkeypatch.setattr(scenario, "_gathered", counted)
+    monkeypatch.setattr(scenario, "np", types.SimpleNamespace(**{**vars(np), "add": counted}))
     joint = math.prod(sc.settings)
     for strat in itertools.product(*map(range, grid_shape(sc))):
         b = lhv_bounds(BellFunctional(sc, deterministic_behavior(sc, strat).tables))
         assert (b.sup, b.inf) == (joint, 0.0)
-    assert max(cells) <= block
+    assert max(cells, default=0) <= block
+    boxed = lhv_bounds(f)
+    assert abs(boxed.sup - whole.sup) <= summation_bound(f)
+    assert abs(boxed.inf - whole.inf) <= summation_bound(f)
 
 
 def test_lhv_bounds_cap():
