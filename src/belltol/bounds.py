@@ -376,26 +376,26 @@ def sweep_reports(
     meas_types: list[str],
     k: int | None = None,
 ) -> list[ToleranceReport]:
+    """One report per (d, n, s, meas type, k) with a row, in that order. The
+    all-settings regime s = inf has one row, meas type GENERALIZED, which
+    covers both types, and it is the only regime of the W and Dicke
+    families. A sweep that selects no row raises DomainError."""
+    overall_only = family in ("w", "dicke")
+    regimes = [(s, mt) for s in s_values for mt in meas_types
+               if (s, mt) != (S_INF, PROJECTIVE) and not (overall_only and s != S_INF)]
     reports = []
     for d in d_values:
         for n in n_values:
-            if family == "w":
-                reports.append(family_report(family, d, n, S_INF, GENERALIZED))
-                continue
-            if family == "dicke":
-                k_values = [k] if k is not None else list(range(1, n))
+            k_values = list(range(1, n)) if family == "dicke" and k is None else [k]
+            for s, mt in regimes:
                 for kk in k_values:
-                    reports.append(family_report(family, d, n, S_INF, GENERALIZED, k=kk))
-                continue
-            for s in s_values:
-                for mt in meas_types:
-                    if s == S_INF and mt == PROJECTIVE:
-                        continue  # the all-settings regime covers both types
-                    reports.append(family_report(family, d, n, s, mt, k=k))
+                    reports.append(family_report(family, d, n, s, mt, k=kk))
     if not reports:
-        if S_INF in s_values and PROJECTIVE in meas_types:
-            cause = f"s = inf has one row, meas type {GENERALIZED!r}, which covers both types"
-        else:
+        if regimes or not (s_values and meas_types):
             cause = "a parameter list is empty"
+        elif overall_only:
+            cause = f"the {family} family has one regime, s = inf with meas type {GENERALIZED!r}"
+        else:
+            cause = f"s = inf has one row, meas type {GENERALIZED!r}, which covers both types"
         raise DomainError(f"the sweep selects no row: {cause}")
     return reports

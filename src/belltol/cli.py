@@ -6,8 +6,8 @@ Exit codes: 0 success, 2 domain error, an unreadable or malformed input file
 or an unwritable output file, 3 unsupported functional (a seesaw functional
 with a setting that does not have exactly two outcomes), 4 resource cap
 exceeded, 1 internal error (a SolverError from an LP solve or its certificate
-check or from the seesaw's self-check, or a numerical failure such as numpy's
-LinAlgError).
+check, from the seesaw's self-check or from a seesaw objective that falls, or
+a numerical failure such as numpy's LinAlgError).
 """
 
 from __future__ import annotations
@@ -117,25 +117,24 @@ def _parse_int_list(text: str, allow_inf: bool = False) -> list:
     return out
 
 
-def _parse_state(spec: str) -> tuple[DensityMatrix, dict]:
-    """'ghz:d,n' | 'dicke:n,k' | 'w:n' | 'product:d,n' | 'json:path'."""
+def _parse_state(spec: str) -> tuple[DensityMatrix, str, int | None]:
+    """'ghz:d,n' | 'dicke:n,k' | 'w:n' | 'product:d,n' | 'json:path' -> the
+    state, its family and its excitation count k (Dicke and W states)."""
     kind, _, arg = spec.partition(":")
     try:
         if kind == "ghz":
             d, n = (int(x) for x in arg.split(","))
-            return ghz(d, n), {"family": "ghz", "d": d, "n": n}
+            return ghz(d, n), "ghz", None
         if kind == "dicke":
             n, k = (int(x) for x in arg.split(","))
-            return dicke(n, k), {"family": "dicke", "d": 2, "n": n, "k": k}
+            return dicke(n, k), "dicke", k
         if kind == "w":
-            n = int(arg)
-            return w_state(n), {"family": "w", "d": 2, "n": n, "k": 1}
+            return w_state(int(arg)), "w", 1
         if kind == "product":
             d, n = (int(x) for x in arg.split(","))
-            return product_zero(d, n), {"family": "product", "d": d, "n": n}
+            return product_zero(d, n), "product", None
         if kind == "json":
-            state = DensityMatrix.load(arg)
-            return state, {"family": "custom", "d": state.d, "n": state.n}
+            return DensityMatrix.load(arg), "custom", None
     except ValueError as exc:
         raise DomainError(f"cannot parse state spec {spec!r}: {exc}") from exc
     raise DomainError(f"unknown state spec {spec!r}")
@@ -227,7 +226,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_violation(args: argparse.Namespace) -> int:
-    state, _ = _parse_state(args.state)
+    state = _parse_state(args.state)[0]
     specs = args.functional or ["mermin"]
     library = [_parse_functional(s, state.n) for s in specs]
     found = upsilon_lower_bound(state, library, restarts=args.restarts, seed=args.seed)
@@ -256,7 +255,7 @@ def cmd_violation(args: argparse.Namespace) -> int:
 
 
 def cmd_visibility(args: argparse.Namespace) -> int:
-    state, _ = _parse_state(args.state)
+    state = _parse_state(args.state)[0]
     noise = _parse_noise(args.noise)
     functional = _parse_functional(args.functional, state.n)
     if args.measurements == "seesaw":
@@ -297,7 +296,7 @@ def cmd_visibility(args: argparse.Namespace) -> int:
 
 
 def cmd_tolerance(args: argparse.Namespace) -> int:
-    state, meta = _parse_state(args.state)
+    state, family, k = _parse_state(args.state)
     specs = args.functional or (
         ["mermin", "chsh"] if state.n > 2 else ["chsh"]
     )
@@ -310,9 +309,8 @@ def cmd_tolerance(args: argparse.Namespace) -> int:
 
     warning = None
     formula: ToleranceReport | None = None
-    family = meta["family"]
     if family in ("ghz", "dicke", "w"):
-        formula = family_report(family, meta["d"], meta["n"], S_INF, GENERALIZED, k=meta.get("k"))
+        formula = family_report(family, state.d, state.n, S_INF, GENERALIZED, k=k)
     else:
         warning = (
             f"state family {family!r} has no closed-form bound family; "

@@ -30,5 +30,6 @@ class ResourceCapError(BelltolError):
 class SolverError(BelltolError):
     """An LP solve failed numerically (a start basis that is singular or not
     dual feasible, a singular basis later, its pivot limit), its solution
-    failed a certificate check, or a seesaw's objective differs from the
-    value of the assignment it returns; no answer is returned."""
+    failed a certificate check, a seesaw's objective fell from one sweep to
+    the next, or it differs from the value of the assignment the seesaw
+    returns; no answer is returned."""

@@ -311,9 +311,12 @@ def _membership(
 
 @dataclass(frozen=True)
 class LocalityResult:
-    is_local: bool
     weights: np.ndarray | None = None
     farkas: np.ndarray | None = None
+
+    @property
+    def is_local(self) -> bool:
+        return self.farkas is None
 
 
 def is_local(b: Behavior) -> LocalityResult:
@@ -324,8 +327,8 @@ def is_local(b: Behavior) -> LocalityResult:
     base = uniform_behavior(b.scenario).vector()
     _, weights, farkas = _membership(b.scenario, base, b.vector() - base)
     if farkas is None:
-        return LocalityResult(is_local=True, weights=weights)
-    return LocalityResult(is_local=False, farkas=farkas)
+        return LocalityResult(weights=weights)
+    return LocalityResult(farkas=farkas)
 
 
 def separating_functional(sc: Scenario, farkas: np.ndarray) -> BellFunctional:
@@ -344,8 +347,8 @@ def separating_functional(sc: Scenario, farkas: np.ndarray) -> BellFunctional:
 class VisibilityResult:
     """Largest signal weight keeping a fixed-measurement behavior local."""
 
+    certificate_kind = "local-weights"  # a class constant, not a field
     beta_star: float
-    certificate_kind: str
     weights: np.ndarray | None
     scenario: Scenario
     # Farkas certificate of nonlocality for every beta in (beta_star, 1];
@@ -383,6 +386,6 @@ def critical_visibility(
     delta = behavior(rho, meas).vector() - b_noise
     sc = meas.scenario()
     beta, weights, dual = _membership(sc, b_noise, delta)
-    return VisibilityResult(beta_star=min(max(beta, 0.0), 1.0), certificate_kind="local-weights",
-                            weights=weights, scenario=sc, dual=dual)
+    return VisibilityResult(beta_star=min(max(beta, 0.0), 1.0), weights=weights, scenario=sc,
+                            dual=dual)
 

@@ -51,6 +51,8 @@ from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-9
 EFFECT_PSD_TOL = 1e-9
+# The seesaw tolerances below hold in the units where the functional's LHV
+# half-range is 2, to which seesaw scales it (its "units").
 SIGN_EIG_TOL = 1e-12
 # Sweeps per seesaw restart; a restart that reaches it reports converged=False.
 MAX_SWEEPS = 500
@@ -220,9 +222,8 @@ class SeesawResult:
     value: float  # violation ratio of the objective, LhvBounds.violation
     assignment: MeasurementAssignment
     trace: tuple[float, ...]
-    restarts_used: int
-    objective: float = 0.0  # signed functional value at the returned assignment
-    converged: bool = True  # False when the returned restart hit MAX_SWEEPS
+    objective: float  # signed functional value at the returned assignment
+    converged: bool  # False when the returned restart hit MAX_SWEEPS
 
 
 def _initial_stacks(
@@ -256,8 +257,8 @@ def _initial_stacks(
 
 def sign_operator(h: np.ndarray) -> np.ndarray:
     """sign(h) of each matrix of a stack (..., d, d), by one eigensolver call;
-    eigenvalues within 1e-12 of zero map to +1. The stack must be Hermitian
-    within 1e-8 * max(1, max|h|)."""
+    eigenvalues within SIGN_EIG_TOL of zero, in the seesaw's units, map to
+    +1. The stack must be Hermitian within 1e-8 * max(1, max|h|)."""
     w, v = eig_hermitian(h, tol=1e-8 * max(1.0, float(np.abs(h).max())))
     signs = np.where(w < -SIGN_EIG_TOL, -1.0, 1.0)
     return (v * signs[..., None, :]) @ v.conj().swapaxes(-1, -2)
@@ -289,9 +290,8 @@ def _effect_tensor(f: BellFunctional) -> np.ndarray:
     per-site basis of Collins & Gisin, J. Phys. A 37, 1775 (2004)).
 
     Each site axis of the functional's slot grid is contracted with its
-    ``_site_map``, made once per settings count. Raises
-    UnsupportedFunctionalError unless every setting has two outcomes."""
-    _check_two_outcomes(f.scenario)
+    ``_site_map``, made once per settings count. Every setting must have two
+    outcomes (``_check_two_outcomes``)."""
     c = f.slots
     for p, m in enumerate(f.scenario.settings):
         c = np.moveaxis(np.tensordot(_site_map(m), c, axes=(1, p)), 0, p)
@@ -374,7 +374,8 @@ def _run_batch(
 ) -> list[_Restart]:
     """Seesaw restarts ``restarts`` advanced together, each from its own
     ``_initial_stacks``; a restart leaves the batch when a sweep gains less
-    than SWEEP_TOL.
+    than SWEEP_TOL, and one whose objective falls raises SolverError. The
+    coefficient tensor ``c`` is in the seesaw's units.
 
     What does not change from sweep to sweep is made once per batch: the
     initial stacks of all restarts, each party's coefficient matrix and the
@@ -414,8 +415,9 @@ def _run_batch(
         fell = new_value < value - 1e-12 * np.maximum(1.0, np.abs(value))
         if fell.any():
             i = int(np.argmax(fell))
-            raise ValidationError(
-                f"seesaw objective decreased from {float(value[i])!r} to {float(new_value[i])!r}"
+            raise SolverError(
+                f"seesaw objective decreased from {float(value[i])!r} to {float(new_value[i])!r} "
+                "(at an LHV half-range of 2)"
             )
         for trace, v in zip(traces, new_value.tolist()):
             trace.append(v)
@@ -441,7 +443,7 @@ def _run_batch(
 
 def _check_args(f: BellFunctional, rho: DensityMatrix, restarts: int) -> None:
     """``seesaw``'s argument checks, in its order: the party count, the
-    restarts, then two outcomes per setting (``_effect_tensor``'s check)."""
+    restarts, then two outcomes per setting, which ``_effect_tensor`` needs."""
     if f.scenario.parties != rho.n:
         raise ValidationError(f"functional has {f.scenario.parties} parties, state has {rho.n}")
     if restarts < 1:
@@ -454,7 +456,6 @@ def seesaw(
     rho: DensityMatrix,
     restarts: int = 20,
     seed: int = 0,
-    bounds: LhvBounds | None = None,
 ) -> SeesawResult:
     """Heuristic lower bound on the maximal violation of ``f`` by ``rho``.
 
@@ -467,10 +468,14 @@ def seesaw(
     from a stream seeded by (seed, restart) and stops when a sweep gains less
     than SWEEP_TOL, or after MAX_SWEEPS sweeps. Returns the best restart,
     ties going to the earliest; its ``value`` is the objective's violation
-    ratio against the functional's LHV range (``bounds``, computed here
-    unless the caller has them), so adding a constant to ``f`` leaves it
-    unchanged. The search only raises ``f``: to look below its LHV range,
-    pass ``f.scaled(-1)``.
+    ratio against the functional's LHV range, so adding a constant to ``f``
+    leaves it unchanged. The search only raises ``f``: to look below its LHV
+    range, pass ``f.scaled(-1)``.
+
+    The sweeps and checks run on ``f`` scaled to an LHV half-range of 2 (as
+    Mermin-Klyshko and CHSH functionals are, at scale 1), so their tolerances
+    hold at any scale; objective and trace return in ``f``'s units. An ``f``
+    constant on the local polytope raises DegenerateFunctionalError first.
 
     The returned objective is checked against the functional's value on the
     returned assignment, ``evaluate(f, behavior(rho, assignment))``: a
@@ -482,9 +487,9 @@ def seesaw(
     depend on the batch it runs in.
     """
     _check_args(f, rho, restarts)
-    c = _effect_tensor(f)
-    if bounds is None:
-        bounds = lhv_bounds(f)
+    bounds = lhv_bounds(f)
+    scale = 2.0 / bounds.half
+    c = _effect_tensor(f) * scale
     d = rho.d
     # every intermediate has one axis per site, of length m_p or d^2
     per_restart = math.prod(max(m, d * d) for m in c.shape)
@@ -504,17 +509,17 @@ def seesaw(
             for p, row in enumerate(best.effects)
         )
     )
+    objective = best.objective / scale
     replay = evaluate(f, behavior(rho, assignment))
-    if abs(replay - best.objective) > SELF_CHECK_TOL * max(1.0, abs(best.objective)):
+    if abs(replay * scale - best.objective) > SELF_CHECK_TOL * max(1.0, abs(best.objective)):
         raise SolverError(
-            f"seesaw objective {best.objective!r} differs from its assignment's value {replay!r}"
+            f"seesaw objective {objective!r} differs from its assignment's value {replay!r}"
         )
     return SeesawResult(
-        value=bounds.violation(best.objective),
+        value=bounds.violation(objective),
         assignment=assignment,
-        trace=best.trace,
-        restarts_used=restarts,
-        objective=best.objective,
+        trace=tuple(v / scale for v in best.trace),
+        objective=objective,
         converged=best.converged,
     )
 
@@ -532,10 +537,13 @@ def _algebraic_bound(f: BellFunctional, bounds: LhvBounds) -> float:
 
 @dataclass(frozen=True)
 class UpsilonLowerBound:
-    value: float
     best_label: str
     result: SeesawResult
     per_functional: tuple[tuple[str, float], ...]
+
+    @property
+    def value(self) -> float:
+        return self.result.value
 
 
 def upsilon_lower_bound(
@@ -558,29 +566,25 @@ def upsilon_lower_bound(
     never have been picked: ``value``, ``best_label`` and ``result`` are
     those of the full run, and ``per_functional`` lists the functionals that
     ran. A functional the seesaw rejects raises as it would have, skipped or
-    not, and each functional's LHV range is computed once."""
+    not."""
     if not functional_library:
         raise DomainError("functional library must be nonempty")
     best: SeesawResult | None = None
     best_i = -1
     per = []
     for i, f in enumerate(functional_library):
-        bounds = None
         if best_only and best is not None:
             _check_args(f, rho, restarts)
-            bounds = lhv_bounds(f)
-            cap = _algebraic_bound(f, bounds)
+            cap = _algebraic_bound(f, lhv_bounds(f))
             if best.value > cap + RESTART_GAIN_TOL * max(1.0, cap):
                 continue
-        res = seesaw(f, rho, restarts=restarts, seed=seed, bounds=bounds)
+        res = seesaw(f, rho, restarts=restarts, seed=seed)
         per.append((f.label or f"functional{i}", res.value))
         if best is None or res.value > best.value:
             best, best_i = res, i
     assert best is not None
     label = functional_library[best_i].label or f"functional{best_i}"
-    return UpsilonLowerBound(
-        value=best.value, best_label=label, result=best, per_functional=tuple(per),
-    )
+    return UpsilonLowerBound(best_label=label, result=best, per_functional=tuple(per))
 
 
 def write_sweep_trace(path: str, trace: tuple[float, ...]) -> None:

@@ -221,15 +221,21 @@ class LhvBounds:
         """LHV constant max(|sup|, |inf|)."""
         return max(abs(self.sup), abs(self.inf))
 
-    def violation(self, value: float) -> float:
-        """Violation ratio Y = |value - mid| / half of the LHV range [inf, sup],
-        mid = (sup + inf)/2 and half = (sup - inf)/2: invariant under adding a
-        constant to the functional or scaling it, and |value| / b_lhv when the
-        range is symmetric about 0. Y > 1 exactly when value is not local."""
+    @property
+    def half(self) -> float:
+        """Half-width (sup - inf)/2 of the LHV range; DegenerateFunctionalError
+        when it is 0, for a functional constant on the local polytope."""
         half = (self.sup - self.inf) / 2.0
         if half <= 0.0:
             raise DegenerateFunctionalError("functional is constant on the local polytope")
-        return abs(value - (self.sup + self.inf) / 2.0) / half
+        return half
+
+    def violation(self, value: float) -> float:
+        """Violation ratio Y = |value - mid| / half of the LHV range [inf, sup],
+        mid = (sup + inf)/2: invariant under adding a constant to the
+        functional or scaling it, and |value| / b_lhv when the range is
+        symmetric about 0. Y > 1 exactly when value is not local."""
+        return abs(value - (self.sup + self.inf) / 2.0) / self.half
 
 
 def _site_sum(terms: list[np.ndarray], sizes: Sequence[int],

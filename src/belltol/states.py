@@ -7,7 +7,7 @@ computational index, which fixes the Kronecker orientation everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,11 +78,10 @@ class DensityMatrix(JsonFile):
 
     @classmethod
     def _proved(cls, d: int, n: int, matrix: np.ndarray) -> "DensityMatrix":
-        """A state whose builder has proved it finite, Hermitian and PSD: only
-        d >= 2, n >= 1, shape and trace are checked, in O(d^n), and no entry
-        is scanned. ``matrix`` must be a fresh complex128 array that no caller
-        holds, since it is frozen in place rather than copied."""
-        _check_sites(d, n)
+        """A state whose builder has proved it finite, Hermitian and PSD, with
+        d >= 2 and n >= 1 established: only shape and trace are checked, in
+        O(d^n), and no entry is scanned. ``matrix`` must be a fresh complex128
+        array that no caller holds, since it is frozen in place, not copied."""
         _check_matrix(d, n, matrix)
         matrix.setflags(write=False)
         state = object.__new__(cls)
@@ -180,8 +179,7 @@ def w_state(n: int) -> DensityMatrix:
 def white_noise(d: int, n: int) -> DensityMatrix:
     """Maximally mixed state I/d^n, diagonal with positive entries: finite,
     Hermitian and PSD by construction. Only the diagonal is written."""
-    if d < 2 or n < 1:
-        raise DomainError(f"need d >= 2 and n >= 1, got d={d}, n={n}")
+    _check_sites(d, n)
     dim = _check_cap(d, n)
     m = np.zeros((dim, dim), dtype=np.complex128)
     np.fill_diagonal(m, 1.0 / dim)
@@ -190,8 +188,7 @@ def white_noise(d: int, n: int) -> DensityMatrix:
 
 def product_zero(d: int, n: int) -> DensityMatrix:
     """|0...0><0...0|, a fully product (hence Bell-local) reference state."""
-    if d < 2 or n < 1:
-        raise DomainError(f"need d >= 2 and n >= 1, got d={d}, n={n}")
+    _check_sites(d, n)
     dim = _check_cap(d, n)
     psi = np.zeros(dim, dtype=np.complex128)
     psi[0] = 1.0
@@ -224,37 +221,32 @@ def mix(noise: DensityMatrix, signal: DensityMatrix, beta: float) -> DensityMatr
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Noise model for mixtures: white noise or an explicit caller-supplied state.
+    """Noise model for mixtures: white noise, or an explicit caller-supplied
+    state when ``explicit_state`` is set; ``kind`` names which.
 
     The library does not (and cannot, in general) verify that an explicit
     noise state is Bell-local; visibility results against explicit noise are
     conditional on that locality.
     """
 
-    kind: str
-    explicit_state: DensityMatrix | None = field(default=None)
+    explicit_state: DensityMatrix | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("white", "explicit"):
-            raise DomainError(f"noise kind must be 'white' or 'explicit', got {self.kind!r}")
-        if self.kind == "explicit" and self.explicit_state is None:
-            raise ValidationError("explicit noise requires an explicit_state")
-        if self.kind == "white" and self.explicit_state is not None:
-            raise ValidationError("white noise must not carry an explicit_state")
+    @property
+    def kind(self) -> str:
+        return "white" if self.explicit_state is None else "explicit"
 
     @classmethod
     def white(cls) -> "NoiseSpec":
-        return cls(kind="white")
+        return cls()
 
     @classmethod
     def explicit(cls, state: DensityMatrix) -> "NoiseSpec":
-        return cls(kind="explicit", explicit_state=state)
+        return cls(state)
 
     def resolve(self, d: int, n: int) -> DensityMatrix:
         """Concrete noise state for a (d, n) signal."""
-        if self.kind == "white":
+        if self.explicit_state is None:
             return white_noise(d, n)
-        assert self.explicit_state is not None
         if (self.explicit_state.d, self.explicit_state.n) != (d, n):
             raise ValidationError(
                 f"explicit noise is (d={self.explicit_state.d}, n={self.explicit_state.n}), "

@@ -291,6 +291,30 @@ def test_bounds_sweep_without_rows_exits_2(capsys, fmt):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("family", ["w", "dicke"])
+@pytest.mark.parametrize("regime", [["--s", "2"], ["--s", "2,3", "--meas", "projective"],
+                                    ["--s", "inf", "--meas", "projective"]],
+                         ids=["s2", "s23-projective", "inf-projective"])
+def test_bounds_overall_only_family_refuses_other_regimes(capsys, family, regime):
+    # these families have one row per state, s = inf with meas type generalized
+    assert main(["bounds", "--family", family, "--n", "4", *regime]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: the sweep selects no row: the {family} family has one "
+                            "regime, s = inf with meas type 'generalized'\n")
+
+
+@pytest.mark.parametrize("family", ["w", "dicke"])
+def test_bounds_overall_only_family_keeps_its_rows(capsys, family):
+    tables = []
+    for regime in ([], ["--s", "inf"], ["--s", "2,inf"], ["--meas", "generalized"]):
+        code, data = run_json(capsys, ["bounds", "--family", family, "--n", "4", *regime])
+        assert code == 0
+        tables.append(data["results"])
+    assert len(tables[0]) == (1 if family == "w" else 3)
+    assert all(table == tables[0] for table in tables)
+
+
 def test_functional_json_with_unknown_joint_setting_exits_2(tmp_path, capsys):
     from belltol.scenario import chsh
 
@@ -367,6 +391,22 @@ def test_exit_code_numerical_failure(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("internal error: Singular matrix")
 
 
+def test_exit_code_seesaw_objective_that_falls(monkeypatch, capsys):
+    # a falling objective is a numerical failure, not a domain error
+    from belltol import qvalue
+
+    real = qvalue._objective
+    calls = []
+
+    def falling(left, c):
+        calls.append(1)
+        return real(left, c) - 1e-6 * len(calls)
+
+    monkeypatch.setattr(qvalue, "_objective", falling)
+    assert main(["violation", "--state", "ghz:2,3", "--restarts", "2"]) == 1
+    assert capsys.readouterr().err.startswith("internal error: seesaw objective decreased")
+
+
 def test_exit_code_start_not_dual_feasible(monkeypatch, capsys):
     from belltol import polytope
 
@@ -416,7 +456,8 @@ def test_tolerance_provenance_stable_at_the_formula_value(monkeypatch, capsys, v
     real = belltol.cli.upsilon_lower_bound
 
     def pinned(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), value=value)
+        found = real(*args, **kwargs)
+        return dataclasses.replace(found, result=dataclasses.replace(found.result, value=value))
 
     monkeypatch.setattr(belltol.cli, "upsilon_lower_bound", pinned)
     code, data = run_json(capsys, ["tolerance", "--state", "ghz:2,3", "--functional", "mermin",

@@ -1,0 +1,34 @@
+"""The CLI's stdout, byte for byte, against committed texts: a change that
+moves one byte of a bound table or a tolerance report fails here. Each text
+is the command's stdout with its ``generated_at`` line removed, kept in
+``data/cli_stdout/<name>.txt``."""
+
+import os
+
+import pytest
+
+from belltol.cli import main
+
+STDOUT = os.path.join(os.path.dirname(__file__), "data", "cli_stdout")
+
+BOUNDS = {
+    "generic": ["--d", "2..3", "--n", "2..4", "--s", "2,3,inf"],
+    "ghz": ["--d", "2..3", "--n", "3..7", "--s", "2,inf"],
+    "w": ["--n", "3..5"],
+    "dicke": ["--n", "4..6"],
+}
+COMMANDS = {
+    **{f"bounds_{family}_{fmt}": ["bounds", "--family", family, *args, "--format", fmt]
+       for family, args in BOUNDS.items() for fmt in ("json", "csv")},
+    "tolerance_ghz_2_3": ["tolerance", "--state", "ghz:2,3", "--restarts", "8"],
+    "tolerance_product_2_3": ["tolerance", "--state", "product:2,3"],
+}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_stdout_matches_committed_text(capsys, name):
+    assert main(COMMANDS[name]) == 0
+    out = capsys.readouterr().out
+    got = "".join(line for line in out.splitlines(keepends=True) if '"generated_at"' not in line)
+    with open(os.path.join(STDOUT, f"{name}.txt"), encoding="utf-8", newline="") as fh:
+        assert got == fh.read()

@@ -350,14 +350,15 @@ def test_vertex_soundness():
 
 
 def test_uniform_behavior_local():
-    assert is_local(uniform_behavior(chsh().scenario)).is_local
+    res = is_local(uniform_behavior(chsh().scenario))
+    assert res.is_local and res.farkas is None and res.weights is not None
 
 
 def test_bell_optimal_behavior_nonlocal():
     b = behavior(ghz(2, 2), chsh_optimal_assignment())
     res = is_local(b)
     assert not res.is_local
-    assert res.farkas is not None
+    assert res.farkas is not None and res.weights is None
 
 
 def test_separating_functional_violates_lhv():
@@ -412,7 +413,7 @@ def test_lhv_lp_cross_check_random_scenarios():
 def test_visibility_bell_state():
     vis = critical_visibility(ghz(2, 2), NoiseSpec.white(), chsh_optimal_assignment())
     assert vis.beta_star == pytest.approx(1.0 / SQRT2, abs=1e-6)
-    assert vis.certificate_kind == "local-weights"
+    assert vis.certificate_kind == vis.to_json_dict()["certificate_kind"] == "local-weights"
     assert vis.weights is not None
 
 

@@ -262,7 +262,7 @@ def test_violation_ratio_degenerate():
         lhv_bounds(zero).violation(value)
 
 
-def test_violation_ratio_constant_functional_degenerate():
+def test_violation_ratio_constant_functional_degenerate(monkeypatch):
     # constant and nonzero on the local polytope: no LHV range to measure against
     sc = Scenario.uniform(2, 2, values=(1.0, -1.0))
     const = BellFunctional(sc, {s: np.full((2, 2), 0.75) for s in sc.joint_settings()})
@@ -270,6 +270,8 @@ def test_violation_ratio_constant_functional_degenerate():
     value = evaluate(const, behavior(ghz(2, 2), chsh_optimal_assignment()))
     with pytest.raises(DegenerateFunctionalError):
         lhv_bounds(const).violation(value)
+    # the seesaw raises before any sweep
+    monkeypatch.setattr(qvalue, "_run_batch", None)
     with pytest.raises(DegenerateFunctionalError):
         seesaw(const, ghz(2, 2), restarts=2, seed=1)
 
@@ -299,11 +301,15 @@ def test_violation_ratio_scale_invariant():
     big = chsh().scaled(7.5)
     assert lhv_bounds(big).violation(evaluate(big, b)) == pytest.approx(
         lhv_bounds(chsh()).violation(evaluate(chsh(), b)), abs=1e-12)
-    # the seesaw's checks that no sweep lowers the objective and that each
-    # local operator is Hermitian scale with the functional's values
-    for c in (1e6, 1e9, 1e12):
+    # the seesaw runs at an LHV half-range of 2, so its stopping rule, its
+    # vanishing-operator test and its checks hold at every scale
+    for c in (1e-11, 1e-9, 1e6, 1e9, 1e12):
         res = seesaw(mermin(3).scaled(c), ghz(2, 3), restarts=5, seed=1)
         assert res.value == pytest.approx(2.0, abs=1e-9)
+    res = seesaw(mermin(3).scaled(1e-9), w_state(3), seed=1)
+    assert len(res.trace) == len(seesaw(mermin(3), w_state(3), seed=1).trace) == 205
+    assert res.value == pytest.approx(1.522978002403502, abs=1e-9)
+    assert res.objective == pytest.approx(1e-9 * 2 * res.value, rel=1e-9)
 
 
 def test_affinity_in_state():
@@ -475,7 +481,7 @@ def test_correlation_form_rejects_many_outcomes():
         sc = Scenario((((1.0, -1.0), ragged), ((1.0, -1.0), (1.0, -1.0))))
         tables = {s: np.zeros(sc.outcome_counts(s)) for s in sc.joint_settings()}
         with pytest.raises(UnsupportedFunctionalError, match="party 0, setting 1"):
-            qvalue._effect_tensor(BellFunctional(sc, tables))
+            seesaw(BellFunctional(sc, tables), ghz(2, 2))
 
 
 def test_sign_operator():
@@ -497,7 +503,6 @@ def test_sign_operator():
 def test_seesaw_chsh_bell_state():
     res = seesaw(chsh(), ghz(2, 2), restarts=5, seed=1)
     assert res.value == pytest.approx(SQRT2, abs=1e-6)
-    assert res.restarts_used == 5
 
 
 def test_seesaw_monotone_trace():
@@ -678,7 +683,7 @@ def test_seesaw_objective_that_falls_raises(monkeypatch):
         return out
 
     monkeypatch.setattr(qvalue, "_objective", falling)
-    with pytest.raises(ValidationError, match="seesaw objective decreased"):
+    with pytest.raises(SolverError, match="seesaw objective decreased"):
         seesaw(mermin(3), ghz(2, 3), restarts=3, seed=1)
 
 
@@ -735,8 +740,8 @@ def counted_seesaw(monkeypatch) -> list[str]:
 def assert_same_search(got, want):
     assert got.value == want.value and got.best_label == want.best_label
     a, b = got.result, want.result
-    assert (a.value, a.objective, a.trace, a.converged, a.restarts_used) == \
-        (b.value, b.objective, b.trace, b.converged, b.restarts_used)
+    assert (a.value, a.objective, a.trace, a.converged) == \
+        (b.value, b.objective, b.trace, b.converged)
     assert all(np.array_equal(x, y) for x, y in
                zip(assignment_effects(a), assignment_effects(b), strict=True))
 
@@ -783,7 +788,7 @@ def test_best_only_builds_no_tensor_for_a_skipped_functional(monkeypatch):
 def test_upsilon_lower_bound_library():
     pair = extend_with_passive_parties(chsh(), 1)
     found = upsilon_lower_bound(ghz(2, 3), [pair, mermin(3)], restarts=8, seed=1)
-    assert found.value == pytest.approx(2.0, abs=1e-6)
+    assert found.value == found.result.value == pytest.approx(2.0, abs=1e-6)
     assert found.best_label == "mermin3"
     values = dict(found.per_functional)
     assert values["chsh+1passive"] == pytest.approx(SQRT2, abs=1e-6)

@@ -162,10 +162,8 @@ def test_noise_spec():
     assert np.allclose(ex.resolve(2, 2).matrix, product_zero(2, 2).matrix)
     with pytest.raises(ValidationError):
         ex.resolve(2, 3)
-    with pytest.raises(DomainError):
-        NoiseSpec(kind="pink")
-    with pytest.raises(ValidationError):
-        NoiseSpec(kind="explicit")
+    # the kind is read from the state: there is no second copy to disagree
+    assert (ns.kind, ex.kind) == ("white", "explicit")
 
 
 @pytest.mark.parametrize("build", [
