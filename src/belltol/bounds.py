@@ -386,7 +386,8 @@ def sweep_reports(
     reports = []
     for d in d_values:
         for n in n_values:
-            k_values = list(range(1, n)) if family == "dicke" and k is None else [k]
+            # every k of n; below n = 2, k = 1 alone, which dicke_bounds refuses for its n
+            k_values = list(range(1, max(n, 2))) if family == "dicke" and k is None else [k]
             for s, mt in regimes:
                 for kk in k_values:
                     reports.append(family_report(family, d, n, s, mt, k=kk))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -369,7 +370,10 @@ def cmd_tolerance(args: argparse.Namespace) -> int:
 # --- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every ``main``
+    call: parsing leaves it as it was (no argument has a mutable default)."""
     parser = argparse.ArgumentParser(
         prog="belltol",
         description="Noise tolerances of nonlocal multi-qudit states",

@@ -535,6 +535,45 @@ def _algebraic_bound(f: BellFunctional, bounds: LhvBounds) -> float:
                bounds.violation(sum(float(t.min()) for t in tables)))
 
 
+def _quantum_bound(f: BellFunctional, bounds: LhvBounds) -> float:
+    """An upper bound on the violation ratio of ``f`` over every quantum
+    behavior, in any local dimension and with any two-outcome POVMs. Each site's coefficients over
+    [I, E_0, ..., E_(S-1)] (``_effect_tensor``) are rewritten over [I, O_0,
+    ..., O_(S-1)], O_s = 2 E_s - I, with ||O_s|| <= 1, and the all-identity
+    coefficient k0 is set aside. For each site p, W_p is the rest as the
+    unfolding of site p against the others (``_party_coefficients``),
+    restricted to its r_p nonzero rows and c_p nonzero columns; with the
+    state purified to |psi>, f - k0 = sum_ij W_p[i, j] <psi|A_i (x) B_j|psi>,
+    the vectors A_i|psi> and B_j|psi> of norm at most 1, so Cauchy-Schwarz
+    gives |f - k0| <= ||W_p||_2 sqrt(r_p c_p) for every p. ||W_p||_2 comes
+    from the eigenvalues of the Gram matrix W_p W_p^T. Tight for CHSH with
+    any number of passive parties (sqrt 2, Tsirelson's bound: Lett. Math.
+    Phys. 4, 93 (1980)) and for Mermin-Klyshko functionals (2^((n-1)/2))."""
+    k = _effect_tensor(f)
+    for p, m in enumerate(k.shape):
+        # E_s = (I + O_s)/2: E_s's coefficient moves half to O_s, half to I
+        centering = np.eye(m) / 2
+        centering[0] = 0.5
+        centering[0, 0] = 1.0
+        k = np.moveaxis(np.tensordot(centering, k, axes=(1, p)), 0, p)
+    k0 = float(k.flat[0])
+    k.flat[0] = 0.0
+    q = math.inf
+    for w in _party_coefficients(k):
+        nonzero = w != 0.0
+        w = w[nonzero.any(axis=1)][:, nonzero.any(axis=0)]
+        top = float(np.linalg.eigvalsh(w @ w.T)[-1]) if w.size else 0.0
+        q = min(q, math.sqrt(top * w.size))
+    return max(bounds.violation(k0 + q), bounds.violation(k0 - q))
+
+
+def _out_of_reach(best: float, cap: float) -> bool:
+    """Whether ``best`` exceeds the violation cap ``cap`` by more than
+    RESTART_GAIN_TOL * max(1, cap), so that no value within the cap can be
+    picked over it."""
+    return best > cap + RESTART_GAIN_TOL * max(1.0, cap)
+
+
 @dataclass(frozen=True)
 class UpsilonLowerBound:
     best_label: str
@@ -560,8 +599,12 @@ def upsilon_lower_bound(
 
     With ``best_only``, for a caller that needs only the best value, a
     functional runs only if it could beat the best value found so far: it
-    is skipped when that value exceeds its algebraic bound
-    (``_algebraic_bound``) by more than RESTART_GAIN_TOL * max(1, bound).
+    is skipped when that value exceeds a cap on the functional's violation
+    by more than RESTART_GAIN_TOL * max(1, cap). The cheap algebraic cap
+    (``_algebraic_bound``, over all behaviors) is tried first, and only if
+    it does not skip the certified quantum cap (``_quantum_bound``, over
+    all quantum behaviors, which builds the coefficient tensor); every
+    seesaw value is that of a quantum behavior, so it lies within both.
     The pick needs a strictly higher value, so a skipped functional could
     never have been picked: ``value``, ``best_label`` and ``result`` are
     those of the full run, and ``per_functional`` lists the functionals that
@@ -575,8 +618,9 @@ def upsilon_lower_bound(
     for i, f in enumerate(functional_library):
         if best_only and best is not None:
             _check_args(f, rho, restarts)
-            cap = _algebraic_bound(f, lhv_bounds(f))
-            if best.value > cap + RESTART_GAIN_TOL * max(1.0, cap):
+            bounds = lhv_bounds(f)
+            if (_out_of_reach(best.value, _algebraic_bound(f, bounds))
+                    or _out_of_reach(best.value, _quantum_bound(f, bounds))):
                 continue
         res = seesaw(f, rho, restarts=restarts, seed=seed)
         per.append((f.label or f"functional{i}", res.value))

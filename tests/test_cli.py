@@ -6,7 +6,7 @@ import numpy as np
 
 import pytest
 
-from belltol.cli import main
+from belltol.cli import build_parser, main
 
 SQRT2 = math.sqrt(2.0)
 
@@ -100,6 +100,17 @@ def test_violation_runs_every_functional(capsys):
     assert [entry["functional"] for entry in per] == ["mermin4", "chsh+2passive"]
     assert per[0]["value"] == pytest.approx(2 * SQRT2, abs=1e-6)
     assert 1.0 < per[1]["value"] <= 2.0
+
+
+def test_parser_is_built_once_and_keeps_no_values(capsys):
+    assert build_parser() is build_parser()
+    code, data = run_json(capsys, ["violation", "--state", "ghz:2,3", "--functional", "chsh",
+                                   "--restarts", "1"])
+    assert code == 0 and data["config"]["functional"] == ["chsh"]
+    # an appended --functional of one call does not reach the next
+    code, data = run_json(capsys, ["violation", "--state", "ghz:2,3", "--restarts", "1"])
+    assert code == 0 and data["config"]["functional"] == ["mermin"]
+    assert [row["functional"] for row in data["results"]["per_functional"]] == ["mermin3"]
 
 
 def test_tolerance_ghz22(capsys):
@@ -302,6 +313,14 @@ def test_bounds_overall_only_family_refuses_other_regimes(capsys, family, regime
     assert captured.out == ""
     assert captured.err == (f"error: the sweep selects no row: the {family} family has one "
                             "regime, s = inf with meas type 'generalized'\n")
+
+
+@pytest.mark.parametrize("k", [[], ["--k", "1"]], ids=["every-k", "k1"])
+def test_bounds_dicke_below_two_parties_names_n(capsys, k):
+    assert main(["bounds", "--family", "dicke", "--n", "1", *k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n must be >= 2, got 1\n"
 
 
 @pytest.mark.parametrize("family", ["w", "dicke"])

@@ -22,6 +22,8 @@ COMMANDS = {
        for family, args in BOUNDS.items() for fmt in ("json", "csv")},
     "tolerance_ghz_2_3": ["tolerance", "--state", "ghz:2,3", "--restarts", "8"],
     "tolerance_product_2_3": ["tolerance", "--state", "product:2,3"],
+    "tolerance_w_3": ["tolerance", "--state", "w:3", "--restarts", "3"],
+    "tolerance_ghz_3_3": ["tolerance", "--state", "ghz:3,3", "--restarts", "3"],
 }
 
 

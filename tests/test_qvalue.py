@@ -52,6 +52,7 @@ from belltol.scenario import (
     lhv_bounds,
     mermin,
     product_expectation_functional,
+    setting_views,
     uniform_behavior,
 )
 from belltol.states import dicke, from_vector, ghz, mix, product_zero, w_state, white_noise
@@ -724,6 +725,75 @@ def test_algebraic_bound_bounds_every_behavior():
     assert lhv_bounds(chsh()).violation(evaluate(chsh(), pr_box())) == 2.0
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_quantum_bound_bounds_every_quantum_behavior(d):
+    # dense random tables carry marginal terms at every site
+    rng = np.random.default_rng(23 + d)
+    functionals = ([random_pm_functional(n, rng) for n in (2, 2, 3, 3)]
+                   + [mermin(3), extend_with_passive_parties(chsh(), 1)])
+    for f in functionals:
+        sc = f.scenario
+        bounds = lhv_bounds(f)
+        cap = qvalue._quantum_bound(f, bounds)
+        for _ in range(4):
+            meas = MeasurementAssignment(tuple(
+                tuple(Measurement(random_povm(d, 2, rng).effects, values) for values in party)
+                for party in sc.outcomes))
+            b = behavior(random_density(d, sc.parties, rng), meas)
+            assert bounds.violation(evaluate(f, b)) <= cap + 1e-12
+        # and the seesaw's optimized measurements, maximizing f and -f
+        found = seesaw(f, random_density(d, sc.parties, rng), restarts=2, seed=1)
+        assert found.value <= cap + 1e-9
+        assert seesaw(f.scaled(-1), random_density(d, sc.parties, rng), restarts=2,
+                      seed=1).value <= cap + 1e-9
+
+
+def test_quantum_bound_of_one_correlator_is_one():
+    # a correlator, marginal or not, of +1/-1 outcomes lies in [-1, 1], as LHV ones do
+    sc = Scenario.uniform(3, 2, values=(1.0, -1.0))
+    for subset in ([1], [0, 2], [0, 1, 2]):
+        f = product_expectation_functional(sc, (0, 1, 0), subset)
+        assert qvalue._quantum_bound(f, lhv_bounds(f)) == 1.0
+
+
+def ghz_reaches(f, angles: list[tuple[float, ...]]) -> float:
+    """Violation ratio of ``f`` on the qubit GHZ state, each site measuring
+    the planar observables at ``angles``."""
+    meas = MeasurementAssignment(tuple(
+        tuple(Measurement.dichotomic_from_observable(planar_observable(a)) for a in site)
+        for site in angles))
+    return lhv_bounds(f).violation(evaluate(f, behavior(ghz(2, len(angles)), meas)))
+
+
+@pytest.mark.parametrize("passive", [0, 1, 2, 3])
+def test_quantum_bound_is_tsirelson_for_padded_chsh(passive):
+    f = chsh() if passive == 0 else extend_with_passive_parties(chsh(), passive)
+    cap = qvalue._quantum_bound(f, lhv_bounds(f))
+    assert cap == pytest.approx(SQRT2, abs=1e-12)
+    # a constant added to every entry shifts k0 alone
+    shifted = BellFunctional(f.scenario, setting_views(f.scenario, f.slots + 0.25))
+    assert qvalue._quantum_bound(shifted, lhv_bounds(shifted)) == pytest.approx(cap, abs=1e-12)
+    # <sigma(a) sigma(b) X ... X> = cos(a + b) on the GHZ state
+    angles = [(0.0, math.pi / 2), (-math.pi / 4, math.pi / 4)] + [(0.0,)] * passive
+    assert ghz_reaches(f, angles) == pytest.approx(cap, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_quantum_bound_is_tight_for_mermin_klyshko(n):
+    f = mermin(n)
+    cap = qvalue._quantum_bound(f, lhv_bounds(f))
+    assert cap == pytest.approx(2.0 ** ((n - 1) / 2), rel=1e-12)
+    # settings x and x + pi/2 at every site, n x = -(n - 1) pi/4, reach the maximum
+    x = -(n - 1) * math.pi / (4 * n)
+    assert ghz_reaches(f, [(x, x + math.pi / 2)] * n) == pytest.approx(cap, abs=1e-9)
+
+
+def test_quantum_bound_holds_for_quantum_behaviors_only():
+    # the PR box reaches CHSH's algebraic bound 2, above Tsirelson's sqrt 2
+    bounds = lhv_bounds(chsh())
+    assert bounds.violation(evaluate(chsh(), pr_box())) == 2.0 > qvalue._quantum_bound(chsh(), bounds)
+
+
 def counted_seesaw(monkeypatch) -> list[str]:
     """Labels of the functionals that upsilon_lower_bound runs a seesaw on."""
     calls = []
@@ -748,11 +818,12 @@ def assert_same_search(got, want):
 
 @pytest.mark.parametrize("rho, skipped", [
     (ghz(2, 4), True), (dicke(4, 2), True), (dicke(6, 3), True),
-    (w_state(3), False), (ghz(3, 3), False),
-], ids=["ghz24", "dicke42", "dicke63", "w3", "ghz33"])
+    (w_state(3), True), (ghz(3, 3), True), (product_zero(2, 3), False),
+], ids=["ghz24", "dicke42", "dicke63", "w3", "ghz33", "product23"])
 def test_best_only_skips_only_what_cannot_be_picked(monkeypatch, rho, skipped):
-    # Mermin passes padded CHSH's algebraic bound 2 on the first three states;
-    # on W(3) and the qutrit GHZ state it stays below 2, so CHSH still runs
+    # Mermin passes padded CHSH's algebraic bound 2 on the first three states
+    # and its quantum bound sqrt 2 on W(3) and the qutrit GHZ state; the
+    # product state reaches no violation, so CHSH still runs
     library = [mermin(rho.n), extend_with_passive_parties(chsh(), rho.n - 2)]
     calls = counted_seesaw(monkeypatch)
     full = upsilon_lower_bound(rho, library, restarts=3, seed=1)
@@ -762,7 +833,7 @@ def test_best_only_skips_only_what_cannot_be_picked(monkeypatch, rho, skipped):
     assert calls == [f.label for f in library[:1 if skipped else 2]]
     assert_same_search(fast, full)
     assert fast.per_functional == full.per_functional[:len(calls)]
-    assert (full.value > 2.0) == skipped
+    assert (full.value > SQRT2) == skipped
 
 
 def test_best_only_raises_as_the_seesaw_would(monkeypatch):
