@@ -149,17 +149,11 @@ def _min_term(terms: dict[str, float]) -> tuple[float, str]:
     return terms[label], label
 
 
-def _fpow(base: float, exp: float) -> float:
-    """Float power saturating to +inf instead of raising OverflowError."""
+def _fpow(base, exp: float) -> float:
+    """float(base) ** exp, saturating to +inf instead of raising
+    OverflowError; with exp = 1 the saturating float of an int or Fraction."""
     try:
         return float(base) ** exp
-    except OverflowError:
-        return math.inf
-
-
-def _fint(x: int) -> float:
-    try:
-        return float(x)
     except OverflowError:
         return math.inf
 
@@ -174,9 +168,9 @@ def generic_upsilon_upper(d: int, n: int, s, mt: str) -> tuple[float, str]:
     mt = _check_meas(mt)
     s = _check_settings(s)
     if s == S_INF:
-        return _fint((2 * d - 1) ** (n - 1)), "(2d-1)^(n-1)"
+        return _fpow((2 * d - 1) ** (n - 1), 1), "(2d-1)^(n-1)"
     if mt == GENERALIZED:
-        return _fint((2 * min(d, int(s)) - 1) ** (n - 1)), "(2*min(d,s)-1)^(n-1)"
+        return _fpow((2 * min(d, int(s)) - 1) ** (n - 1), 1), "(2*min(d,s)-1)^(n-1)"
     if s == 2:
         terms = {
             "d^((n-1)/2)": _fpow(d, (n - 1) / 2.0),
@@ -185,7 +179,7 @@ def generic_upsilon_upper(d: int, n: int, s, mt: str) -> tuple[float, str]:
     else:
         terms = {
             "d^(s(n-1)/2)": _fpow(d, s * (n - 1) / 2.0),
-            "(2*min(d,s)-1)^(n-1)": _fint((2 * min(d, int(s)) - 1) ** (n - 1)),
+            "(2*min(d,s)-1)^(n-1)": _fpow((2 * min(d, int(s)) - 1) ** (n - 1), 1),
         }
     return _min_term(terms)
 
@@ -215,7 +209,7 @@ def ghz_upsilon_upper(d: int, n: int, s, mt: str) -> tuple[float, str]:
         return ghz_term, "1+2^(n-1)(d-1)"
     if mt == GENERALIZED:
         terms = {
-            "(2s-1)^(n-1)": _fint((2 * int(s) - 1) ** (n - 1)),
+            "(2s-1)^(n-1)": _fpow((2 * int(s) - 1) ** (n - 1), 1),
             "1+2^(n-1)(d-1)": ghz_term,
         }
     elif s == 2:
@@ -227,7 +221,7 @@ def ghz_upsilon_upper(d: int, n: int, s, mt: str) -> tuple[float, str]:
     else:
         terms = {
             "d^(s(n-1)/2)": _fpow(d, s * (n - 1) / 2.0),
-            "(2s-1)^(n-1)": _fint((2 * int(s) - 1) ** (n - 1)),
+            "(2s-1)^(n-1)": _fpow((2 * int(s) - 1) ** (n - 1), 1),
             "1+2^(n-1)(d-1)": ghz_term,
         }
     return _min_term(terms)
@@ -276,13 +270,8 @@ def ghz_qubit_asymptotic(n: int) -> float:
 
 
 def _dicke_upsilon_lower(n: int, k: int) -> float:
-    # exact rational 2^(n-1)/C(n,k) before the sqrt(2)-1 factor, saturating
-    # to +inf like _fpow
-    try:
-        ratio = float(Fraction(2 ** (n - 1), math.comb(n, k)))
-    except OverflowError:
-        return math.inf
-    return 1.0 + ratio * (SQRT2 - 1.0)
+    # exact rational 2^(n-1)/C(n,k) before the sqrt(2)-1 factor
+    return 1.0 + _fpow(Fraction(2 ** (n - 1), math.comb(n, k)), 1) * (SQRT2 - 1.0)
 
 
 def dicke_bounds(n: int, k: int) -> ToleranceReport:

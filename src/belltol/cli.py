@@ -258,8 +258,8 @@ def cmd_violation(args: argparse.Namespace) -> int:
 def cmd_visibility(args: argparse.Namespace) -> int:
     state = _parse_state(args.state)[0]
     noise = _parse_noise(args.noise)
-    functional = _parse_functional(args.functional, state.n)
     if args.measurements == "seesaw":
+        functional = _parse_functional(args.functional, state.n)
         opt = seesaw(functional, state, restarts=args.restarts, seed=args.seed)
         assignment = opt.assignment
         meas_origin = {"kind": "seesaw", "seesaw_value": opt.value}

@@ -93,45 +93,19 @@ class SimplexResult:
     pivots: int = 0
 
 
-class _Tableau:
-    """Revised simplex state: an explicit basis inverse, the basic values x_b
-    and the reduced costs c - y @ A."""
-
-    def __init__(self, lp: LinearProgram) -> None:
-        m, n = lp.a_eq.shape
-        self.a, self.b, self.c = lp.a_eq, lp.b_eq, lp.c
-        self.basis = lp.basis.copy()
-        self.pivots = 0
-        self.max_pivots = PIVOT_LIMIT_PER_DIM * (m + n)
-        self.refactor()
-
-    def refactor(self) -> None:
-        try:
-            self.b_inv = np.linalg.inv(self.a[:, self.basis])
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"the basis is singular after {self.pivots} pivots") from exc
-        self.x_b = self.b_inv @ self.b
-        self.reduced = self.c - (self.c[self.basis] @ self.b_inv) @ self.a
-        self.reduced[self.basis] = 0.0
-
-    def pivot(self, row: int, col: int, alpha: np.ndarray, step: float) -> None:
-        """Bring column ``col`` into the basis at ``row``; ``alpha`` is that
-        row of B^-1 A and ``step`` the dual step reduced[col] / alpha[col]."""
-        self.reduced -= step * alpha
-        u = self.b_inv @ self.a[:, col]
-        piv = float(u[row])
-        if not piv < 0.0:
-            raise SolverError(f"the pivot's row and column disagree after {self.pivots} pivots")
-        self.basis[row] = col
-        self.reduced[self.basis] = 0.0
-        # product-form update: premultiply by the eta matrix sending u to e_row
-        eta = u / -piv
-        eta[row] = 1.0 / piv - 1.0
-        self.b_inv += eta[:, None] * self.b_inv[row]
-        self.x_b += eta * self.x_b[row]
-        self.pivots += 1
-        if self.pivots % REFACTOR_EVERY == 0:
-            self.refactor()
+def _refactor(
+    lp: LinearProgram, basis: np.ndarray, pivots: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read the basis afresh from the LP: B^-1 = inv(A_B), the basic values
+    x_b = B^-1 b and the reduced costs c - (c_B B^-1) A, 0 on the basis."""
+    try:
+        b_inv = np.linalg.inv(lp.a_eq[:, basis])
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"the basis is singular after {pivots} pivots") from exc
+    x_b = b_inv @ lp.b_eq
+    reduced = lp.c - (lp.c[basis] @ b_inv) @ lp.a_eq
+    reduced[basis] = 0.0
+    return b_inv, x_b, reduced
 
 
 def simplex_max(lp: LinearProgram) -> SimplexResult:
@@ -144,52 +118,71 @@ def simplex_max(lp: LinearProgram) -> SimplexResult:
     pivot taken relative to the row's scale), ties going to the largest
     |alpha|. A pivot costs one row product alpha = B^-1[row] @ A, one column
     product u = B^-1 @ A[:, col] and one rank-1 update of B^-1; x_b and the
-    reduced costs take vector updates. A basis is keyed by the hash of the
-    frozenset of its columns; if a key repeats, which is cycling, Bland's rule
-    takes over until the objective falls: the lowest-index infeasible basic
-    variable leaves and the lowest-index tied column enters. A leaving row
+    reduced costs take vector updates. All three are refactored, read afresh
+    from the LP with B^-1 = inv(A_B), at the start and every REFACTOR_EVERY
+    = 64 pivots. A basis is keyed by the hash of the frozenset of its
+    columns; if a key repeats, which is cycling, Bland's rule takes over until
+    the objective falls: the lowest-index infeasible basic variable leaves
+    and the lowest-index tied column enters. A leaving row
     with no entering column proves the LP infeasible. A start that is
     singular or not dual feasible raises SolverError, and so do a singular
     basis later and a solve that reaches PIVOT_LIMIT_PER_DIM * (m + n) pivots.
     """
-    tab = _Tableau(lp)
-    worst = float(tab.reduced.max())
+    a, basis, pivots = lp.a_eq, lp.basis.copy(), 0
+    max_pivots = PIVOT_LIMIT_PER_DIM * sum(a.shape)
+    b_inv, x_b, reduced = _refactor(lp, basis, pivots)
+    worst = float(reduced.max())
     if worst > DEFAULT_LP_TOL:
         raise SolverError(f"the start basis is not dual feasible: a reduced cost is {worst!r}")
     seen: set[int] = set()
     bland = False
     while True:
-        row = int(tab.x_b.argmin())
-        if not tab.x_b[row] < -DEFAULT_LP_TOL:
+        row = int(x_b.argmin())
+        if not x_b[row] < -DEFAULT_LP_TOL:
             break
-        if tab.pivots >= tab.max_pivots:
-            raise SolverError(f"the simplex reached its limit of {tab.max_pivots} pivots")
-        key = hash(frozenset(tab.basis.tolist()))
+        if pivots >= max_pivots:
+            raise SolverError(f"the simplex reached its limit of {max_pivots} pivots")
+        key = hash(frozenset(basis.tolist()))
         bland = bland or key in seen
         seen.add(key)
         if bland:  # the lowest basic index over x_b < -tol; lp.c.size exceeds them all
-            row = int(np.where(tab.x_b < -DEFAULT_LP_TOL, tab.basis, lp.c.size).argmin())
-        alpha = tab.b_inv[row] @ tab.a
+            row = int(np.where(x_b < -DEFAULT_LP_TOL, basis, lp.c.size).argmin())
+        alpha = b_inv[row] @ a
         # pivots are relative to the row's scale: on an ill-conditioned basis
         # a round-off entry above the tolerance would leave a singular basis
         piv_tol = DEFAULT_LP_TOL * max(1.0, float(abs(alpha).max()))
         entering = alpha < -piv_tol
-        entering[tab.basis] = False
+        entering[basis] = False
         cols = entering.nonzero()[0]
         if cols.size == 0:
-            return SimplexResult(status=INFEASIBLE, pivots=tab.pivots)
+            return SimplexResult(status=INFEASIBLE, pivots=pivots)
         alpha_in = alpha[cols]
-        ratios = np.minimum(tab.reduced[cols], 0.0) / alpha_in
+        ratios = np.minimum(reduced[cols], 0.0) / alpha_in
         tied = ratios <= ratios[ratios.argmin()] + 1e-15 * (cols.size + 1)
         col = int(cols[tied][0 if bland else alpha_in[tied].argmin()])
-        step = min(float(tab.reduced[col]), 0.0) / alpha[col]
+        step = min(float(reduced[col]), 0.0) / alpha[col]
         bland = bland and step <= 0.0
-        tab.pivot(row, col, alpha, step)
+        # column col enters the basis at row
+        reduced -= step * alpha
+        u = b_inv @ a[:, col]
+        piv = float(u[row])
+        if not piv < 0.0:
+            raise SolverError(f"the pivot's row and column disagree after {pivots} pivots")
+        basis[row] = col
+        reduced[basis] = 0.0
+        # product-form update: premultiply by the eta matrix sending u to e_row
+        eta = u / -piv
+        eta[row] = 1.0 / piv - 1.0
+        b_inv += eta[:, None] * b_inv[row]
+        x_b += eta * x_b[row]
+        pivots += 1
+        if pivots % REFACTOR_EVERY == 0:
+            b_inv, x_b, reduced = _refactor(lp, basis, pivots)
     x = np.zeros(lp.c.size)
-    x[tab.basis] = np.maximum(tab.x_b, 0.0)
-    dual = lp.c[tab.basis] @ tab.b_inv
+    x[basis] = np.maximum(x_b, 0.0)
+    dual = lp.c[basis] @ b_inv
     return SimplexResult(status=OPTIMAL, objective=float(lp.c @ x), x=x, dual=dual,
-                         pivots=tab.pivots)
+                         pivots=pivots)
 
 
 # --- local polytope ----------------------------------------------------------

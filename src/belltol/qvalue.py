@@ -46,7 +46,15 @@ from .linalg import (
     frozen,
     min_eigenvalue,
 )
-from .scenario import Behavior, BellFunctional, LhvBounds, Scenario, lhv_bounds, setting_views
+from .scenario import (
+    NEG_PROB_TOL,
+    Behavior,
+    BellFunctional,
+    LhvBounds,
+    Scenario,
+    lhv_bounds,
+    setting_views,
+)
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-9
@@ -110,10 +118,6 @@ class Measurement:
     def dim(self) -> int:
         return self.effects[0].shape[0]
 
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.effects)
-
     @classmethod
     def dichotomic_from_observable(cls, obs: np.ndarray) -> "Measurement":
         """Projective +1/-1 measurement splitting the observable's spectrum at 0."""
@@ -124,10 +128,6 @@ class Measurement:
                 plus += np.outer(v[:, k], v[:, k].conj())
         minus = np.eye(obs.shape[0], dtype=np.complex128) - plus
         return cls((plus, minus), (1.0, -1.0))
-
-    def observable(self) -> np.ndarray:
-        """Weighted effect sum, the Hermitian operator with these outcome values."""
-        return sum(v * e for v, e in zip(self.outcome_values, self.effects))
 
 
 @dataclass(frozen=True)
@@ -195,8 +195,8 @@ def behavior(rho: DensityMatrix, meas: MeasurementAssignment) -> Behavior:
     stacks = [np.stack([e for m in party for e in m.effects])[None]
               for party in meas.measurements]
     t = _closed(rho, stacks).real.reshape([stack.shape[1] for stack in stacks])
-    # clip roundoff-negative entries at the 1e-12 invariant boundary
-    t[(t < 0) & (t > -1e-12)] = 0.0
+    # clip roundoff-negative entries down to Behavior's negativity bound
+    t[(t < 0) & (t > -NEG_PROB_TOL)] = 0.0
     return Behavior(scenario=sc, tables=setting_views(sc, t))
 
 

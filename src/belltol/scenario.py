@@ -32,6 +32,11 @@ DEFAULT_ENUM_CAP = 10**8
 # Most cells of any array lhv_bounds makes (8 MB of float64): a block of
 # strategies, or a grid part way from slots to strategies.
 GRID_BLOCK = 2**20
+# A behavior's entries must be >= -NEG_PROB_TOL, each table must sum to 1
+# within NORMALIZATION_TOL, and marginals must agree within NONSIGNALING_TOL.
+NEG_PROB_TOL = 1e-12
+NORMALIZATION_TOL = 1e-9
+NONSIGNALING_TOL = 1e-9
 
 
 def default_outcome_grid(m: int) -> tuple[float, ...]:
@@ -395,8 +400,8 @@ class Behavior:
     """Joint outcome probability tables, one per joint setting, laid out on
     the slot grid ``slots`` (``tables`` holds views of its blocks).
 
-    Construction validates finiteness, normalization (1e-9), nonnegativity
-    (1e-12) and nonsignaling (1e-9).
+    Construction validates finiteness, normalization (NORMALIZATION_TOL),
+    nonnegativity (NEG_PROB_TOL) and nonsignaling (NONSIGNALING_TOL).
     """
 
     scenario: Scenario
@@ -419,24 +424,26 @@ class Behavior:
         total = self.slots
         for ind in indicators:
             total = np.tensordot(total, ind, axes=(0, 1))
-        if self.slots.min() < -1e-12 or np.max(np.abs(total - 1.0)) > 1e-9:
+        off = np.abs(total - 1.0)
+        if self.slots.min() < -NEG_PROB_TOL or off.max() > NORMALIZATION_TOL:
             # self.tables lists the joint settings in C order
             low = np.reshape([t.min() for t in self.tables.values()], sc.settings)
-            s = tuple(int(i) for i in np.argwhere((low < -1e-12) | (np.abs(total - 1.0) > 1e-9))[0])
-            if low[s] < -1e-12:
+            bad = (low < -NEG_PROB_TOL) | (off > NORMALIZATION_TOL)
+            s = tuple(int(i) for i in np.argwhere(bad)[0])
+            if low[s] < -NEG_PROB_TOL:
                 raise ValidationError(f"negative probability {low[s]:.3e} at joint setting {s}")
             raise ValidationError(f"table at joint setting {s} sums to {float(total[s])!r}")
         for party, ind in enumerate(indicators):
             # the other parties' marginals, by party's setting on the last axis
             marg = np.tensordot(self.slots, ind, axes=(party, 1))
             diff = np.abs(marg - marg[..., :1])
-            if diff.max() > 1e-9:
+            if diff.max() > NONSIGNALING_TOL:
                 # the largest difference per joint setting: (other settings, setting)
                 others = [p for p in range(sc.parties) if p != party]
                 for axis, p in enumerate(others):
                     starts = list(itertools.accumulate(counts[p][:-1], initial=0))
                     diff = np.maximum.reduceat(diff, starts, axis=axis)
-                first = tuple(np.argwhere(diff > 1e-9)[0])
+                first = tuple(np.argwhere(diff > NONSIGNALING_TOL)[0])
                 raise ValidationError(
                     f"signaling marginal for party {party}: settings 0 vs "
                     f"{first[-1]} differ by {diff[first]:.3e}"

@@ -94,10 +94,6 @@ class DensityMatrix(JsonFile):
     def dim(self) -> int:
         return self.d**self.n
 
-    def purity(self) -> float:
-        """tr(rho^2), which for Hermitian rho is the sum of |rho_ij|^2."""
-        return float(np.vdot(self.matrix, self.matrix).real)
-
     def to_json_dict(self) -> dict:
         return {"d": self.d, "n": self.n, **complex_to_json(self.matrix)}
 

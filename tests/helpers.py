@@ -75,6 +75,11 @@ def random_density(d: int, n: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(d=d, n=n, matrix=m / np.trace(m).real)
 
 
+def purity(rho: DensityMatrix) -> float:
+    """tr(rho^2)."""
+    return float(np.trace(rho.matrix @ rho.matrix).real)
+
+
 def haar_basis(d: int, rng: np.random.Generator) -> np.ndarray:
     """Columns of a Haar-random unitary (Ginibre + QR with phase fix), one
     draw at a time: the reference for the seesaw's stacked draws."""

@@ -223,6 +223,24 @@ def test_visibility_measurements_from_file(tmp_path, capsys):
     assert data["results"]["measurements"]["kind"] == "file"
 
 
+def test_visibility_from_file_ignores_the_functional(tmp_path, capsys):
+    # no seesaw runs on file measurements, so a functional that does not fit
+    # the state is not parsed; config still prints it as given
+    from belltol.qvalue import seesaw
+    from belltol.scenario import mermin
+    from belltol.states import ghz
+
+    path = tmp_path / "assign.json"
+    seesaw(mermin(3), ghz(2, 3), restarts=2, seed=1).assignment.save(str(path))
+    argv = ["visibility", "--state", "ghz:2,3", "--measurements", f"json:{path}"]
+    code, plain = run_json(capsys, argv)
+    assert code == 0
+    code, data = run_json(capsys, argv + ["--functional", "mermin:2"])
+    assert code == 0
+    assert data["results"]["beta_star"] == plain["results"]["beta_star"]
+    assert data["config"]["functional"] == "mermin:2"
+
+
 def test_visibility_explicit_noise_caveat(tmp_path, capsys):
     from belltol.states import product_zero
 

@@ -187,6 +187,24 @@ def test_simplex_random_lps_against_vertex_scan():
     assert solved >= 10
 
 
+class ReferenceTableau:
+    """The simplex state, built from the LP as the package's solver builds
+    its own: B^-1 = inv(A_B), x_b = B^-1 b and the reduced costs
+    c - (c_B B^-1) A, zero on the basis."""
+
+    def __init__(self, problem):
+        self.a, self.b, self.c = problem.a_eq, problem.b_eq, problem.c
+        self.basis = problem.basis.copy()
+        self.pivots = 0
+        self.refactor()
+
+    def refactor(self):
+        self.b_inv = np.linalg.inv(self.a[:, self.basis])
+        self.x_b = self.b_inv @ self.b
+        self.reduced = self.c - (self.c[self.basis] @ self.b_inv) @ self.a
+        self.reduced[self.basis] = 0.0
+
+
 def reference_pivot(tab, row, col, alpha, step):
     """The pivot as a plain rebuild of b_inv and of the reduced costs."""
     tab.reduced = tab.reduced - step * alpha
@@ -210,7 +228,7 @@ def reference_solve(problem, repeated=lambda pivot: False):
     where repeated(pivot) holds until the objective falls, Bland's rule: the
     lowest-index basic variable leaves and the lowest-index tied column
     enters."""
-    tab = polytope._Tableau(problem)
+    tab = ReferenceTableau(problem)
     m, n = tab.a.shape
     bland = False
     while True:

@@ -68,7 +68,7 @@ def test_measurement_validation():
     with pytest.raises(ValidationError):
         Measurement((np.eye(2),), (2.0,))  # value out of range
     m = Measurement(tuple(np.diag(row) for row in np.eye(3)), (-1.0, 0.0, 1.0))
-    assert m.n_outcomes == 3
+    assert len(m.effects) == 3
     assert np.allclose(sum(m.effects), np.eye(3))
 
 
@@ -79,7 +79,7 @@ def test_measurement_hermiticity_boundary(skew, ok):
     e0 = np.array([[1.0, skew], [0.0, 0.0]], dtype=complex)
     e1 = np.array([[0.0, -skew], [0.0, 1.0]], dtype=complex)
     if ok:
-        assert Measurement((e0, e1), (1.0, -1.0)).n_outcomes == 2
+        assert len(Measurement((e0, e1), (1.0, -1.0)).effects) == 2
     else:
         with pytest.raises(ValidationError, match="not Hermitian"):
             Measurement((e0, e1), (1.0, -1.0))
@@ -88,7 +88,7 @@ def test_measurement_hermiticity_boundary(skew, ok):
 def test_dichotomic_from_observable():
     m = Measurement.dichotomic_from_observable(SX)
     assert m.outcome_values == (1.0, -1.0)
-    assert np.allclose(m.observable(), SX)
+    assert np.allclose(sum(v * e for v, e in zip(m.outcome_values, m.effects)), SX)
 
 
 def test_behavior_product_state():
