@@ -97,13 +97,20 @@ class JsonFile:
 def _hermitian_part(h: np.ndarray, tol: float) -> np.ndarray:
     """(h + h^dagger)/2 for a square matrix or stack h whose entries are
     finite and whose max-entry deviation from h^dagger, over the whole stack,
-    is within ``tol``; ValidationError otherwise."""
+    is within ``tol``; ValidationError otherwise.
+
+    The finiteness scan runs before h - h^dagger and cannot be folded into
+    the deviation check: inf - inf there raises a RuntimeWarning, which the
+    tests turn into an error. A cheaper finiteness check must also come
+    first."""
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.shape[-1] < 1:
         raise ValidationError(f"expected a square matrix, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise ValidationError("h contains non-finite entries")
-    h_dagger = h.conj().swapaxes(-1, -2)
+    # in C order, so that for a C-order h, such as the seesaw's local
+    # operators, the difference and the sum below run on matching strides
+    h_dagger = np.conjugate(h.swapaxes(-1, -2), order="C")
     defect = float(np.abs(h - h_dagger).max())
     if defect > tol:
         raise ValidationError(
@@ -122,7 +129,8 @@ def eig_hermitian(
     order along the last axis and eigenvector columns ``v[..., :, k]``
     matching ``w[..., k]``, so that ``h = v @ diag(w) @ v.conj().T`` for each
     matrix. A stack costs one LAPACK call per matrix, and each matrix gets
-    the bits it would get alone.
+    the bits it would get alone. ``w`` and ``v`` are reversed views of
+    ``np.linalg.eigh``'s fresh arrays, not copies.
 
     Raises ValidationError when h is not square, or when the max-entry
     deviation of h from its conjugate transpose, over the whole stack,
@@ -130,7 +138,7 @@ def eig_hermitian(
     """
     w, v = np.linalg.eigh(_hermitian_part(h, tol))
     # eigh returns ascending order; the exported convention is descending
-    return w[..., ::-1].copy(), v[..., ::-1].copy()
+    return w[..., ::-1], v[..., ::-1]
 
 
 def min_eigenvalue(h: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> float:

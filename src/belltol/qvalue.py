@@ -19,12 +19,15 @@ array (R, m, d, d) of stacks [I, E_0, ..., E_(S-1)], one per restart, and the
 state is laid out with each site's (ket, bra) pair fused into one axis of
 length d^2, so closing a site is one ``matmul`` over the batch. A sweep keeps
 a left environment L_p, the state closed at sites 0..p-1 with their
-operators of this sweep. Party p's local operators are L_p closed at sites
-p+1..n-1 and contracted with the coefficient tensor, which weighs all
-tables at once; after party p's update, one eigensolver call on the stack
-of all its restarts and settings, L_(p+1) is L_p closed at site p, and L_n
-gives the sweep's objective. A sweep is n(n-1)/2 + 2n contractions for the
-whole batch, the largest of about m d^(2n) multiply-adds per restart.
+operators of this sweep. Party p's local operators K are L_p closed at
+sites p+1..n-1 and contracted with the coefficient tensor, which weighs all
+tables at once, without its identity row. Party p's update is one
+``sign_operator`` call, so one eigensolver call, on the stack of all its
+restarts and settings; the projectors (I + sign K)/2 are written into the
+party's site in place, except where K vanishes. L_(p+1) is L_p closed at
+site p, and L_n gives the sweep's objective. A sweep is n(n-1)/2 + 2n
+contractions for the whole batch, the largest of about m d^(2n)
+multiply-adds per restart.
 """
 
 from __future__ import annotations
@@ -314,6 +317,18 @@ def _site(ops: np.ndarray) -> np.ndarray:
     return ops.transpose(0, 3, 2, 1).reshape(r, d * d, m)
 
 
+def _stacks(site: np.ndarray, d: int) -> np.ndarray:
+    """The inverse of ``_site``: a party's stacks (R, m, d, d) as a view of
+    its site (R, d^2, m), so that writing an effect writes the site.
+    Splitting the d^2 axis in two is a view whatever the site's strides;
+    should ``reshape`` ever copy, RuntimeError is raised rather than letting
+    the writes land in the copy."""
+    stacks = site.reshape(len(site), d, d, site.shape[2])
+    if site.size and not np.may_share_memory(stacks, site):
+        raise RuntimeError("a party's site is not laid out for its stacks to be a view of it")
+    return stacks.transpose(0, 3, 2, 1)
+
+
 def _advance(left: np.ndarray, site: np.ndarray) -> np.ndarray:
     """L_(p+1) from L_p and site p. A left environment has shape (R, d^2 D, M):
     the axes of the open sites p..n-1 by the m axes of the closed sites
@@ -336,19 +351,22 @@ def _closed(rho: DensityMatrix, stacks: list[np.ndarray]) -> np.ndarray:
 def _party_coefficients(c: np.ndarray) -> list[np.ndarray]:
     """Per party p, the coefficient tensor as the (m_p, M / m_p) matrix whose
     rows are p's stack entries and whose columns run over the other sites'
-    entries in site order, the form ``_local_operators`` contracts with."""
+    entries in site order; without its first row, the identity's, it is the
+    (m_p - 1, M / m_p) matrix that ``_local_operators`` contracts with."""
     return [np.moveaxis(c, p, 0).reshape(m, -1) for p, m in enumerate(c.shape)]
 
 
 def _local_operators(
     env: np.ndarray, sites: list[np.ndarray], coeffs: np.ndarray, party: int
 ) -> np.ndarray:
-    """K of shape (R, m_p, d^2) with objective sum_s tr[K[:, s] A_s] in party
-    p's stack A, K[:, s] read as [ket, bra]: its left environment L_p, given
-    as ``env``, closed at the sites p+1..n-1, one product per restart and
-    entry of site p each, then contracted with p's coefficient matrix
-    ``coeffs`` (``_party_coefficients``). ``env`` is rebound as it shrinks,
-    so a caller that holds no reference to L_p does not keep it alive."""
+    """K of shape (R, m_p - 1, d^2) with objective sum_s tr[K[:, s] E_s] plus
+    a term free of party p's effects E_0, ..., E_(m_p - 2), K[:, s] read as
+    [ket, bra]: its left environment L_p, given as ``env``, closed at the
+    sites p+1..n-1, one product per restart and entry of site p each, then
+    contracted with p's coefficient matrix ``coeffs`` (``_party_coefficients``)
+    without the identity's row, which weighs no effect. ``env`` is rebound as
+    it shrinks, so a caller that holds no reference to L_p does not keep it
+    alive."""
     for site in sites[party + 1:]:
         k = site.shape[1]
         env = np.matmul(env.reshape(len(env), k, k, -1).swapaxes(2, 3), site[:, None])
@@ -378,39 +396,39 @@ def _run_batch(
     coefficient tensor ``c`` is in the seesaw's units.
 
     What does not change from sweep to sweep is made once per batch: the
-    initial stacks of all restarts, each party's coefficient matrix and the
-    sites of the stacks, which are shrunk with the batch and rebuilt only for
-    the party just updated. A sweep's bookkeeping (the check that no
-    objective fell, the traces) is one array operation over the batch. The
-    state is laid out as L_0 afresh where a sweep needs it, for party 0's
-    local operators and for L_1, so that no copy of it is held beside the
-    other left environments."""
+    initial stacks of all restarts, each party's coefficient matrix without
+    its identity row and the state laid out as L_0. Each party's stacks are
+    held only as its site, shrunk with the batch, and an update writes its
+    effects into the site through ``_stacks``. A sweep's bookkeeping (the
+    check that no objective fell, the traces) is one array operation over
+    the batch."""
     n, d = rho.n, rho.d
     eye = np.eye(d, dtype=np.complex128)
-    ops = _initial_stacks(d, tuple(m - 1 for m in c.shape), seed, restarts)
-    coeffs = _party_coefficients(c)
-    sites = [_site(stack) for stack in ops]
+    stacks = _initial_stacks(d, tuple(m - 1 for m in c.shape), seed, restarts)
+    value = _objective(_closed(rho, stacks), c)
+    sites = [_site(stack) for stack in stacks]
+    coeffs = [w[1:] for w in _party_coefficients(c)]
+    state = _site_pairs(rho)
 
-    value = _objective(_closed(rho, ops), c)
     active = list(restarts)
     traces: list[list[float]] = [[] for _ in active]
     done: dict[int, _Restart] = {}
     for _ in range(MAX_SWEEPS):
         for party in range(n):
-            k = _local_operators(_site_pairs(rho) if party == 0 else left, sites, coeffs[party],
-                                 party)
-            k = k[:, 1:].reshape(len(k), -1, d, d)
+            k = _local_operators(left if party else state, sites, coeffs[party], party)
+            k = k.reshape(len(k), -1, d, d)
             # the best effect projects onto the nonnegative eigenspace of K; a
             # vanishing K carries no update direction (every effect is
             # optimal), so the current effect stays
-            moves = np.max(np.abs(k), axis=(2, 3)) > SIGN_EIG_TOL
+            moves = np.abs(k).max(axis=(2, 3)) > SIGN_EIG_TOL
             if moves.any():
-                best = (eye + sign_operator(k)) / 2
-                if not moves.all():
-                    best = np.where(moves[..., None, None], best, ops[party][:, 1:])
-                ops[party][:, 1:] = best
-                sites[party] = _site(ops[party])
-            left = _advance(_site_pairs(rho) if party == 0 else left, sites[party])
+                # (I + sign K)/2 formed in place, with its bits: S + I is I + S,
+                # and halving is exact
+                best = sign_operator(k)
+                best += eye
+                best /= 2
+                np.copyto(_stacks(sites[party], d)[:, 1:], best, where=moves[..., None, None])
+            left = _advance(left if party else state, sites[party])
         new_value = _objective(left, c)
         fell = new_value < value - 1e-12 * np.maximum(1.0, np.abs(value))
         if fell.any():
@@ -426,10 +444,9 @@ def _run_batch(
         if stop.any():
             for i in np.flatnonzero(stop):
                 done[active[i]] = _Restart(float(value[i]), tuple(traces[i]), True,
-                                           [stack[i, 1:] for stack in ops])
+                                           [_stacks(site, d)[i, 1:] for site in sites])
             keep = ~stop
             value = value[keep]
-            ops = [stack[keep] for stack in ops]
             sites = [site[keep] for site in sites]
             active = [r for r, s in zip(active, keep) if s]
             traces = [t for t, s in zip(traces, keep) if s]
@@ -437,7 +454,7 @@ def _run_batch(
                 break
     for i, restart in enumerate(active):
         done[restart] = _Restart(float(value[i]), tuple(traces[i]), False,
-                                 [stack[i, 1:] for stack in ops])
+                                 [_stacks(site, d)[i, 1:] for site in sites])
     return [done[r] for r in restarts]
 
 

@@ -462,8 +462,8 @@ def test_site_contraction_matches_per_term_reference(d, n):
             assert abs(objective[r] - want) <= 1e-12
         for party in range(n):
             got = qvalue._local_operators(lefts[party], sites,
-                                          qvalue._party_coefficients(c)[party], party)
-            assert got.shape == (2, settings[party] + 1, d * d)
+                                          qvalue._party_coefficients(c)[party][1:], party)
+            assert got.shape == (2, settings[party], d * d)
             got = got.reshape(2, -1, d, d)
             for r in range(2):
                 want = np.zeros((settings[party], d, d), dtype=complex)
@@ -473,7 +473,7 @@ def test_site_contraction_matches_per_term_reference(d, n):
                     k = local_operator(rho_t, [pairs[r][p][s_p] for p, s_p in enumerate(s)], party)
                     want[s[party]] += np.tensordot(signed[0] - signed[1], k, axes=n - 1)
                 for s in range(settings[party]):
-                    assert np.max(np.abs(got[r, s + 1] - want[s])) <= 1e-12
+                    assert np.max(np.abs(got[r, s] - want[s])) <= 1e-12
 
 
 def test_correlation_form_rejects_many_outcomes():
@@ -661,6 +661,59 @@ def test_seesaw_keeps_effects_whose_operator_vanishes():
     for p, (_, kept) in enumerate(res.assignment.measurements):
         assert np.array_equal(kept.effects[0], start[p][0, 2])
     assert res.objective == pytest.approx(1.0, abs=1e-9)
+
+
+def test_one_sweep_updates_a_mixed_stack(monkeypatch):
+    # <A_0 B_1 C_0> on a random state: in every party's stack one setting's
+    # operator vanishes and the other's does not, so each update moves some
+    # effects and keeps others
+    n, d, seed, restarts = 3, 2, 6, range(2)
+    f = product_expectation_functional(Scenario.uniform(n, 2, values=(1.0, -1.0)), (0, 1, 0),
+                                       range(n))
+    rho = random_density(d, n, np.random.default_rng(61))
+    c = qvalue._effect_tensor(f)
+    monkeypatch.setattr(qvalue, "MAX_SWEEPS", 1)
+    runs = qvalue._run_batch(rho, c, seed, restarts)
+
+    rho_t = rho.matrix.reshape((d,) * (2 * n))
+    stacks = qvalue._initial_stacks(d, (2,) * n, seed, restarts)
+    for party in range(n):
+        weights = np.moveaxis(c, party, 0)
+        moved = set()
+        for r in restarts:
+            k_all = local_operator(rho_t, [stack[r] for stack in stacks], party)
+            for s in range(2):
+                k = np.tensordot(weights[s + 1], k_all, axes=n - 1)
+                got = runs[r].effects[party][s]
+                if np.max(np.abs(k)) > qvalue.SIGN_EIG_TOL:
+                    w, v = np.linalg.eigh((k + k.conj().T) / 2)
+                    sign = (v * np.where(w < -qvalue.SIGN_EIG_TOL, -1.0, 1.0)) @ v.conj().T
+                    want = (np.eye(d) + sign) / 2
+                    assert np.max(np.abs(got - want)) <= 1e-12
+                    stacks[party][r, s + 1] = want
+                    moved.add(s)
+                else:
+                    assert np.array_equal(got, stacks[party][r, s + 1])
+        assert moved == {(0, 1, 0)[party]}
+
+
+@pytest.mark.parametrize("strided", [False, True])
+def test_stacks_view_writes_the_site(strided):
+    # _stacks inverts _site as a view, also of a site that is not C-contiguous:
+    # splitting its d^2 axis in two never needs a copy
+    rng = np.random.default_rng(9)
+    ops = rng.standard_normal((2, 3, 2, 2)) + 1j * rng.standard_normal((2, 3, 2, 2))
+    site = qvalue._site(ops)
+    if strided:
+        site = np.repeat(site, 2, axis=2)[:, :, ::2]
+        assert not site.flags.c_contiguous
+    view = qvalue._stacks(site, 2)
+    assert np.array_equal(view, ops)
+    view[1, 2] = 0.0
+    ops[1, 2] = 0.0
+    assert np.array_equal(site, qvalue._site(ops))
+    # a batch whose restarts have all stopped has empty sites
+    assert qvalue._stacks(site[:0], 2).shape == (0, 3, 2, 2)
 
 
 def test_seesaw_self_check_catches_a_planted_fault(monkeypatch):
