@@ -8,6 +8,12 @@ is the state's maximal Bell violation for the regime in question. Upper
 bounds on Y therefore give lower bounds on the tolerance, and lower bounds on
 Y give upper bounds. Binomials are evaluated in exact integer arithmetic and
 converted to floating point last.
+
+The generic and GHZ upper bounds on Y are each the least of a few terms,
+read from one table (``_MIN_TERMS``) by regime: s = inf, generalized, two
+projective settings, s > 2 projective. The GHZ state is an N-qudit state, and
+its row is the generic one with 2*min(d,s)-1 read as 2s-1 (infinite, so left
+out, at s = inf), plus the term 1 + 2^(n-1)(d-1) in every regime.
 """
 
 from __future__ import annotations
@@ -62,6 +68,13 @@ def _check_meas(mt: str) -> str:
     if mt not in MEAS_TYPES:
         raise DomainError(f"measurement type must be one of {MEAS_TYPES}, got {mt!r}")
     return mt
+
+
+def _checked(d: int, n: int, s, mt: str) -> tuple[float, str]:
+    """(s, mt) normalized, after checking d and n, then mt, then s."""
+    _check_dn(d, n)
+    mt = _check_meas(mt)
+    return _check_settings(s), mt
 
 
 def tolerance_from_violation(upsilon: float) -> float:
@@ -144,11 +157,6 @@ class ToleranceReport:
         }
 
 
-def _min_term(terms: dict[str, float]) -> tuple[float, str]:
-    label = min(terms, key=lambda k: (terms[k], k))
-    return terms[label], label
-
-
 def _fpow(base, exp: float) -> float:
     """float(base) ** exp, saturating to +inf instead of raising
     OverflowError; with exp = 1 the saturating float of an int or Fraction."""
@@ -158,80 +166,68 @@ def _fpow(base, exp: float) -> float:
         return math.inf
 
 
-# --- generic N-qudit states ---------------------------------------------------
+# --- generic N-qudit and GHZ states ------------------------------------------
+
+#: each min-term label's value at (d, n, s), s an int wherever a label reads it
+_TERMS = {
+    "(2d-1)^(n-1)": lambda d, n, s: _fpow((2 * d - 1) ** (n - 1), 1),
+    "(2*min(d,s)-1)^(n-1)": lambda d, n, s: _fpow((2 * min(d, s) - 1) ** (n - 1), 1),
+    "(2s-1)^(n-1)": lambda d, n, s: _fpow((2 * s - 1) ** (n - 1), 1),
+    "d^((n-1)/2)": lambda d, n, s: _fpow(d, (n - 1) / 2.0),
+    "3^(n-1)": lambda d, n, s: _fpow(3.0, n - 1),
+    "d^(s(n-1)/2)": lambda d, n, s: _fpow(d, s * (n - 1) / 2.0),
+    "1+2^(n-1)(d-1)": lambda d, n, s: 1.0 + _fpow(2.0, n - 1) * (d - 1),
+}
+
+#: per (family, regime), the labels whose least term bounds Y from above
+_MIN_TERMS = {
+    ("generic", "overall"): ("(2d-1)^(n-1)",),
+    ("generic", GENERALIZED): ("(2*min(d,s)-1)^(n-1)",),
+    ("generic", "two projective"): ("d^((n-1)/2)", "3^(n-1)"),
+    ("generic", PROJECTIVE): ("d^(s(n-1)/2)", "(2*min(d,s)-1)^(n-1)"),
+    ("ghz", "overall"): ("1+2^(n-1)(d-1)",),
+    ("ghz", GENERALIZED): ("(2s-1)^(n-1)", "1+2^(n-1)(d-1)"),
+    ("ghz", "two projective"): ("d^((n-1)/2)", "3^(n-1)", "1+2^(n-1)(d-1)"),
+    ("ghz", PROJECTIVE): ("d^(s(n-1)/2)", "(2s-1)^(n-1)", "1+2^(n-1)(d-1)"),
+}
+
+
+def _upsilon_upper(family: str, d: int, n: int, s: float, mt: str) -> tuple[float, str]:
+    """(value, label) of the least of ``family``'s terms in the regime of the
+    checked (s, mt), ties to the least label; only that regime's terms are
+    computed."""
+    regime = "overall" if s == S_INF else "two projective" if (mt, s) == (PROJECTIVE, 2) else mt
+    return min([(_TERMS[label](d, n, s), label) for label in _MIN_TERMS[family, regime]])
 
 
 def generic_upsilon_upper(d: int, n: int, s, mt: str) -> tuple[float, str]:
     """Upper bound on the maximal violation of an arbitrary N-qudit state under
     S-setting scenarios (S = inf selects the all-settings regime)."""
-    _check_dn(d, n)
-    mt = _check_meas(mt)
-    s = _check_settings(s)
-    if s == S_INF:
-        return _fpow((2 * d - 1) ** (n - 1), 1), "(2d-1)^(n-1)"
-    if mt == GENERALIZED:
-        return _fpow((2 * min(d, int(s)) - 1) ** (n - 1), 1), "(2*min(d,s)-1)^(n-1)"
-    if s == 2:
-        terms = {
-            "d^((n-1)/2)": _fpow(d, (n - 1) / 2.0),
-            "3^(n-1)": _fpow(3.0, n - 1),
-        }
-    else:
-        terms = {
-            "d^(s(n-1)/2)": _fpow(d, s * (n - 1) / 2.0),
-            "(2*min(d,s)-1)^(n-1)": _fpow((2 * min(d, int(s)) - 1) ** (n - 1), 1),
-        }
-    return _min_term(terms)
+    return _upsilon_upper("generic", d, n, *_checked(d, n, s, mt))
 
 
 def generic_noise_bounds(d: int, n: int, s, mt: str) -> ToleranceReport:
     """Tolerance and tolerable-noise bounds for an arbitrary nonlocal N-qudit
     state. Only an upper violation bound exists in this generality, so the
     violation interval starts at the trivial 1."""
-    hi, term = generic_upsilon_upper(d, n, s, mt)
-    return ToleranceReport(
-        family="generic", d=d, n=n, s=_check_settings(s), meas_type=_check_meas(mt),
-        upsilon=BoundInterval(1.0, hi, term),
-    )
-
-
-# --- GHZ states ---------------------------------------------------------------
+    s, mt = _checked(d, n, s, mt)
+    hi, term = _upsilon_upper("generic", d, n, s, mt)
+    return ToleranceReport(family="generic", d=d, n=n, s=s, meas_type=mt,
+                           upsilon=BoundInterval(1.0, hi, term))
 
 
 def ghz_upsilon_upper(d: int, n: int, s, mt: str) -> tuple[float, str]:
     """Upper bound on the maximal violation of the N-qudit GHZ state; tighter
     than the generic family thanks to the extra 1 + 2^(n-1)(d-1) term."""
-    _check_dn(d, n)
-    mt = _check_meas(mt)
-    s = _check_settings(s)
-    ghz_term = 1.0 + _fpow(2.0, n - 1) * (d - 1)
-    if s == S_INF:
-        return ghz_term, "1+2^(n-1)(d-1)"
-    if mt == GENERALIZED:
-        terms = {
-            "(2s-1)^(n-1)": _fpow((2 * int(s) - 1) ** (n - 1), 1),
-            "1+2^(n-1)(d-1)": ghz_term,
-        }
-    elif s == 2:
-        terms = {
-            "d^((n-1)/2)": _fpow(d, (n - 1) / 2.0),
-            "3^(n-1)": _fpow(3.0, n - 1),
-            "1+2^(n-1)(d-1)": ghz_term,
-        }
-    else:
-        terms = {
-            "d^(s(n-1)/2)": _fpow(d, s * (n - 1) / 2.0),
-            "(2s-1)^(n-1)": _fpow((2 * int(s) - 1) ** (n - 1), 1),
-            "1+2^(n-1)(d-1)": ghz_term,
-        }
-    return _min_term(terms)
+    return _upsilon_upper("ghz", d, n, *_checked(d, n, s, mt))
 
 
 def ghz_noise_bounds(d: int, n: int, s, mt: str) -> ToleranceReport:
     """GHZ-specific tolerance/noise bounds. For qubits (d = 2) the interval is
     tightened by the exact two-setting projective violation, which lower-bounds
     the maximal violation in every regime with s >= 2."""
-    hi, term = ghz_upsilon_upper(d, n, s, mt)
+    s, mt = _checked(d, n, s, mt)
+    hi, term = _upsilon_upper("ghz", d, n, s, mt)
     lo = 1.0
     notes: tuple[str, ...] = ()
     if d == 2:
@@ -240,10 +236,8 @@ def ghz_noise_bounds(d: int, n: int, s, mt: str) -> ToleranceReport:
                  "2^((n-1)/2) of the n-qubit maximally correlated state",)
     if (d, n, s, mt) == (3, 3, 2, PROJECTIVE):
         notes = notes + (GHZ_33_DISCREPANCY_NOTE,)
-    return ToleranceReport(
-        family="ghz", d=d, n=n, s=_check_settings(s), meas_type=_check_meas(mt),
-        upsilon=BoundInterval(lo, hi, term), notes=notes,
-    )
+    return ToleranceReport(family="ghz", d=d, n=n, s=s, meas_type=mt,
+                           upsilon=BoundInterval(lo, hi, term), notes=notes)
 
 
 def ghz_qubit_exact(n: int) -> ToleranceReport:

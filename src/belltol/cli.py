@@ -29,7 +29,6 @@ from .bounds import (
     MEAS_TYPES,
     PROJECTIVE,
     S_INF,
-    ToleranceReport,
     family_report,
     sweep_reports,
     tolerance_from_violation,
@@ -308,47 +307,33 @@ def cmd_tolerance(args: argparse.Namespace) -> int:
     )
     seesaw_tol_upper = tolerance_from_violation(max(found.value, 1.0))
 
-    warning = None
-    formula: ToleranceReport | None = None
     if family in ("ghz", "dicke", "w"):
         formula = family_report(family, state.d, state.n, S_INF, GENERALIZED, k=k)
-    else:
-        warning = (
-            f"state family {family!r} has no closed-form bound family; "
-            "formula side omitted"
-        )
-
-    if formula is not None:
-        tol_lo = formula.tolerance.lower
-        tol_hi = min(formula.tolerance.upper, seesaw_tol_upper)
-        if abs(seesaw_tol_upper - formula.tolerance.upper) <= 1e-6:
-            upper_src = (
-                f"formula family {formula.family!r}, witnessed by seesaw via "
-                f"{found.best_label}"
-            )
-        elif seesaw_tol_upper < formula.tolerance.upper:
+        tol = formula.tolerance
+        source = f"formula family {formula.family!r}"
+        if abs(seesaw_tol_upper - tol.upper) <= 1e-6:
+            upper_src = f"{source}, witnessed by seesaw via {found.best_label}"
+        elif seesaw_tol_upper < tol.upper:
             upper_src = f"seesaw via {found.best_label}"
         else:
-            upper_src = f"formula family {formula.family!r}"
+            upper_src = source
+        tol_lo, tol_hi = tol.lower, min(tol.upper, seesaw_tol_upper)
         provenance = {
-            "lower": f"formula family {formula.family!r}, "
-                     f"active term {formula.upsilon.active_term}",
+            "lower": f"{source}, active term {tol.active_term}",
             "upper": upper_src,
-            "formula_upper": formula.tolerance.upper,
+            "formula_upper": tol.upper,
             "seesaw_upper": seesaw_tol_upper,
         }
-        notes = list(formula.notes)
+        notes, warning = list(formula.notes), None
     else:
         tol_lo, tol_hi = None, seesaw_tol_upper
         provenance = {"upper": f"seesaw via {found.best_label}"}
-        notes = []
+        notes, warning = [], (f"state family {family!r} has no closed-form bound family; "
+                              "formula side omitted")
 
     result = {
         "tolerance_interval": [tol_lo, tol_hi],
-        "max_noise_interval": [
-            None if tol_hi is None else 1.0 - tol_hi,
-            None if tol_lo is None else 1.0 - tol_lo,
-        ],
+        "max_noise_interval": [1.0 - tol_hi, None if tol_lo is None else 1.0 - tol_lo],
         "upsilon_seesaw": found.value,
         "best_functional": found.best_label,
         "provenance": provenance,

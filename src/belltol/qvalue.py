@@ -197,7 +197,8 @@ def behavior(rho: DensityMatrix, meas: MeasurementAssignment) -> Behavior:
     sc = meas.scenario()
     stacks = [np.stack([e for m in party for e in m.effects])[None]
               for party in meas.measurements]
-    t = _closed(rho, stacks).real.reshape([stack.shape[1] for stack in stacks])
+    t = _closed(_site_pairs(rho), [_site(stack) for stack in stacks]).real
+    t = t.reshape([stack.shape[1] for stack in stacks])
     # clip roundoff-negative entries down to Behavior's negativity bound
     t[(t < 0) & (t > -NEG_PROB_TOL)] = 0.0
     return Behavior(scenario=sc, tables=setting_views(sc, t))
@@ -225,8 +226,12 @@ class SeesawResult:
     value: float  # violation ratio of the objective, LhvBounds.violation
     assignment: MeasurementAssignment
     trace: tuple[float, ...]
-    objective: float  # signed functional value at the returned assignment
     converged: bool  # False when the returned restart hit MAX_SWEEPS
+
+    @property
+    def objective(self) -> float:
+        """Signed functional value at the returned assignment, the last sweep's."""
+        return self.trace[-1]
 
 
 def _initial_stacks(
@@ -339,12 +344,12 @@ def _advance(left: np.ndarray, site: np.ndarray) -> np.ndarray:
     return out.reshape(len(out), left.shape[1] // k, -1)
 
 
-def _closed(rho: DensityMatrix, stacks: list[np.ndarray]) -> np.ndarray:
-    """The state closed at every site with its stacks (R, m_p, d, d), site 0
-    first: L_n, of shape (R, 1, m_0 ... m_(n-1)), the m axes in site order."""
-    left = _site_pairs(rho)
-    for stack in stacks:
-        left = _advance(left, _site(stack))
+def _closed(left: np.ndarray, sites: list[np.ndarray]) -> np.ndarray:
+    """The state laid out as L_0 (``_site_pairs``) closed at every site, each
+    given as ``_site`` of its stacks (R, m_p, d, d), site 0 first: L_n, of
+    shape (R, 1, m_0 ... m_(n-1)), the m axes in site order."""
+    for site in sites:
+        left = _advance(left, site)
     return left
 
 
@@ -381,10 +386,13 @@ def _objective(left: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Restart:
-    objective: float
     trace: tuple[float, ...]
     converged: bool
     effects: list[np.ndarray]  # per party, (S_p, d, d)
+
+    @property
+    def objective(self) -> float:
+        return self.trace[-1]
 
 
 def _run_batch(
@@ -405,10 +413,10 @@ def _run_batch(
     n, d = rho.n, rho.d
     eye = np.eye(d, dtype=np.complex128)
     stacks = _initial_stacks(d, tuple(m - 1 for m in c.shape), seed, restarts)
-    value = _objective(_closed(rho, stacks), c)
     sites = [_site(stack) for stack in stacks]
     coeffs = [w[1:] for w in _party_coefficients(c)]
     state = _site_pairs(rho)
+    value = _objective(_closed(state, sites), c)
 
     active = list(restarts)
     traces: list[list[float]] = [[] for _ in active]
@@ -443,7 +451,7 @@ def _run_batch(
         value = new_value
         if stop.any():
             for i in np.flatnonzero(stop):
-                done[active[i]] = _Restart(float(value[i]), tuple(traces[i]), True,
+                done[active[i]] = _Restart(tuple(traces[i]), True,
                                            [_stacks(site, d)[i, 1:] for site in sites])
             keep = ~stop
             value = value[keep]
@@ -453,7 +461,7 @@ def _run_batch(
             if not active:
                 break
     for i, restart in enumerate(active):
-        done[restart] = _Restart(float(value[i]), tuple(traces[i]), False,
+        done[restart] = _Restart(tuple(traces[i]), False,
                                  [_stacks(site, d)[i, 1:] for site in sites])
     return [done[r] for r in restarts]
 
@@ -536,7 +544,6 @@ def seesaw(
         value=bounds.violation(objective),
         assignment=assignment,
         trace=tuple(v / scale for v in best.trace),
-        objective=objective,
         converged=best.converged,
     )
 

@@ -70,6 +70,14 @@ def test_generic_upsilon_upper():
     val, term = generic_upsilon_upper(2, 3, S_INF, GENERALIZED)
     assert val == 9.0
     assert term == "(2d-1)^(n-1)"
+    # past the golden CSV (s <= 3, n <= 5): d < s, and terms saturated to inf
+    for args, want in [
+        ((2, 3, 4, PROJECTIVE), (9.0, "(2*min(d,s)-1)^(n-1)")),
+        ((3, 4, 5, PROJECTIVE), (125.0, "(2*min(d,s)-1)^(n-1)")),
+        ((2, 1100, 4, GENERALIZED), (math.inf, "(2*min(d,s)-1)^(n-1)")),
+        ((3, 2000, S_INF, GENERALIZED), (math.inf, "(2d-1)^(n-1)")),
+    ]:
+        assert generic_upsilon_upper(*args) == want
 
 
 def test_generic_upsilon_domains():
@@ -103,6 +111,15 @@ def test_ghz_upsilon_upper():
     assert term == "1+2^(n-1)(d-1)"
     val, term = ghz_upsilon_upper(2, 2, 2, PROJECTIVE)
     assert val == pytest.approx(SQRT2, abs=1e-15)
+    # past the golden CSV (s <= 3, n <= 5): d < s, and terms saturated to inf,
+    # where the least label wins the tie
+    for args, want in [
+        ((2, 3, 4, PROJECTIVE), (5.0, "1+2^(n-1)(d-1)")),
+        ((3, 4, 5, PROJECTIVE), (17.0, "1+2^(n-1)(d-1)")),
+        ((2, 1100, 4, GENERALIZED), (math.inf, "(2s-1)^(n-1)")),
+        ((3, 2000, S_INF, GENERALIZED), (math.inf, "1+2^(n-1)(d-1)")),
+    ]:
+        assert ghz_upsilon_upper(*args) == want
 
 
 def test_ghz_noise_bounds_two_qudit_overall():

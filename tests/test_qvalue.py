@@ -356,7 +356,8 @@ def assert_effect_tensor_matches_evaluate(f, rng):
     rho = random_density(2, sc.parties, rng)
     effects = effect_stacks(2, sc.settings, rng)
     stacks = [np.stack([np.eye(2), *row])[None] for row in effects]
-    got = qvalue._objective(qvalue._closed(rho, stacks), qvalue._effect_tensor(f))
+    left = qvalue._closed(qvalue._site_pairs(rho), [qvalue._site(stack) for stack in stacks])
+    got = qvalue._objective(left, qvalue._effect_tensor(f))
     meas = MeasurementAssignment(tuple(
         tuple(Measurement((e, np.eye(2) - e), v) for e, v in zip(row, sc.outcomes[p]))
         for p, row in enumerate(effects)
