@@ -19,6 +19,8 @@ out, at s = inf), plus the term 1 + 2^(n-1)(d-1) in every regime.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,19 +48,30 @@ DICKE_LOWER_NOTE = (
 )
 
 
-def _check_dn(d: int, n: int) -> None:
+def _index(value, what: str) -> int:
+    """value as a Python int: a numpy integer would wrap in the exact-integer
+    terms. A float, a string or anything else without __index__ raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _check_dn(d: int, n: int) -> tuple[int, int]:
+    d, n = _index(d, "qudit dimension"), _index(n, "party count")
     if d < 2:
         raise DomainError(f"qudit dimension must be >= 2, got {d}")
     if n < 2:
         raise DomainError(f"party count must be >= 2, got {n}")
+    return d, n
 
 
 def _check_settings(s) -> float:
     if s == S_INF or s is None:
         return S_INF
-    if isinstance(s, float) and not s.is_integer():
-        raise DomainError(f"settings count must be an integer or inf, got {s}")
-    s = int(s)
+    if isinstance(s, numbers.Real) and not isinstance(s, numbers.Integral) and float(s).is_integer():
+        s = int(s)  # 2.0, np.float64(3.0)
+    s = _index(s, "settings count")
     if s < 2:
         raise DomainError(f"settings count must be >= 2, got {s}")
     return s
@@ -70,11 +83,12 @@ def _check_meas(mt: str) -> str:
     return mt
 
 
-def _checked(d: int, n: int, s, mt: str) -> tuple[float, str]:
-    """(s, mt) normalized, after checking d and n, then mt, then s."""
-    _check_dn(d, n)
+def _checked(d: int, n: int, s, mt: str) -> tuple[int, int, float, str]:
+    """(d, n, s, mt) normalized, d and n to Python ints, after checking d and
+    n, then mt, then s."""
+    d, n = _check_dn(d, n)
     mt = _check_meas(mt)
-    return _check_settings(s), mt
+    return d, n, _check_settings(s), mt
 
 
 def tolerance_from_violation(upsilon: float) -> float:
@@ -203,14 +217,14 @@ def _upsilon_upper(family: str, d: int, n: int, s: float, mt: str) -> tuple[floa
 def generic_upsilon_upper(d: int, n: int, s, mt: str) -> tuple[float, str]:
     """Upper bound on the maximal violation of an arbitrary N-qudit state under
     S-setting scenarios (S = inf selects the all-settings regime)."""
-    return _upsilon_upper("generic", d, n, *_checked(d, n, s, mt))
+    return _upsilon_upper("generic", *_checked(d, n, s, mt))
 
 
 def generic_noise_bounds(d: int, n: int, s, mt: str) -> ToleranceReport:
     """Tolerance and tolerable-noise bounds for an arbitrary nonlocal N-qudit
     state. Only an upper violation bound exists in this generality, so the
     violation interval starts at the trivial 1."""
-    s, mt = _checked(d, n, s, mt)
+    d, n, s, mt = _checked(d, n, s, mt)
     hi, term = _upsilon_upper("generic", d, n, s, mt)
     return ToleranceReport(family="generic", d=d, n=n, s=s, meas_type=mt,
                            upsilon=BoundInterval(1.0, hi, term))
@@ -219,14 +233,14 @@ def generic_noise_bounds(d: int, n: int, s, mt: str) -> ToleranceReport:
 def ghz_upsilon_upper(d: int, n: int, s, mt: str) -> tuple[float, str]:
     """Upper bound on the maximal violation of the N-qudit GHZ state; tighter
     than the generic family thanks to the extra 1 + 2^(n-1)(d-1) term."""
-    return _upsilon_upper("ghz", d, n, *_checked(d, n, s, mt))
+    return _upsilon_upper("ghz", *_checked(d, n, s, mt))
 
 
 def ghz_noise_bounds(d: int, n: int, s, mt: str) -> ToleranceReport:
     """GHZ-specific tolerance/noise bounds. For qubits (d = 2) the interval is
     tightened by the exact two-setting projective violation, which lower-bounds
     the maximal violation in every regime with s >= 2."""
-    s, mt = _checked(d, n, s, mt)
+    d, n, s, mt = _checked(d, n, s, mt)
     hi, term = _upsilon_upper("ghz", d, n, s, mt)
     lo = 1.0
     notes: tuple[str, ...] = ()
@@ -272,6 +286,7 @@ def dicke_bounds(n: int, k: int) -> ToleranceReport:
     """Overall-regime tolerance bounds for the n-qubit Dicke state with k
     excitations. The tolerance upper endpoint is also the nonlocality
     threshold: above it, the mixture with any local noise stays nonlocal."""
+    n, k = _index(n, "n"), _index(k, "k")
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     if not 1 <= k <= n - 1:
@@ -314,6 +329,7 @@ def dicke_half_asymptotic(n: int) -> DickeHalfAsymptotic:
     """Large-even-n threshold (4*sqrt(2)/(sqrt(2)-1)) / sqrt(pi n) for the
     n-qubit Dicke state with n/2 excitations, next to the exact value. The
     approximation can exceed 1 at moderate n; it is reported as-is."""
+    n = _index(n, "n")
     if n < 2 or n % 2 != 0:
         raise DomainError(f"n must be even and >= 2, got {n}")
     k = n // 2

@@ -8,10 +8,18 @@ starts from a dual feasible basis that the LP carries, so there is no phase 1:
 the visibility LP has one for every behavior, the staircase strategies and
 beta at beta = 1 (Lemke's dual method, Naval Res. Logist. Q. 1, 36 (1954));
 ``simplex_max`` states its pivoting rules.
+
+The LP's frame, what it reads of a scenario and not of the behavior, is built
+once per scenario: the vertex matrix D, its ``basis_rows``, the start basis
+(the ``_staircase`` strategies and beta) and the uniform behavior's vector,
+all read-only. One frame is held, the last scenario's, keyed by the
+``Scenario`` value; it is released before a different scenario's frame is
+built, so at most one dense D is held between calls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -108,6 +116,15 @@ def _refactor(
     return b_inv, x_b, reduced
 
 
+@functools.lru_cache(maxsize=8)
+def _column_keys(n: int) -> np.ndarray:
+    """Fixed pseudo-random 62-bit keys of n LP columns, read-only; a basis's
+    cycle key is the XOR of its columns' keys, whatever their order."""
+    keys = np.random.default_rng(0).integers(1 << 62, size=n)
+    keys.setflags(write=False)
+    return keys
+
+
 def simplex_max(lp: LinearProgram) -> SimplexResult:
     """Dual simplex from the LP's start basis, which must be nonsingular and
     dual feasible; every pivot keeps it dual feasible, and the loop ends when
@@ -120,10 +137,12 @@ def simplex_max(lp: LinearProgram) -> SimplexResult:
     product u = B^-1 @ A[:, col] and one rank-1 update of B^-1; x_b and the
     reduced costs take vector updates. All three are refactored, read afresh
     from the LP with B^-1 = inv(A_B), at the start and every REFACTOR_EVERY
-    = 64 pivots. A basis is keyed by the hash of the frozenset of its
-    columns; if a key repeats, which is cycling, Bland's rule takes over until
-    the objective falls: the lowest-index infeasible basic variable leaves
-    and the lowest-index tied column enters. A leaving row
+    = 64 pivots. A basis is keyed by the XOR of fixed pseudo-random 62-bit
+    keys of its columns (``_column_keys``), which two XORs update on each
+    pivot and which, like a set, ignores the order of the rows; its hash is
+    read once per pivot. If a key repeats, which is cycling, Bland's rule
+    takes over until the objective falls: the lowest-index infeasible basic
+    variable leaves and the lowest-index tied column enters. A leaving row
     with no entering column proves the LP infeasible. A start that is
     singular or not dual feasible raises SolverError, and so do a singular
     basis later and a solve that reaches PIVOT_LIMIT_PER_DIM * (m + n) pivots.
@@ -134,6 +153,8 @@ def simplex_max(lp: LinearProgram) -> SimplexResult:
     worst = float(reduced.max())
     if worst > DEFAULT_LP_TOL:
         raise SolverError(f"the start basis is not dual feasible: a reduced cost is {worst!r}")
+    keys = _column_keys(lp.c.size)
+    basis_key = int(np.bitwise_xor.reduce(keys[basis]))
     seen: set[int] = set()
     bland = False
     while True:
@@ -142,7 +163,7 @@ def simplex_max(lp: LinearProgram) -> SimplexResult:
             break
         if pivots >= max_pivots:
             raise SolverError(f"the simplex reached its limit of {max_pivots} pivots")
-        key = hash(frozenset(basis.tolist()))
+        key = hash(basis_key)
         bland = bland or key in seen
         seen.add(key)
         if bland:  # the lowest basic index over x_b < -tol; lp.c.size exceeds them all
@@ -168,6 +189,7 @@ def simplex_max(lp: LinearProgram) -> SimplexResult:
         piv = float(u[row])
         if not piv < 0.0:
             raise SolverError(f"the pivot's row and column disagree after {pivots} pivots")
+        basis_key ^= int(keys[basis[row]] ^ keys[col])
         basis[row] = col
         reduced[basis] = 0.0
         # product-form update: premultiply by the eta matrix sending u to e_row
@@ -255,6 +277,39 @@ def _staircase(sc: Scenario) -> np.ndarray:
     return cols
 
 
+@dataclass(frozen=True)
+class _LpFrame:
+    """What the visibility LP reads of a scenario, all read-only: the vertex
+    matrix, its ``basis_rows`` mask, the start basis (the ``_staircase``
+    strategies, then beta) and the uniform behavior's vector."""
+
+    d: np.ndarray
+    keep: np.ndarray
+    start: np.ndarray
+    uniform: np.ndarray
+
+
+# the last scenario's frame alone, keyed by the Scenario value
+_FRAME: dict[Scenario, _LpFrame] = {}
+
+
+def _lp_frame(sc: Scenario) -> _LpFrame:
+    """The scenario's LP frame. For a scenario other than the last one's, the
+    last frame is released first, then the new one is built through
+    ``vertex_matrix``, ``basis_rows`` and ``uniform_behavior``, so their
+    checks run once per frame."""
+    frame = _FRAME.get(sc)
+    if frame is None:
+        _FRAME.clear()
+        d = vertex_matrix(sc)
+        frame = _LpFrame(d=d, keep=basis_rows(sc), start=np.append(_staircase(sc), d.shape[1]),
+                         uniform=uniform_behavior(sc).vector())
+        for arr in vars(frame).values():
+            arr.setflags(write=False)
+        _FRAME[sc] = frame
+    return frame
+
+
 def _membership(
     sc: Scenario, base: np.ndarray, delta: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
@@ -269,9 +324,12 @@ def _membership(
     The start basis is the staircase strategies and beta, at beta = 1. Its
     dual is y = e_k, the beta <= 1 row, so every weight and beta have reduced
     cost 0 and the slack -1: dual feasible for any base and delta. An LP that
-    is infeasible, which means a nonlocal base, raises DomainError."""
-    d = vertex_matrix(sc)
-    keep = basis_rows(sc)
+    is infeasible, which means a nonlocal base, raises DomainError. D, the
+    basis rows and the start basis are read from the scenario's LP frame
+    (``_lp_frame``): one frame is held, the last scenario's, and it is
+    released before another scenario's frame is built."""
+    frame = _lp_frame(sc)
+    d, keep = frame.d, frame.keep
     rows, count = d.shape
     k = int(keep.sum())
     # columns: weights, beta, slack of beta <= 1
@@ -282,9 +340,8 @@ def _membership(
     b_eq = np.append(base[keep], 1.0)
     c = np.zeros(count + 2)
     c[count] = 1.0
-    start = np.append(_staircase(sc), count)
 
-    res = simplex_max(LinearProgram(c=c, a_eq=a, b_eq=b_eq, basis=start))
+    res = simplex_max(LinearProgram(c=c, a_eq=a, b_eq=b_eq, basis=frame.start))
     if res.status != OPTIMAL:
         raise DomainError(
             f"visibility LP ended with status {res.status!r}; at beta = 0 this "
@@ -316,8 +373,10 @@ def is_local(b: Behavior) -> LocalityResult:
     """Decide membership of a behavior in the local polytope by the visibility
     LP from the uniform behavior, which is local, towards b: b is local iff
     beta* >= 1 - DEFAULT_LP_TOL. Returns weights over deterministic behaviors
-    when local, and the LP's Farkas (separating) vector otherwise."""
-    base = uniform_behavior(b.scenario).vector()
+    when local, and the LP's Farkas (separating) vector otherwise. The
+    uniform behavior's vector is read from the scenario's LP frame, so it is
+    built and checked once per frame."""
+    base = _lp_frame(b.scenario).uniform
     _, weights, farkas = _membership(b.scenario, base, b.vector() - base)
     if farkas is None:
         return LocalityResult(weights=weights)

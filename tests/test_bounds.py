@@ -91,6 +91,49 @@ def test_generic_upsilon_domains():
         generic_upsilon_upper(2, 2, 2, "magic")
 
 
+@pytest.mark.parametrize("upper", [generic_upsilon_upper, ghz_upsilon_upper])
+def test_upsilon_upper_reads_numpy_ints_as_python_ints(upper):
+    # (2d-1)^(n-1) at d = 3, n = 100 wraps in int64 to a negative bound
+    for d, n, s, mt in ((3, 100, S_INF, GENERALIZED), (5, 30, 4, PROJECTIVE),
+                        (2, 1100, 3, GENERALIZED), (3, 70, 2, PROJECTIVE)):
+        want = upper(d, n, s, mt)
+        assert upper(np.int64(d), np.int32(n), s, mt) == want
+        assert upper(d, n, np.int64(s) if s != S_INF else np.float64(s), mt) == want
+
+
+@pytest.mark.parametrize("noise_bounds", [generic_noise_bounds, ghz_noise_bounds])
+def test_noise_bounds_report_python_ints(noise_bounds):
+    r = noise_bounds(np.int64(3), np.uint8(40), np.int16(4), PROJECTIVE)
+    assert r.row() == noise_bounds(3, 40, 4, PROJECTIVE).row()
+    assert type(r.d) is type(r.n) is type(r.s) is int
+
+
+@pytest.mark.parametrize("d, n, s", [
+    (2.0, 3, 2), (2, 3.0, 2), ("2", 3, 2), (2, "3", 2), (np.float64(3), 3, 2),
+    (2, 3, "5"), (2, 3, "inf"), (2, 3, 2.5), (2, 3, b"5"), (2, 3, -S_INF), (2, 3, math.nan),
+], ids=repr)
+def test_bounds_refuse_non_integer_inputs(d, n, s):
+    for call in (generic_upsilon_upper, ghz_upsilon_upper, generic_noise_bounds,
+                 ghz_noise_bounds):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call(d, n, s, GENERALIZED)
+
+
+@pytest.mark.parametrize("s, want", [(2, 2), (3.0, 3), (np.float64(4.0), 4), (np.int64(5), 5),
+                                     (S_INF, S_INF), (None, S_INF), (np.inf, S_INF)])
+def test_settings_counts_that_bounds_accept(s, want):
+    r = generic_noise_bounds(2, 3, s, GENERALIZED)
+    assert r.s == want and type(r.s) is type(want)
+
+
+def test_dicke_bounds_read_numpy_ints_as_python_ints():
+    # 2^(n-1) at n = 80 wraps in int64 and left the lower endpoint at 1
+    assert dicke_bounds(np.int64(80), np.int64(1)).row() == dicke_bounds(80, 1).row()
+    assert dicke_half_asymptotic(np.int64(100)) == dicke_half_asymptotic(100)
+    with pytest.raises(DomainError, match="must be an integer"):
+        dicke_bounds(4.0, 2)
+
+
 def test_generic_noise_bounds():
     for d in (2, 3, 4, 7):
         r = generic_noise_bounds(d, 2, 2, GENERALIZED)

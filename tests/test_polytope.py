@@ -337,6 +337,56 @@ def test_simplex_bland_fallback_keeps_the_reference_pivots(monkeypatch, keys, re
     assert differ > 0
 
 
+def test_simplex_cycle_key_is_the_xor_of_the_basis_columns(monkeypatch):
+    # the key hashed at each pivot is the XOR of the basis columns' keys, so
+    # it follows the set of columns, not their order across the rows
+    problem = visibility_lp(monkeypatch, lambda: critical_visibility(
+        ghz(2, 4), NoiseSpec.white(), yx_assignment(4)))
+    column_keys = polytope._column_keys(problem.c.size)
+    assert not column_keys.flags.writeable
+    assert np.array_equal(column_keys, polytope._column_keys.__wrapped__(problem.c.size))
+    assert column_keys.min() >= 0 and column_keys.max() < 2**62
+    assert np.unique(column_keys).size == column_keys.size
+
+    def solve_keys(lp):
+        keys = []
+        with monkeypatch.context() as patch:
+            patch.setattr(polytope, "hash", lambda key: keys.append(key) or hash(key),
+                          raising=False)
+            res = simplex_max(lp)
+        assert len(keys) == res.pivots > 0
+        return keys
+
+    def reference_bases(lp):
+        bases = []
+
+        def recording_pivot(tab, *args, pivot=reference_pivot):
+            bases.append(frozenset(tab.basis.tolist()))
+            pivot(tab, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setitem(globals(), "reference_pivot", recording_pivot)
+            reference_solve(lp)
+        return bases
+
+    # the start columns permuted across the rows: on this degenerate LP the
+    # solve then takes other pivots, through other bases
+    permuted = dataclasses.replace(problem, basis=np.roll(problem.basis, 5))
+    keyed, visited = {}, []
+    for lp in (problem, permuted):
+        bases, keys = reference_bases(lp), solve_keys(lp)
+        assert keys == [int(np.bitwise_xor.reduce(column_keys[list(b)])) for b in bases]
+        # a pivot changes one column, and so the key
+        assert all(a != b for a, b in zip(keys, keys[1:]))
+        for basis, key in zip(bases, keys):
+            assert keyed.setdefault(basis, key) == key
+        visited.append(set(bases))
+    # both solves pass the start's column set, and each passes sets the other does not
+    assert visited[0] & visited[1] and visited[0] - visited[1] and visited[1] - visited[0]
+    # distinct column sets get distinct keys
+    assert len(set(keyed.values())) == len(keyed)
+
+
 def test_simplex_pivot_limit_raises(monkeypatch):
     # the Y/X visibility LP of ghz(2, 4) takes 94 pivots, 82 x 258 at a
     # quarter pivot per dimension allows 85
@@ -700,6 +750,71 @@ def test_visibility_lp_is_stated_on_basis_rows(monkeypatch):
     critical_visibility(ghz(2, 3), NoiseSpec.white(), mermin3_optimal_assignment())
     # 3^3 basis rows and beta <= 1; weights, beta and its slack
     assert shapes == [(28, 2**6 + 2)]
+
+
+def frame_calls():
+    """(scenario, call) of is_local and critical_visibility on the Y/X MK3
+    and the seed-1 MK4 assignments, the scenarios interleaved."""
+    mk3, mk4 = mermin3_optimal_assignment(), mk4_assignment("ghz")
+
+    def probe(rho, assign, beta):
+        b = behavior(mix(white_noise(2, rho.n), rho, beta), assign)
+        return lambda: is_local(b)
+
+    def visibility(rho, assign):
+        return lambda: critical_visibility(rho, NoiseSpec.white(), assign)
+
+    return [("mk3", probe(ghz(2, 3), mk3, 0.3)), ("mk3", visibility(ghz(2, 3), mk3)),
+            ("mk4", probe(ghz(2, 4), mk4, 0.95)), ("mk3", probe(ghz(2, 3), mk3, 0.9)),
+            ("mk4", visibility(ghz(2, 4), mk4)), ("mk4", probe(ghz(2, 4), mk4, 0.2))]
+
+
+def result_bytes(res):
+    """beta* (None for is_local), the weights and the Farkas vector as bytes."""
+    beta = getattr(res, "beta_star", None)
+    farkas = res.farkas if beta is None else res.dual
+    return beta, *(None if v is None else v.tobytes() for v in (res.weights, farkas))
+
+
+def test_lp_frame_is_built_once_per_scenario_and_changes_no_bit(monkeypatch):
+    calls = frame_calls()
+    builds = []
+
+    def counting(sc):
+        builds.append(sc)
+        return vertex_matrix(sc)
+
+    monkeypatch.setattr(polytope, "vertex_matrix", counting)
+    solves = recorded_solves(monkeypatch)
+    alone = []
+    for _, call in calls:
+        polytope._FRAME.clear()
+        alone.append(result_bytes(call()))
+    alone_solves = [(res.pivots, res.x.tobytes(), res.dual.tobytes()) for res in solves]
+    assert len(builds) == len(calls)
+    builds.clear()
+    solves.clear()
+    polytope._FRAME.clear()
+    assert [result_bytes(call()) for _, call in calls] == alone
+    assert [(res.pivots, res.x.tobytes(), res.dual.tobytes()) for res in solves] == alone_solves
+    assert {beta is None and farkas is None for beta, _, farkas in alone} == {True, False}
+    # one build per scenario switch, not one per LP, and one frame held
+    labels = [label for label, _ in calls]
+    switches = 1 + sum(a != b for a, b in zip(labels, labels[1:]))
+    assert len(builds) == switches < len(calls)
+    sc = builds[-1]
+    assert list(polytope._FRAME) == [sc]
+    frame = polytope._FRAME[sc]
+    start = np.append(polytope._staircase(sc), frame.d.shape[1])
+    for got, want in ((frame.d, vertex_matrix(sc)), (frame.keep, basis_rows(sc)),
+                      (frame.start, start), (frame.uniform, uniform_behavior(sc).vector())):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = got[0]
+    # vertex_matrix still hands out a fresh, writable array
+    fresh = vertex_matrix(sc)
+    assert fresh.flags.writeable and not np.shares_memory(fresh, frame.d)
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.25])
