@@ -378,7 +378,10 @@ def sweep_reports(
     """One report per (d, n, s, meas type, k) with a row, in that order. The
     all-settings regime s = inf has one row, meas type GENERALIZED, which
     covers both types, and it is the only regime of the W and Dicke
-    families. A sweep that selects no row raises DomainError."""
+    families. A sweep that selects no row raises DomainError, and so does a
+    k for any family but dicke (W is the Dicke k = 1 case)."""
+    if k is not None and family != "dicke":
+        raise DomainError(f"k is for the dicke family only, not {family}")
     overall_only = family in ("w", "dicke")
     regimes = [(s, mt) for s in s_values for mt in meas_types
                if (s, mt) != (S_INF, PROJECTIVE) and not (overall_only and s != S_INF)]

@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="party count: '3', '2..5' or '2,4'")
     p.add_argument("--s", help="settings per site: '2', '2,3,inf' ('inf' = all settings)")
     p.add_argument("--meas", default="both", choices=[PROJECTIVE, GENERALIZED, "both"])
-    p.add_argument("--k", type=int, help="Dicke excitation count")
+    p.add_argument("--k", type=int, help="Dicke excitation count (dicke only)")
     p.set_defaults(func=cmd_bounds)
 
     q = sub.add_parser("violation", help="seesaw lower bound on the maximal violation")

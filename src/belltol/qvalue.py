@@ -466,13 +466,16 @@ def _run_batch(
     return [done[r] for r in restarts]
 
 
-def _check_args(f: BellFunctional, rho: DensityMatrix, restarts: int) -> None:
+def _check_args(f: BellFunctional, rho: DensityMatrix, restarts: int, seed: int) -> None:
     """``seesaw``'s argument checks, in its order: the party count, the
-    restarts, then two outcomes per setting, which ``_effect_tensor`` needs."""
+    restarts, the seed (``np.random.default_rng`` takes no negative one),
+    then two outcomes per setting, which ``_effect_tensor`` needs."""
     if f.scenario.parties != rho.n:
         raise ValidationError(f"functional has {f.scenario.parties} parties, state has {rho.n}")
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     _check_two_outcomes(f.scenario)
 
 
@@ -511,7 +514,7 @@ def seesaw(
     largest intermediate within BATCH_CELLS; a restart's arithmetic does not
     depend on the batch it runs in.
     """
-    _check_args(f, rho, restarts)
+    _check_args(f, rho, restarts, seed)
     bounds = lhv_bounds(f)
     scale = 2.0 / bounds.half
     c = _effect_tensor(f) * scale
@@ -641,7 +644,7 @@ def upsilon_lower_bound(
     per = []
     for i, f in enumerate(functional_library):
         if best_only and best is not None:
-            _check_args(f, rho, restarts)
+            _check_args(f, rho, restarts, seed)
             bounds = lhv_bounds(f)
             if (_out_of_reach(best.value, _algebraic_bound(f, bounds))
                     or _out_of_reach(best.value, _quantum_bound(f, bounds))):

@@ -183,9 +183,10 @@ class BellFunctional(JsonFile):
         _lay_out(self, "coeffs")
 
     def scaled(self, c: float, label: str | None = None) -> "BellFunctional":
+        """The functional times c: the slot grid multiplied once."""
         return BellFunctional(
             scenario=self.scenario,
-            coeffs={s: c * t for s, t in self.coeffs.items()},
+            coeffs=setting_views(self.scenario, c * self.slots),
             label=self.label if label is None else label,
         )
 
@@ -302,26 +303,28 @@ def lhv_bounds(f: BellFunctional) -> LhvBounds:
     return LhvBounds(sup=sup, inf=inf)
 
 
-def _product_table(values: Sequence[Sequence[float]]) -> np.ndarray:
-    """Outer product of per-party value vectors."""
-    table = np.asarray(values[0], dtype=float)
-    for v in values[1:]:
-        table = np.multiply.outer(table, np.asarray(v, dtype=float))
-    return table
+def _slot_product(weights: np.ndarray, sites: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
+    """The product-form slot grid of one weight per joint setting and the
+    slot values ``sites[p][s]`` of site p's setting s: the cell of joint
+    setting s at slots (a_1, ..., a_n) is weights[s] times its slots'
+    values, multiplied in site order. Built site by site: the grid is
+    repeated along site p's axis by its settings' outcome counts, then
+    multiplied in place by site p's slot values."""
+    grid = np.asarray(weights, dtype=float)
+    for p, site in enumerate(sites):
+        grid = grid.repeat([len(values) for values in site], axis=p)
+        grid *= np.concatenate(site).reshape((-1,) + (1,) * (grid.ndim - p - 1))
+    return grid
 
 
 def correlation_functional(sc: Scenario, weights: np.ndarray, label: str = "") -> BellFunctional:
     """Functional whose table at joint setting s is weights[s] times the full
     product of the parties' outcome values (a weighted sum of correlation
-    functions). Its slot grid is one product: the weight tensor, of shape
-    ``sc.settings`` and repeated along each site axis by the settings'
-    outcome counts, times the outer product of the sites' value vectors."""
+    functions), written as one product-form slot grid (``_slot_product``)."""
     w = np.asarray(weights, dtype=float)
     if w.shape != sc.settings:
         raise ValidationError(f"weights have shape {w.shape}, expected {sc.settings}")
-    for p, party in enumerate(sc.outcomes):
-        w = np.repeat(w, [len(values) for values in party], axis=p)
-    slots = w * _product_table([np.concatenate(party) for party in sc.outcomes])
+    slots = _slot_product(w, sc.outcomes)
     return BellFunctional(scenario=sc, coeffs=setting_views(sc, slots), label=label)
 
 
@@ -357,7 +360,9 @@ def product_expectation_functional(
     sc: Scenario, joint_setting: tuple[int, ...], site_subset: Sequence[int]
 ) -> BellFunctional:
     """Expectation of the product of outcomes over ``site_subset`` at one joint
-    setting (a single correlation function); excluded sites enter as constant 1."""
+    setting (a single correlation function); excluded sites enter as constant 1.
+    The slot grid is +0.0 off that joint setting's block, which is written as
+    the product-form grid (``_slot_product``) of the sites' one setting each."""
     subset = sorted(set(site_subset))
     if not subset:
         raise DomainError("site subset must be nonempty")
@@ -365,19 +370,13 @@ def product_expectation_functional(
         raise DomainError(f"site subset {subset} invalid for {sc.parties} parties")
     joint_setting = tuple(joint_setting)
     if len(joint_setting) != sc.parties or any(
-        s < 0 or s >= sc.settings[p] for p, s in enumerate(joint_setting)
+        not 0 <= s < m for s, m in zip(joint_setting, sc.settings)
     ):
         raise DomainError(f"invalid joint setting {joint_setting} for scenario {sc.settings}")
-    coeffs = {}
-    for s in sc.joint_settings():
-        if s == joint_setting:
-            vals = [
-                sc.outcomes[p][s_p] if p in subset else np.ones(len(sc.outcomes[p][s_p]))
-                for p, s_p in enumerate(s)
-            ]
-            coeffs[s] = _product_table(vals)
-        else:
-            coeffs[s] = np.zeros(sc.outcome_counts(s))
+    coeffs = setting_views(sc, np.zeros([sum(map(len, party)) for party in sc.outcomes]))
+    sites = [[party[s] if p in subset else (1.0,) * len(party[s])]
+             for p, (party, s) in enumerate(zip(sc.outcomes, joint_setting))]
+    coeffs[joint_setting][...] = _slot_product(np.ones([1] * sc.parties), sites)
     return BellFunctional(scenario=sc, coeffs=coeffs, label="product-expectation")
 
 
@@ -469,8 +468,8 @@ def basis_rows(sc: Scenario) -> np.ndarray:
 
 def uniform_behavior(sc: Scenario) -> Behavior:
     """Independent uniform outcomes at every site: 1 / prod_p m_p on the
-    slot grid, the outer product of each site's outcome count per slot."""
-    counts = np.ones(())
-    for party in sc.outcomes:
-        counts = np.multiply.outer(counts, [len(values) for values in party for _ in values])
+    slot grid, the reciprocal of the product-form grid of each slot's
+    outcome count (``_slot_product``)."""
+    counts = _slot_product(np.ones(sc.settings), [[(len(v),) * len(v) for v in party]
+                                                  for party in sc.outcomes])
     return Behavior(scenario=sc, tables=setting_views(sc, 1.0 / counts))

@@ -333,6 +333,35 @@ def test_bounds_overall_only_family_refuses_other_regimes(capsys, family, regime
                             "regime, s = inf with meas type 'generalized'\n")
 
 
+@pytest.mark.parametrize("family", ["generic", "ghz", "w"])
+def test_bounds_k_outside_dicke_exits_2(capsys, family):
+    # W is the Dicke k = 1 case and takes no k either
+    assert main(["bounds", "--family", family, "--n", "3", "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: k is for the dicke family only, not {family}\n"
+
+
+def test_negative_seed_exits_2_naming_it(capsys):
+    assert main(["violation", "--state", "ghz:2,2", "--functional", "chsh", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+
+
+def test_visibility_measurements_of_mixed_dimensions_exit_2(tmp_path, capsys):
+    from belltol.linalg import complex_to_json
+
+    effect = {"effects": [complex_to_json(np.eye(3))], "outcome_values": [1.0]}
+    qubit = {"effects": [complex_to_json(np.eye(2))], "outcome_values": [1.0]}
+    path = tmp_path / "meas.json"
+    path.write_text(json.dumps({"d": 2, "parties": [[qubit], [effect]]}), encoding="utf-8")
+    assert main(["visibility", "--state", "ghz:2,2", "--measurements", f"json:{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: effect JSON entry count 9/9 does not match dim 2")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("k", [[], ["--k", "1"]], ids=["every-k", "k1"])
 def test_bounds_dicke_below_two_parties_names_n(capsys, k):
     assert main(["bounds", "--family", "dicke", "--n", "1", *k]) == 2
@@ -456,6 +485,26 @@ def test_exit_code_start_not_dual_feasible(monkeypatch, capsys):
     code = main(["visibility", "--state", "ghz:2,2", "--restarts", "1"])
     assert code == 1
     assert capsys.readouterr().err.startswith("internal error: the start basis is not dual feasible")
+
+
+def test_exit_code_simplex_weights_no_certificate(monkeypatch, capsys):
+    import dataclasses
+
+    from belltol import polytope
+
+    real = polytope.simplex_max
+
+    def one_weight_raised(lp):
+        res = real(lp)
+        x = res.x.copy()
+        x[0] += 1e-6
+        return dataclasses.replace(res, x=x)
+
+    monkeypatch.setattr(polytope, "simplex_max", one_weight_raised)
+    code = main(["visibility", "--state", "ghz:2,2", "--restarts", "1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "internal error: simplex weights are no local certificate")
 
 
 def test_deterministic_output(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +112,47 @@ def assert_optimal_dual(res, c, a, b):
     assert res.dual.shape == (a.shape[0],)
     assert np.all(res.dual @ a >= c - 1e-8)
     assert float(res.dual @ b) == pytest.approx(res.objective, abs=1e-8)
+
+
+@pytest.mark.parametrize("c, a, b, message", [
+    ([1.0], [1.0, 1.0], [1.0], "LP needs a matrix A_eq and vectors c, b_eq"),
+    ([[1.0]], [[1.0]], [1.0], "LP needs a matrix A_eq and vectors c, b_eq"),
+    ([1.0], [[1.0]], [[1.0]], "LP needs a matrix A_eq and vectors c, b_eq"),
+    ([1.0, 1.0], [[1.0]], [1.0], "inconsistent LP shapes: A is (1, 1), c has 2, b has 1"),
+    ([1.0], [[1.0]], [1.0, 1.0], "inconsistent LP shapes: A is (1, 1), c has 1, b has 2"),
+    ([math.nan], [[1.0]], [1.0], "c has non-finite entries"),
+    ([1.0], [[math.inf]], [1.0], "A_eq has non-finite entries"),
+    ([1.0], [[1.0]], [-math.inf], "b_eq has non-finite entries"),
+], ids=["a-vector", "c-matrix", "b-matrix", "c-size", "b-size", "c-nan", "a-inf", "b-inf"])
+def test_lp_input_checks_name_the_fault(c, a, b, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        lp(c, a, b, [0])
+
+
+def test_separating_functional_checks_the_farkas_length():
+    # CHSH has 16 canonical rows, and the vector carries one bound after them
+    with pytest.raises(ValidationError,
+                       match=re.escape("Farkas vector has 16 entries, expected 17")):
+        separating_functional(chsh().scenario, np.zeros(16))
+
+
+def test_simplex_weights_that_rebuild_no_behavior_raise(monkeypatch):
+    # a weight raised by 1e-6 breaks sum(w) = 1 and the rebuild of the
+    # target: the LP's answer is refused, not returned
+    real = polytope.simplex_max
+
+    def one_weight_raised(lp):
+        res = real(lp)
+        x = res.x.copy()
+        x[0] += 1e-6  # the weights lead, beta and its slack close the columns
+        return dataclasses.replace(res, x=x)
+
+    monkeypatch.setattr(polytope, "simplex_max", one_weight_raised)
+    message = re.escape("simplex weights are no local certificate")
+    with pytest.raises(SolverError, match=message):
+        critical_visibility(ghz(2, 2), NoiseSpec.white(), chsh_optimal_assignment())
+    with pytest.raises(SolverError, match=message):
+        is_local(uniform_behavior(chsh().scenario))
 
 
 def test_simplex_redundant_rows():

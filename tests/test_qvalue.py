@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,31 @@ from belltol.scenario import (
 from belltol.states import dicke, from_vector, ghz, mix, product_zero, w_state, white_noise
 
 SQRT2 = math.sqrt(2.0)
+
+
+QUBIT_ID = Measurement((np.eye(2),), (1.0,))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Measurement((), ()), ValidationError, "a measurement needs at least one effect"),
+    (lambda: Measurement((np.eye(2),), (1.0, -1.0)), ValidationError,
+     "1 effects but 2 outcome values"),
+    (lambda: Measurement((np.eye(2, 3),), (1.0,)), ValidationError,
+     "effect 0 is not square: (2, 3)"),
+    (lambda: Measurement((np.eye(2), np.zeros((3, 3))), (1.0, -1.0)), ValidationError,
+     "effects have inconsistent dimensions"),
+    (lambda: MeasurementAssignment(()), ValidationError, "assignment needs at least one party"),
+    (lambda: MeasurementAssignment(((QUBIT_ID,), (Measurement((np.eye(3),), (1.0,)),))),
+     ValidationError, "site dimensions differ: [2, 3]"),
+    (lambda: behavior(white_noise(3, 2), MeasurementAssignment(((QUBIT_ID,), (QUBIT_ID,)))),
+     ValidationError, "assignment site dimension 2 != state dimension 3"),
+    (lambda: upsilon_lower_bound(ghz(2, 2), []), DomainError,
+     "functional library must be nonempty"),
+], ids=["no-effects", "value-count", "not-square", "mixed-dims", "no-parties",
+        "mixed-site-dims", "site-dim-vs-state", "empty-library"])
+def test_input_checks_name_the_fault(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()
 
 
 def test_measurement_validation():
@@ -560,6 +586,20 @@ def test_seesaw_checks_arguments_first(monkeypatch):
         seesaw(mermin(4), ghz(2, 3))
     with pytest.raises(DomainError, match="restarts must be >= 1"):
         seesaw(mermin(3), ghz(2, 3), restarts=0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: seesaw(chsh(), ghz(2, 2), seed=-1),
+    lambda: upsilon_lower_bound(ghz(2, 2), [chsh()], seed=-1),
+], ids=["seesaw", "upsilon"])
+def test_negative_seed_is_refused_before_any_work(monkeypatch, run):
+    # np.random.default_rng names neither the seed nor its value
+    def enumerate_nothing(f):
+        raise RuntimeError("lhv_bounds was called")
+
+    monkeypatch.setattr(qvalue, "lhv_bounds", enumerate_nothing)
+    with pytest.raises(DomainError, match=re.escape("seed must be >= 0, got -1")):
+        run()
 
 
 def test_seesaw_assignment_reproduces_value():

@@ -233,6 +233,38 @@ def test_uniform_behavior_equals_per_table_build(sc):
     assert all(np.array_equal(b.tables[s], t) for s, t in tables.items())
 
 
+@pytest.mark.parametrize("sc", [MIXED_SCENARIO, SINGLE_OUTCOME_SCENARIO,
+                                Scenario.uniform(3, 2, 3)], ids=["mixed", "single", "3x2x3"])
+def test_product_expectation_equals_per_table_build(sc):
+    # every bit, signed zeros included, of one outer product at the joint
+    # setting and a +0.0 table at each other one: a 0.0 outcome value gives
+    # -0.0 cells inside the block, and none may leak out of it
+    for target in sc.joint_settings():
+        for subset in (range(sc.parties), [0]):
+            tables = {s: np.zeros(sc.outcome_counts(s)) for s in sc.joint_settings()}
+            tables[target] = functools.reduce(np.multiply.outer, [
+                sc.outcomes[p][s] if p in subset else np.ones(len(sc.outcomes[p][s]))
+                for p, s in enumerate(target)])
+            f = product_expectation_functional(sc, target, subset)
+            ref = BellFunctional(scenario=sc, coeffs=tables).slots
+            assert f.slots.tobytes() == ref.tobytes()
+
+
+def test_mermin_and_its_scaling_equal_per_table_build():
+    # weights times the outer product of +/-1 values, table by table, then
+    # each table scaled: every bit, signed zeros included
+    for n in range(2, 6):
+        f = mermin(n)
+        w = 2.0 * scenario._mk_weights(n)
+        tables = {}
+        for s in f.scenario.joint_settings():
+            values = [f.scenario.outcomes[p][s_p] for p, s_p in enumerate(s)]
+            tables[s] = w[s] * functools.reduce(np.multiply.outer, values)
+        for got, want in ((f, tables), (f.scaled(0.37), {s: 0.37 * t for s, t in tables.items()})):
+            ref = BellFunctional(scenario=f.scenario, coeffs=want).slots
+            assert got.slots.tobytes() == ref.tobytes()
+
+
 def test_lhv_scaling():
     f = chsh()
     b = lhv_bounds(f)
