@@ -93,7 +93,7 @@ def _checked(d: int, n: int, s, mt: str) -> tuple[int, int, float, str]:
 
 def tolerance_from_violation(upsilon: float) -> float:
     """Worst-case critical visibility 2 / (1 + Y); strictly decreasing in Y."""
-    if upsilon < 1.0:
+    if not upsilon >= 1.0:
         raise DomainError(f"maximal violation must be >= 1, got {upsilon}")
     return 2.0 / (1.0 + upsilon)
 
@@ -269,6 +269,7 @@ def ghz_qubit_exact(n: int) -> ToleranceReport:
 def ghz_qubit_asymptotic(n: int) -> float:
     """Large-n approximation 2^(-(n-3)/2) of the n-qubit GHZ tolerance
     threshold 2/(1+2^((n-1)/2))."""
+    n = _index(n, "n")
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     return 2.0 ** (-(n - 3) / 2.0)

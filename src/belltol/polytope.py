@@ -34,7 +34,6 @@ from .scenario import (
     _site_sum,
     basis_rows,
     canonical_rows,
-    setting_views,
     strategy_count,
     uniform_behavior,
 )
@@ -392,7 +391,7 @@ def separating_functional(sc: Scenario, farkas: np.ndarray) -> BellFunctional:
             f"Farkas vector has {farkas.size} entries, expected {slots.size + 1}"
         )
     slots.flat[canonical_rows(sc, np.arange(slots.size).reshape(slots.shape))] = farkas[:-1]
-    return BellFunctional(scenario=sc, coeffs=setting_views(sc, slots), label="separating")
+    return BellFunctional(sc, slots, "separating")
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,6 @@ from .scenario import (
     LhvBounds,
     Scenario,
     lhv_bounds,
-    setting_views,
 )
 from .states import DensityMatrix
 
@@ -194,14 +193,13 @@ def behavior(rho: DensityMatrix, meas: MeasurementAssignment) -> Behavior:
         raise ValidationError(
             f"assignment site dimension {meas.site_dim} != state dimension {rho.d}"
         )
-    sc = meas.scenario()
     stacks = [np.stack([e for m in party for e in m.effects])[None]
               for party in meas.measurements]
     t = _closed(_site_pairs(rho), [_site(stack) for stack in stacks]).real
     t = t.reshape([stack.shape[1] for stack in stacks])
     # clip roundoff-negative entries down to Behavior's negativity bound
     t[(t < 0) & (t > -NEG_PROB_TOL)] = 0.0
-    return Behavior(scenario=sc, tables=setting_views(sc, t))
+    return Behavior(meas.scenario(), t)
 
 
 def evaluate(f: BellFunctional, b: Behavior) -> float:

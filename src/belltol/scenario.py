@@ -1,10 +1,12 @@
 """Correlation scenarios, Bell functionals over discrete outcomes, behaviors,
 deterministic-strategy enumeration and exact LHV constants.
 
-A functional or a behavior lays its tables out once, on the read-only slot
-grid ``slots``: site p's axis holds its settings' outcomes, setting-major, so
-joint setting s's table is the block at each site's s_p (``setting_views``).
-``canonical_rows`` reads a grid in the LP's row order.
+A functional or a behavior holds only its read-only slot grid ``slots``:
+site p's axis holds its settings' outcomes, setting-major, so joint setting
+s's table is the block at each site's s_p. Builders hand their grid over;
+``coeffs`` and ``tables`` are views of its blocks (``setting_views``), and
+``from_tables`` lays a dict of tables out on a new grid. ``canonical_rows``
+reads a grid in the LP's row order.
 
 A deterministic strategy is one local strategy per site, and a local
 strategy reads one slot of its site's axis per setting. So a functional's
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -139,56 +141,61 @@ def canonical_rows(sc: Scenario, slots: np.ndarray) -> np.ndarray:
     return np.concatenate([v.reshape((-1, *tail)) for v in setting_views(sc, slots).values()])
 
 
-def _lay_out(obj: BellFunctional | Behavior, name: str) -> None:
-    """Replace the tables ``obj.<name>``, one finite table per joint setting
-    shaped by its outcome counts, by read-only views of a new slot grid that
-    holds a float copy of each, and keep the grid as ``obj.slots``."""
-    sc, tables = obj.scenario, getattr(obj, name)
-    slots = np.empty([sum(map(len, party)) for party in sc.outcomes])
-    views = setting_views(sc, slots)
-    if tables.keys() != views.keys():
-        missing = [f"no table for joint setting {s}" for s in views if s not in tables]
-        unexpected = [f"a table for joint setting {s}, which does not exist with settings "
-                      f"per party {sc.settings}" for s in tables if s not in views]
-        raise ValidationError("; ".join(missing[:1] + unexpected[:1]))
-    for s, view in views.items():
-        t = np.asarray(tables[s], dtype=float)
-        if t.shape != view.shape:
-            raise ValidationError(
-                f"table for joint setting {s} has shape {t.shape}, expected {view.shape}"
-            )
-        view[...] = t
-    if not np.all(np.isfinite(slots)):
-        s = next(s for s, view in views.items() if not np.all(np.isfinite(view)))
-        raise ValidationError(f"table for joint setting {s} has non-finite entries")
-    slots.setflags(write=False)
-    for view in views.values():
-        view.setflags(write=False)
-    object.__setattr__(obj, "slots", slots)
-    object.__setattr__(obj, name, views)
+@dataclass(frozen=True)
+class _SlotGrid:
+    """A scenario and its tables held as one read-only slot grid: a C-order
+    float64 grid is kept as it is, anything else is copied to one."""
+
+    scenario: Scenario
+    slots: np.ndarray
+
+    def __post_init__(self) -> None:
+        sc, slots = self.scenario, np.ascontiguousarray(self.slots, dtype=float)
+        shape = tuple(sum(map(len, party)) for party in sc.outcomes)
+        if slots.shape != shape:
+            raise ValidationError(f"slot grid has shape {slots.shape}, expected {shape}")
+        if not np.isfinite(slots).all():
+            s = next(s for s, v in setting_views(sc, slots).items() if not np.isfinite(v).all())
+            raise ValidationError(f"table for joint setting {s} has non-finite entries")
+        slots.setflags(write=False)
+        object.__setattr__(self, "slots", slots)
+
+    @classmethod
+    def from_tables(cls, sc: Scenario, tables: dict[tuple[int, ...], np.ndarray], **fields):
+        """One table per joint setting, shaped by its outcome counts, laid out
+        on a new slot grid."""
+        slots = np.empty([sum(map(len, party)) for party in sc.outcomes])
+        views = setting_views(sc, slots)
+        if tables.keys() != views.keys():
+            missing = [f"no table for joint setting {s}" for s in views if s not in tables]
+            unexpected = [f"a table for joint setting {s}, which does not exist with settings "
+                          f"per party {sc.settings}" for s in tables if s not in views]
+            raise ValidationError("; ".join(missing[:1] + unexpected[:1]))
+        for s, view in views.items():
+            t = np.asarray(tables[s], dtype=float)
+            if t.shape != view.shape:
+                raise ValidationError(
+                    f"table for joint setting {s} has shape {t.shape}, expected {view.shape}"
+                )
+            view[...] = t
+        return cls(sc, slots, **fields)
 
 
 @dataclass(frozen=True)
-class BellFunctional(JsonFile):
+class BellFunctional(_SlotGrid, JsonFile):
     """Linear functional on behaviors: one dense coefficient table per joint
-    setting, table axes ordered by party, laid out on the slot grid ``slots``
-    (``coeffs`` holds views of its blocks)."""
+    setting, table axes ordered by party, as the blocks of the slot grid."""
 
-    scenario: Scenario
-    coeffs: dict[tuple[int, ...], np.ndarray]
     label: str = ""
-    slots: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        _lay_out(self, "coeffs")
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], np.ndarray]:
+        return setting_views(self.scenario, self.slots)
 
     def scaled(self, c: float, label: str | None = None) -> "BellFunctional":
         """The functional times c: the slot grid multiplied once."""
-        return BellFunctional(
-            scenario=self.scenario,
-            coeffs=setting_views(self.scenario, c * self.slots),
-            label=self.label if label is None else label,
-        )
+        return BellFunctional(self.scenario, c * self.slots,
+                              self.label if label is None else label)
 
     def to_json_dict(self) -> dict:
         return {
@@ -203,11 +210,9 @@ class BellFunctional(JsonFile):
     @classmethod
     def from_json_dict(cls, data: dict) -> "BellFunctional":
         sc = Scenario(tuple(tuple(tuple(v) for v in party) for party in data["outcomes"]))
-        coeffs = {}
-        for key, table in data["coeffs"].items():
-            s = tuple(int(tok) - 1 for tok in key.split(","))
-            coeffs[s] = np.asarray(table, dtype=float)
-        return cls(scenario=sc, coeffs=coeffs, label=str(data.get("label", "")))
+        coeffs = {tuple(int(tok) - 1 for tok in key.split(",")): table
+                  for key, table in data["coeffs"].items()}
+        return cls.from_tables(sc, coeffs, label=str(data.get("label", "")))
 
 
 @dataclass(frozen=True)
@@ -324,8 +329,7 @@ def correlation_functional(sc: Scenario, weights: np.ndarray, label: str = "") -
     w = np.asarray(weights, dtype=float)
     if w.shape != sc.settings:
         raise ValidationError(f"weights have shape {w.shape}, expected {sc.settings}")
-    slots = _slot_product(w, sc.outcomes)
-    return BellFunctional(scenario=sc, coeffs=setting_views(sc, slots), label=label)
+    return BellFunctional(sc, _slot_product(w, sc.outcomes), label)
 
 
 def chsh() -> BellFunctional:
@@ -373,11 +377,13 @@ def product_expectation_functional(
         not 0 <= s < m for s, m in zip(joint_setting, sc.settings)
     ):
         raise DomainError(f"invalid joint setting {joint_setting} for scenario {sc.settings}")
-    coeffs = setting_views(sc, np.zeros([sum(map(len, party)) for party in sc.outcomes]))
+    slots = np.zeros([sum(map(len, party)) for party in sc.outcomes])
     sites = [[party[s] if p in subset else (1.0,) * len(party[s])]
              for p, (party, s) in enumerate(zip(sc.outcomes, joint_setting))]
-    coeffs[joint_setting][...] = _slot_product(np.ones([1] * sc.parties), sites)
-    return BellFunctional(scenario=sc, coeffs=coeffs, label="product-expectation")
+    block = tuple(slice(sum(map(len, party[:s])), sum(map(len, party[:s + 1])))
+                  for party, s in zip(sc.outcomes, joint_setting))
+    slots[block] = _slot_product(np.ones([1] * sc.parties), sites)
+    return BellFunctional(sc, slots, "product-expectation")
 
 
 def extend_with_passive_parties(f: BellFunctional, extra: int) -> BellFunctional:
@@ -391,32 +397,28 @@ def extend_with_passive_parties(f: BellFunctional, extra: int) -> BellFunctional
     for _ in range(extra):
         slots = np.multiply.outer(slots, [1.0, -1.0])
     label = f.label + f"+{extra}passive" if f.label else ""
-    return BellFunctional(scenario=sc, coeffs=setting_views(sc, slots), label=label)
+    return BellFunctional(sc, slots, label)
 
 
 @dataclass(frozen=True)
-class Behavior:
-    """Joint outcome probability tables, one per joint setting, laid out on
-    the slot grid ``slots`` (``tables`` holds views of its blocks).
+class Behavior(_SlotGrid):
+    """Joint outcome probability tables, one per joint setting, as the blocks
+    of the slot grid.
 
     Construction validates finiteness, normalization (NORMALIZATION_TOL),
     nonnegativity (NEG_PROB_TOL) and nonsignaling (NONSIGNALING_TOL).
     """
 
-    scenario: Scenario
-    tables: dict[tuple[int, ...], np.ndarray]
-    slots: np.ndarray = field(init=False, repr=False, compare=False)
+    @property
+    def tables(self) -> dict[tuple[int, ...], np.ndarray]:
+        return setting_views(self.scenario, self.slots)
 
     def __post_init__(self) -> None:
-        _lay_out(self, "tables")
-        self._check_tables()
-
-    def _check_tables(self) -> None:
-        """Nonnegativity and normalization of every table, then nonsignaling,
-        on the slot grid. Contracting a site's axis with its (setting, slot)
-        indicator sums each setting's outcomes and appends the setting axis
-        last. An error names the first offending joint setting, or party and
-        setting, in sorted order."""
+        """Contracting a site's axis with its (setting, slot) indicator sums
+        each setting's outcomes and appends the setting axis last. An error
+        names the first offending joint setting, or party and setting, in
+        sorted order."""
+        super().__post_init__()
         sc = self.scenario
         counts = [[len(values) for values in party] for party in sc.outcomes]
         indicators = [np.repeat(np.eye(len(m)), m, axis=1) for m in counts]
@@ -472,4 +474,4 @@ def uniform_behavior(sc: Scenario) -> Behavior:
     outcome count (``_slot_product``)."""
     counts = _slot_product(np.ones(sc.settings), [[(len(v),) * len(v) for v in party]
                                                   for party in sc.outcomes])
-    return Behavior(scenario=sc, tables=setting_views(sc, 1.0 / counts))
+    return Behavior(sc, 1.0 / counts)

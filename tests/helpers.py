@@ -219,7 +219,7 @@ def deterministic_behavior(sc: Scenario, strategy: tuple[int, ...]) -> Behavior:
         t = np.zeros(sc.outcome_counts(s))
         t[tuple(strategy[ends[p] + s_p] for p, s_p in enumerate(s))] = 1.0
         tables[s] = t
-    return Behavior(sc, tables)
+    return Behavior.from_tables(sc, tables)
 
 
 def reference_basis_rows(sc: Scenario) -> np.ndarray:

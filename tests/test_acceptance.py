@@ -186,7 +186,7 @@ def test_criterion_6_property_suites():
     worst_aff = 0.0
     # CHSH on the (-1, +1) outcomes of random_povm; reversing both outcome
     # orders leaves its correlator tables as they are
-    f = BellFunctional(Scenario.uniform(2, 2), bt.chsh().coeffs)
+    f = BellFunctional.from_tables(Scenario.uniform(2, 2), bt.chsh().coeffs)
     for _ in range(100):
         zeta = random_density(2, 2, rng)
         rho = random_density(2, 2, rng)
@@ -219,7 +219,7 @@ def test_criterion_6_property_suites():
             s: rng.uniform(-1.0, 1.0, sc.outcome_counts(s))
             for s in sc.joint_settings()
         }
-        f_rand = BellFunctional(sc, coeffs)
+        f_rand = BellFunctional.from_tables(sc, coeffs)
         b = bt.lhv_bounds(f_rand)
         sup_scan, inf_scan = vertex_scan_bounds(f_rand)
         worst_scan = max(worst_scan, abs(sup_scan - b.sup), abs(inf_scan - b.inf))

@@ -35,6 +35,12 @@ def test_tolerance_from_violation():
         tolerance_from_violation(0.5)
 
 
+def test_tolerance_from_violation_refuses_nan():
+    # nan compares false with everything, so a test for upsilon < 1 lets it through
+    with pytest.raises(DomainError, match="maximal violation must be >= 1"):
+        tolerance_from_violation(float("nan"))
+
+
 def test_tolerance_strictly_decreasing():
     us = np.linspace(1.0, 50.0, 200)
     ts = [tolerance_from_violation(u) for u in us]
@@ -212,6 +218,16 @@ def test_ghz_qubit_asymptotic():
     exact = 2.0 / (1.0 + 2.0 ** 10)
     approx = ghz_qubit_asymptotic(21)
     assert abs(approx / exact - 1.0) < 2.0 ** -9 * 2.0
+
+
+@pytest.mark.parametrize("n", [3.5, np.float64(7)])
+def test_ghz_qubit_asymptotic_refuses_non_integer_n(n):
+    with pytest.raises(DomainError, match="n must be an integer"):
+        ghz_qubit_asymptotic(n)
+
+
+def test_ghz_qubit_asymptotic_reads_numpy_ints():
+    assert ghz_qubit_asymptotic(np.int64(21)) == ghz_qubit_asymptotic(21) == 2.0 ** -9
 
 
 def test_specialization_chain():

@@ -411,7 +411,7 @@ def test_exit_code_unsupported_functional(tmp_path):
     from belltol.scenario import BellFunctional, Scenario
 
     sc = Scenario.uniform(2, 2, 3)
-    f = BellFunctional(sc, {s: np.zeros((3, 3)) for s in sc.joint_settings()})
+    f = BellFunctional.from_tables(sc, {s: np.zeros((3, 3)) for s in sc.joint_settings()})
     path = tmp_path / "f.json"
     f.save(str(path))
     code = main(["violation", "--state", "ghz:2,2", "--functional", f"json:{path}",
@@ -429,7 +429,7 @@ def test_violation_functional_with_marginal(tmp_path, capsys):
     # CHSH + 0.5 A0: LHV constant 2.5, GHZ value 2 sqrt(2)
     coeffs[(0, 0)] = coeffs[(0, 0)] + 0.5 * np.array([[1.0, 1.0], [-1.0, -1.0]])
     path = tmp_path / "f.json"
-    BellFunctional(f.scenario, coeffs, label="chsh+A0").save(str(path))
+    BellFunctional.from_tables(f.scenario, coeffs, label="chsh+A0").save(str(path))
     code, data = run_json(capsys, [
         "violation", "--state", "ghz:2,2", "--functional", f"json:{path}",
         "--restarts", "5", "--seed", "1",

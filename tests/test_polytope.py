@@ -513,7 +513,7 @@ def test_lhv_lp_cross_check_random_scenarios():
             s: rng.uniform(-1.0, 1.0, sc.outcome_counts(s))
             for s in sc.joint_settings()
         }
-        f = BellFunctional(sc, coeffs)
+        f = BellFunctional.from_tables(sc, coeffs)
         sup, inf = vertex_scan_bounds(f)
         b = lhv_bounds(f)
         assert abs(sup - b.sup) <= summation_bound(f)
@@ -625,7 +625,7 @@ def test_slot_grid_layout_contract(sc):
     # coeffs and tables are read-only views of one grid, and the canonical
     # rows of a Farkas vector come back unchanged through its functional
     rng = np.random.default_rng(7)
-    f = BellFunctional(sc, {s: rng.standard_normal(sc.outcome_counts(s))
+    f = BellFunctional.from_tables(sc, {s: rng.standard_normal(sc.outcome_counts(s))
                             for s in sc.joint_settings()})
     b = uniform_behavior(sc)
     for obj, tables in ((f, f.coeffs), (b, b.tables)):

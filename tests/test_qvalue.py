@@ -53,7 +53,6 @@ from belltol.scenario import (
     lhv_bounds,
     mermin,
     product_expectation_functional,
-    setting_views,
     uniform_behavior,
 )
 from belltol.states import dicke, from_vector, ghz, mix, product_zero, w_state, white_noise
@@ -283,7 +282,7 @@ def test_violation_ratio_product_state():
 
 def test_violation_ratio_degenerate():
     sc = Scenario.uniform(2, 2, values=(1.0, -1.0))
-    zero = BellFunctional(sc, {s: np.zeros((2, 2)) for s in sc.joint_settings()})
+    zero = BellFunctional.from_tables(sc, {s: np.zeros((2, 2)) for s in sc.joint_settings()})
     value = evaluate(zero, behavior(ghz(2, 2), chsh_optimal_assignment()))
     with pytest.raises(DegenerateFunctionalError):
         lhv_bounds(zero).violation(value)
@@ -292,7 +291,7 @@ def test_violation_ratio_degenerate():
 def test_violation_ratio_constant_functional_degenerate(monkeypatch):
     # constant and nonzero on the local polytope: no LHV range to measure against
     sc = Scenario.uniform(2, 2, values=(1.0, -1.0))
-    const = BellFunctional(sc, {s: np.full((2, 2), 0.75) for s in sc.joint_settings()})
+    const = BellFunctional.from_tables(sc, {s: np.full((2, 2), 0.75) for s in sc.joint_settings()})
     assert lhv_bounds(const).sup == lhv_bounds(const).inf == 3.0
     value = evaluate(const, behavior(ghz(2, 2), chsh_optimal_assignment()))
     with pytest.raises(DegenerateFunctionalError):
@@ -306,7 +305,7 @@ def test_violation_ratio_constant_functional_degenerate(monkeypatch):
 def _shifted(f: BellFunctional, c: float) -> BellFunctional:
     """f + c on every behavior: c/K added to every entry of each of the K tables."""
     k = len(f.coeffs)
-    return BellFunctional(f.scenario, {s: t + c / k for s, t in f.coeffs.items()})
+    return BellFunctional.from_tables(f.scenario, {s: t + c / k for s, t in f.coeffs.items()})
 
 
 @pytest.mark.parametrize("c", [-3.0, 0.5, 3.0])
@@ -343,7 +342,7 @@ def test_affinity_in_state():
     rng = np.random.default_rng(17)
     # CHSH on the (-1, +1) outcomes of random_povm; reversing both outcome
     # orders leaves its correlator tables as they are
-    f = BellFunctional(Scenario.uniform(2, 2), chsh().coeffs)
+    f = BellFunctional.from_tables(Scenario.uniform(2, 2), chsh().coeffs)
     for _ in range(10):
         zeta = random_density(2, 2, rng)
         rho = random_density(2, 2, rng)
@@ -409,7 +408,7 @@ def test_correlation_form_expands_joint_probability():
     tables[(0, 0)] = np.array([[1.0, 0.0], [0.0, 0.0]])  # a joint probability
     want = np.zeros((3, 3))
     want[1, 1] = 1.0
-    assert np.array_equal(qvalue._effect_tensor(BellFunctional(sc, tables)), want)
+    assert np.array_equal(qvalue._effect_tensor(BellFunctional.from_tables(sc, tables)), want)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -435,7 +434,7 @@ def random_pm_functional(n: int, rng: np.random.Generator) -> BellFunctional:
         tuple(orders[int(rng.integers(2))] for _ in range(int(rng.integers(1, 3))))
         for _ in range(n)
     ))
-    return BellFunctional(
+    return BellFunctional.from_tables(
         sc, {s: rng.standard_normal((2,) * n) for s in sc.joint_settings()}
     )
 
@@ -509,7 +508,7 @@ def test_correlation_form_rejects_many_outcomes():
         sc = Scenario((((1.0, -1.0), ragged), ((1.0, -1.0), (1.0, -1.0))))
         tables = {s: np.zeros(sc.outcome_counts(s)) for s in sc.joint_settings()}
         with pytest.raises(UnsupportedFunctionalError, match="party 0, setting 1"):
-            seesaw(BellFunctional(sc, tables), ghz(2, 2))
+            seesaw(BellFunctional.from_tables(sc, tables), ghz(2, 2))
 
 
 def test_sign_operator():
@@ -559,7 +558,7 @@ def test_seesaw_white_noise():
 def test_seesaw_rejects_unsupported():
     sc = Scenario.uniform(2, 2, 3)
     tables = {s: np.zeros((3, 3)) for s in sc.joint_settings()}
-    f = BellFunctional(sc, tables)
+    f = BellFunctional.from_tables(sc, tables)
     with pytest.raises(UnsupportedFunctionalError):
         seesaw(f, ghz(2, 2), restarts=1, seed=0)
 
@@ -567,7 +566,7 @@ def test_seesaw_rejects_unsupported():
 def test_seesaw_any_two_outcome_values():
     # CHSH's tables on outcomes valued (1, 0): the same [I, E] form, so the
     # same run, with the assignment's effects in the functional's order
-    f = BellFunctional(Scenario.uniform(2, 2, values=(1.0, 0.0)), chsh().coeffs)
+    f = BellFunctional.from_tables(Scenario.uniform(2, 2, values=(1.0, 0.0)), chsh().coeffs)
     want = seesaw(chsh(), ghz(2, 2), restarts=5, seed=1)
     got = seesaw(f, ghz(2, 2), restarts=5, seed=1)
     assert got.objective == want.objective and got.value == want.value
@@ -785,7 +784,7 @@ def test_seesaw_objective_that_falls_raises(monkeypatch):
 def pr_box() -> Behavior:
     """Popescu-Rohrlich box: outcomes equal unless both settings are 1."""
     same, differ = np.eye(2) / 2, (1 - np.eye(2)) / 2
-    return Behavior(Scenario.uniform(2, 2, values=(1.0, -1.0)),
+    return Behavior.from_tables(Scenario.uniform(2, 2, values=(1.0, -1.0)),
                     {(x, y): differ if x * y else same for x in range(2) for y in range(2)})
 
 
@@ -865,7 +864,7 @@ def test_quantum_bound_is_tsirelson_for_padded_chsh(passive):
     cap = qvalue._quantum_bound(f, lhv_bounds(f))
     assert cap == pytest.approx(SQRT2, abs=1e-12)
     # a constant added to every entry shifts k0 alone
-    shifted = BellFunctional(f.scenario, setting_views(f.scenario, f.slots + 0.25))
+    shifted = BellFunctional(f.scenario, f.slots + 0.25)
     assert qvalue._quantum_bound(shifted, lhv_bounds(shifted)) == pytest.approx(cap, abs=1e-12)
     # <sigma(a) sigma(b) X ... X> = cos(a + b) on the GHZ state
     angles = [(0.0, math.pi / 2), (-math.pi / 4, math.pi / 4)] + [(0.0,)] * passive
@@ -933,7 +932,8 @@ def test_best_only_skips_only_what_cannot_be_picked(monkeypatch, rho, skipped):
 def test_best_only_raises_as_the_seesaw_would(monkeypatch):
     # a skipped functional is checked as the seesaw checks it
     three = Scenario.uniform(4, 2, 3)
-    unsupported = BellFunctional(three, {s: np.ones((3,) * 4) for s in three.joint_settings()})
+    unsupported = BellFunctional.from_tables(
+        three, {s: np.ones((3,) * 4) for s in three.joint_settings()})
     with pytest.raises(UnsupportedFunctionalError):
         upsilon_lower_bound(ghz(2, 4), [mermin(4), unsupported], restarts=2, seed=1,
                             best_only=True)

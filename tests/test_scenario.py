@@ -77,7 +77,7 @@ def test_mermin_lhv_bounds():
 
 
 def random_functional(sc, rng):
-    return BellFunctional(sc, {
+    return BellFunctional.from_tables(sc, {
         s: rng.uniform(-1.0, 1.0, sc.outcome_counts(s)) for s in sc.joint_settings()
     })
 
@@ -159,7 +159,7 @@ def test_lhv_bounds_blocks_reach_every_strategy(sc, block, monkeypatch):
     monkeypatch.setattr(scenario, "np", types.SimpleNamespace(**{**vars(np), "add": counted}))
     joint = math.prod(sc.settings)
     for strat in itertools.product(*map(range, grid_shape(sc))):
-        b = lhv_bounds(BellFunctional(sc, deterministic_behavior(sc, strat).tables))
+        b = lhv_bounds(BellFunctional.from_tables(sc, deterministic_behavior(sc, strat).tables))
         assert (b.sup, b.inf) == (joint, 0.0)
     assert max(cells, default=0) <= block
     boxed = lhv_bounds(f)
@@ -169,7 +169,8 @@ def test_lhv_bounds_blocks_reach_every_strategy(sc, block, monkeypatch):
 
 def test_lhv_bounds_cap():
     sc = Scenario.uniform(2, 14)  # 2^28 strategies
-    zero = BellFunctional(sc, {s: np.zeros(sc.outcome_counts(s)) for s in sc.joint_settings()})
+    zero = BellFunctional.from_tables(
+        sc, {s: np.zeros(sc.outcome_counts(s)) for s in sc.joint_settings()})
     with pytest.raises(ResourceCapError, match="enumeration infeasible"):
         lhv_bounds(zero)
 
@@ -179,13 +180,13 @@ def test_lhv_bounds_blocked_grid():
     sc = Scenario.uniform(2, 1, 2048)
     assert strategy_count(sc) > GRID_BLOCK
     table = np.random.default_rng(3).uniform(-1.0, 1.0, (2048, 2048))
-    b = lhv_bounds(BellFunctional(sc, {(0, 0): table}))
+    b = lhv_bounds(BellFunctional.from_tables(sc, {(0, 0): table}))
     assert (b.sup, b.inf) == (table.max(), table.min())
 
 
 def test_constant_functional():
     sc = Scenario(((((1.0,),), ((1.0,),))))
-    f = BellFunctional(sc, {(0, 0): np.ones((1, 1))})
+    f = BellFunctional.from_tables(sc, {(0, 0): np.ones((1, 1))})
     b = lhv_bounds(f)
     assert (b.sup, b.inf, b.b_lhv) == (1.0, 1.0, 1.0)
 
@@ -228,7 +229,7 @@ def test_uniform_behavior_equals_per_table_build(sc):
         shape = sc.outcome_counts(s)
         tables[s] = np.full(shape, 1.0 / float(np.prod(shape)))
     b = uniform_behavior(sc)
-    assert np.array_equal(b.slots, Behavior(scenario=sc, tables=tables).slots)
+    assert np.array_equal(b.slots, Behavior.from_tables(sc, tables).slots)
     assert b.tables.keys() == tables.keys()
     assert all(np.array_equal(b.tables[s], t) for s, t in tables.items())
 
@@ -246,7 +247,7 @@ def test_product_expectation_equals_per_table_build(sc):
                 sc.outcomes[p][s] if p in subset else np.ones(len(sc.outcomes[p][s]))
                 for p, s in enumerate(target)])
             f = product_expectation_functional(sc, target, subset)
-            ref = BellFunctional(scenario=sc, coeffs=tables).slots
+            ref = BellFunctional.from_tables(sc, tables).slots
             assert f.slots.tobytes() == ref.tobytes()
 
 
@@ -261,7 +262,7 @@ def test_mermin_and_its_scaling_equal_per_table_build():
             values = [f.scenario.outcomes[p][s_p] for p, s_p in enumerate(s)]
             tables[s] = w[s] * functools.reduce(np.multiply.outer, values)
         for got, want in ((f, tables), (f.scaled(0.37), {s: 0.37 * t for s, t in tables.items()})):
-            ref = BellFunctional(scenario=f.scenario, coeffs=want).slots
+            ref = BellFunctional.from_tables(f.scenario, want).slots
             assert got.slots.tobytes() == ref.tobytes()
 
 
@@ -334,29 +335,81 @@ def test_scenario_validation():
     assert default_outcome_grid(3) == (-1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("build", [
+    chsh, lambda: mermin(4).scaled(-0.5), lambda: extend_with_passive_parties(chsh(), 2),
+    lambda: product_expectation_functional(MIXED_SCENARIO, (1, 0), [0, 1]),
+    lambda: uniform_behavior(MIXED_SCENARIO),
+    lambda: deterministic_behavior(chsh().scenario, (0, 1, 1, 0)),
+], ids=["chsh", "scaled", "passive", "product", "uniform", "from-tables"])
+def test_objects_hold_only_their_slot_grid(build):
+    # the tables are views derived from the one stored grid, read-only with it
+    obj = build()
+    views = obj.coeffs if isinstance(obj, BellFunctional) else obj.tables
+    assert set(vars(obj)) <= {"scenario", "slots", "label"}
+    assert not obj.slots.flags.writeable and obj.slots.flags.c_contiguous
+    assert list(views) == list(obj.scenario.joint_settings())
+    for s, view in views.items():
+        assert np.shares_memory(view, obj.slots) and not view.flags.writeable
+        assert view.shape == obj.scenario.outcome_counts(s)
+
+
+def test_constructor_keeps_a_c_order_float_grid():
+    sc = Scenario.uniform(2, 2, values=(1.0, -1.0))
+    g = np.arange(16.0).reshape(4, 4)
+    f = BellFunctional(sc, g, "kept")
+    assert f.slots is g and not g.flags.writeable and f.label == "kept"
+    u = np.full((4, 4), 0.25)
+    assert Behavior(sc, u).slots is u and not u.flags.writeable
+
+
+@pytest.mark.parametrize("grid", [
+    np.arange(16.0).reshape(4, 4).tolist(), np.arange(16).reshape(4, 4),
+    np.asfortranarray(np.arange(16.0).reshape(4, 4)),
+], ids=["list", "int", "fortran"])
+def test_constructor_copies_any_other_grid(grid):
+    sc = Scenario.uniform(2, 2, values=(1.0, -1.0))
+    f = BellFunctional(sc, grid)
+    assert f.slots is not grid and f.slots.dtype == np.float64
+    assert f.slots.flags.c_contiguous and not f.slots.flags.writeable
+    assert np.array_equal(f.slots, np.arange(16.0).reshape(4, 4))
+    if isinstance(grid, np.ndarray):
+        assert grid.flags.writeable
+
+
+def test_constructor_checks_shape_and_finiteness():
+    sc = Scenario.uniform(2, 2, values=(1.0, -1.0))
+    shapes = re.escape("slot grid has shape (2, 2), expected (4, 4)")
+    with pytest.raises(ValidationError, match=shapes):
+        BellFunctional(sc, np.zeros((2, 2)))
+    g = np.full((4, 4), 0.25)
+    g[2, 1] = np.nan  # site 0's setting 1, site 1's setting 0
+    with pytest.raises(ValidationError, match=re.escape("joint setting (1, 0) has non-finite")):
+        Behavior(sc, g)
+
+
 def test_functional_table_shape_checked():
     sc = Scenario.uniform(2, 2, values=(1.0, -1.0))
     bad = {s: np.zeros((3, 3)) for s in sc.joint_settings()}
     with pytest.raises(ValidationError):
-        BellFunctional(sc, bad)
+        BellFunctional.from_tables(sc, bad)
 
 
 def test_behavior_validation():
     sc = Scenario.uniform(2, 2, values=(1.0, -1.0))
     tables = {s: np.full((2, 2), 0.25) for s in sc.joint_settings()}
-    Behavior(sc, tables)  # uniform is fine
+    Behavior.from_tables(sc, tables)  # uniform is fine
 
     bad = {s: np.full((2, 2), 0.25) for s in sc.joint_settings()}
     bad[(0, 0)] = np.array([[0.5, 0.5], [0.25, -0.25]])
     with pytest.raises(ValidationError):
-        Behavior(sc, bad)
+        Behavior.from_tables(sc, bad)
 
     # signaling: party 0's marginal depends on party 1's setting
     sig = {s: np.full((2, 2), 0.25) for s in sc.joint_settings()}
     sig[(0, 0)] = np.array([[0.5, 0.0], [0.0, 0.5]])
     sig[(0, 1)] = np.array([[0.5, 0.5], [0.0, 0.0]])
     with pytest.raises(ValidationError, match="signaling"):
-        Behavior(sc, sig)
+        Behavior.from_tables(sc, sig)
 
 
 def loop_check(sc, tables):
@@ -434,7 +487,7 @@ def test_behavior_checks_match_loop_reference(sc):
         except ValidationError as exc:
             want = str(exc)
         try:
-            Behavior(sc, tables)
+            Behavior.from_tables(sc, tables)
             got = None
         except ValidationError as exc:
             got = str(exc)
@@ -455,13 +508,13 @@ def test_behavior_names_missing_and_unexpected_joint_settings():
     with pytest.raises(ValidationError, match=re.escape(
             "no table for joint setting (0, 1); a table for joint setting (2, 0), which does "
             "not exist with settings per party (2, 2)")):
-        Behavior(sc, tables)
+        Behavior.from_tables(sc, tables)
     del tables[(2, 0)]
     with pytest.raises(ValidationError, match=r"^no table for joint setting \(0, 1\)$"):
-        Behavior(sc, tables)
+        Behavior.from_tables(sc, tables)
     tables[(0, 1)], tables[(0, 0, 0)] = tables[(0, 0)], tables[(0, 0)]
     with pytest.raises(ValidationError, match=r"^a table for joint setting \(0, 0, 0\)"):
-        Behavior(sc, tables)
+        Behavior.from_tables(sc, tables)
 
 
 @pytest.mark.parametrize("entry", [math.nan, math.inf], ids=["nan", "inf"])
@@ -472,7 +525,7 @@ def test_behavior_rejects_non_finite_entries(entry):
     tables = {s: np.full((2, 2), 0.25) for s in sc.joint_settings()}
     tables[(1, 0)] = np.array([[0.25, 0.25], [0.25, entry]])
     with pytest.raises(ValidationError, match="non-finite"):
-        Behavior(sc, tables)
+        Behavior.from_tables(sc, tables)
 
 
 def test_deterministic_behavior_is_point_mass():
