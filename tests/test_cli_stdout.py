@@ -1,7 +1,7 @@
 """The CLI's stdout, byte for byte, against committed texts: a change that
-moves one byte of a bound table or a tolerance report fails here. Each text
-is the command's stdout with its ``generated_at`` line removed, kept in
-``data/cli_stdout/<name>.txt``."""
+moves one byte of a bound table or of a violation, visibility or tolerance
+report fails here. Each text is the command's stdout with its
+``generated_at`` line removed, kept in ``data/cli_stdout/<name>.txt``."""
 
 import os
 
@@ -24,6 +24,10 @@ COMMANDS = {
     "tolerance_product_2_3": ["tolerance", "--state", "product:2,3"],
     "tolerance_w_3": ["tolerance", "--state", "w:3", "--restarts", "3"],
     "tolerance_ghz_3_3": ["tolerance", "--state", "ghz:3,3", "--restarts", "3"],
+    "violation_ghz_2_3": ["violation", "--state", "ghz:2,3", "--functional", "mermin",
+                          "--functional", "chsh", "--restarts", "2"],
+    "visibility_ghz_2_3": ["visibility", "--state", "ghz:2,3", "--functional", "mermin",
+                           "--restarts", "2"],
 }
 
 
