@@ -57,38 +57,24 @@ def _index(value, what: str) -> int:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _check_dn(d: int, n: int) -> tuple[int, int]:
+def _checked(d: int, n: int, s, mt: str) -> tuple[int, int, float, str]:
+    """(d, n, s, mt) normalized, d, n and a finite s to Python ints, after
+    checking d and n, then mt, then s."""
     d, n = _index(d, "qudit dimension"), _index(n, "party count")
     if d < 2:
         raise DomainError(f"qudit dimension must be >= 2, got {d}")
     if n < 2:
         raise DomainError(f"party count must be >= 2, got {n}")
-    return d, n
-
-
-def _check_settings(s) -> float:
+    if mt not in MEAS_TYPES:
+        raise DomainError(f"measurement type must be one of {MEAS_TYPES}, got {mt!r}")
     if s == S_INF or s is None:
-        return S_INF
+        return d, n, S_INF, mt
     if isinstance(s, numbers.Real) and not isinstance(s, numbers.Integral) and float(s).is_integer():
         s = int(s)  # 2.0, np.float64(3.0)
     s = _index(s, "settings count")
     if s < 2:
         raise DomainError(f"settings count must be >= 2, got {s}")
-    return s
-
-
-def _check_meas(mt: str) -> str:
-    if mt not in MEAS_TYPES:
-        raise DomainError(f"measurement type must be one of {MEAS_TYPES}, got {mt!r}")
-    return mt
-
-
-def _checked(d: int, n: int, s, mt: str) -> tuple[int, int, float, str]:
-    """(d, n, s, mt) normalized, d and n to Python ints, after checking d and
-    n, then mt, then s."""
-    d, n = _check_dn(d, n)
-    mt = _check_meas(mt)
-    return d, n, _check_settings(s), mt
+    return d, n, s, mt
 
 
 def tolerance_from_violation(upsilon: float) -> float:
@@ -272,7 +258,9 @@ def ghz_qubit_asymptotic(n: int) -> float:
     n = _index(n, "n")
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
-    return 2.0 ** (-(n - 3) / 2.0)
+    # as a mantissa and an int exponent, so that n past the float range gives
+    # 0.0 where (n - 3) / 2.0 would raise OverflowError
+    return math.ldexp(1.0 if (n - 3) % 2 == 0 else math.sqrt(0.5), -((n - 3) // 2))
 
 
 # --- Dicke and W states -------------------------------------------------------

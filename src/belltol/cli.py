@@ -169,18 +169,18 @@ def _parse_noise(spec: str) -> NoiseSpec:
     raise DomainError(f"unknown noise spec {spec!r}")
 
 
-def _report_payload(config: dict, results) -> dict:
-    return {
-        "version": __version__,
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-        "config": config,
-        "results": results,
-    }
-
-
-def _emit(payload: dict, out: str | None, csv_rows: list[dict] | None = None) -> None:
-    """Write the payload as JSON, or csv_rows as CSV when given."""
+def _emit(args: argparse.Namespace, results, csv_rows: list[dict] | None = None,
+          **config) -> None:
+    """Write the report to stdout, or the same bytes to ``args.out``: JSON
+    whose config lists the subcommand and then ``config`` in call order, or
+    csv_rows as CSV when given."""
     if csv_rows is None:
+        payload = {
+            "version": __version__,
+            "generated_at": datetime.now(timezone.utc).isoformat(),
+            "config": {"subcommand": args.subcommand, **config},
+            "results": results,
+        }
         text = json.dumps(_sig9(payload), indent=2)
     else:
         buf = io.StringIO()
@@ -190,11 +190,9 @@ def _emit(payload: dict, out: str | None, csv_rows: list[dict] | None = None) ->
             writer.writerow({k: f"{v:.9g}" if isinstance(v, float) else v
                              for k, v in row.items()})
         text = buf.getvalue()
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            print(text, file=fh)
     else:
         print(text)
 
@@ -211,17 +209,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         args.family, d_values, n_values, s_values, meas, k=args.k
     )
     rows = [r.row() for r in reports]
-    config = {
-        "subcommand": "bounds",
-        "family": args.family,
-        "d": args.d,
-        "n": args.n,
-        "s": args.s,
-        "meas": args.meas,
-        "k": args.k,
-    }
-    _emit(_report_payload(config, rows), args.out,
-          csv_rows=rows if args.format == "csv" else None)
+    _emit(args, rows, rows if args.format == "csv" else None, family=args.family,
+          d=args.d, n=args.n, s=args.s, meas=args.meas, k=args.k)
     return EXIT_OK
 
 
@@ -241,16 +230,8 @@ def cmd_violation(args: argparse.Namespace) -> int:
         "sweeps": len(found.result.trace),
         "assignment": _printed_assignment(found.result.assignment),
     }
-    config = {
-        "subcommand": "violation",
-        "state": args.state,
-        "functional": specs,
-        "seed": args.seed,
-        "restarts": args.restarts,
-        "sweep_tol": SWEEP_TOL,
-        "trace": args.trace,
-    }
-    _emit(_report_payload(config, result), args.out)
+    _emit(args, result, state=args.state, functional=specs, seed=args.seed,
+          restarts=args.restarts, sweep_tol=SWEEP_TOL, trace=args.trace)
     return EXIT_OK
 
 
@@ -282,16 +263,8 @@ def cmd_visibility(args: argparse.Namespace) -> int:
         "measurements": meas_origin,
         "report": report,
     }
-    config = {
-        "subcommand": "visibility",
-        "state": args.state,
-        "noise": args.noise,
-        "measurements": args.measurements,
-        "functional": args.functional,
-        "seed": args.seed,
-        "restarts": args.restarts,
-    }
-    _emit(_report_payload(config, result), args.out)
+    _emit(args, result, state=args.state, noise=args.noise, measurements=args.measurements,
+          functional=args.functional, seed=args.seed, restarts=args.restarts)
     return EXIT_OK
 
 
@@ -341,14 +314,8 @@ def cmd_tolerance(args: argparse.Namespace) -> int:
     }
     if warning:
         result["warning"] = warning
-    config = {
-        "subcommand": "tolerance",
-        "state": args.state,
-        "functional": specs,
-        "seed": args.seed,
-        "restarts": args.restarts,
-    }
-    _emit(_report_payload(config, result), args.out)
+    _emit(args, result, state=args.state, functional=specs, seed=args.seed,
+          restarts=args.restarts)
     return EXIT_OK
 
 
@@ -375,33 +342,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     q = sub.add_parser("violation", help="seesaw lower bound on the maximal violation")
-    q.add_argument("--state", required=True, help="ghz:d,n | dicke:n,k | w:n | product:d,n | json:path")
     q.add_argument("--functional", action="append",
                    help="chsh | mermin:n | json:path (repeatable)")
-    q.add_argument("--seed", type=int, default=1)
-    q.add_argument("--restarts", type=int, default=20)
     q.add_argument("--trace", help="write the best restart's per-sweep objective CSV here")
     q.set_defaults(func=cmd_violation)
 
     r = sub.add_parser("visibility", help="LP critical visibility for fixed measurements")
-    r.add_argument("--state", required=True)
     r.add_argument("--noise", default="white", help="white | json:path")
     r.add_argument("--measurements", default="seesaw", help="seesaw | json:path")
     r.add_argument("--functional", default="chsh", help="functional guiding the seesaw")
-    r.add_argument("--seed", type=int, default=1)
-    r.add_argument("--restarts", type=int, default=20)
     r.set_defaults(func=cmd_visibility)
 
     t = sub.add_parser("tolerance", help="bracketing interval for the noise tolerance")
-    t.add_argument("--state", required=True)
     t.add_argument("--functional", action="append",
                    help="seesaw library (default: mermin + chsh)")
-    t.add_argument("--seed", type=int, default=1)
-    t.add_argument("--restarts", type=int, default=20)
     t.set_defaults(func=cmd_tolerance)
 
     p.add_argument("--format", default="json", choices=["json", "csv"])
     for p_ in (p, q, r, t):
+        if p_ is not p:
+            p_.add_argument("--state", required=True,
+                            help="ghz:d,n | dicke:n,k | w:n | product:d,n | json:path")
+            p_.add_argument("--seed", type=int, default=1)
+            p_.add_argument("--restarts", type=int, default=20)
         p_.add_argument("--out", help="write output to this path instead of stdout")
     return parser
 

@@ -11,6 +11,7 @@ All functions are pure and operate on immutable inputs; matrices are plain
 from __future__ import annotations
 
 import json
+import operator
 import os
 
 import numpy as np
@@ -58,6 +59,16 @@ def complex_to_json(m: np.ndarray) -> dict:
     """Row-major flat real and imaginary parts, the JSON form of a matrix."""
     return {"re": [float(x) for x in m.real.ravel()],
             "im": [float(x) for x in m.imag.ravel()]}
+
+
+def int_from_json(data: dict, key: str, what: str) -> int:
+    """``data[key]`` as an int; a float (2.9, 2.0 too) or a string raises
+    ValidationError naming the field, where ``int`` would truncate it."""
+    try:
+        return operator.index(data[key])
+    except TypeError:
+        raise ValidationError(
+            f"{what} JSON field {key!r} must be an integer, got {data[key]!r}") from None
 
 
 def complex_from_json(data: dict, dim: int, what: str) -> np.ndarray:

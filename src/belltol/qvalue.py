@@ -47,6 +47,7 @@ from .linalg import (
     complex_to_json,
     eig_hermitian,
     frozen,
+    int_from_json,
     min_eigenvalue,
 )
 from .scenario import (
@@ -174,7 +175,7 @@ class MeasurementAssignment(JsonFile):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MeasurementAssignment":
-        d = int(data["d"])
+        d = int_from_json(data, "d", "assignment")
         built = []
         for party in data["parties"]:
             row = []

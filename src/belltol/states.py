@@ -18,6 +18,7 @@ from .linalg import (
     complex_from_json,
     complex_to_json,
     frozen,
+    int_from_json,
     min_eigenvalue,
     resolve_max_dim,
 )
@@ -99,7 +100,7 @@ class DensityMatrix(JsonFile):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DensityMatrix":
-        d, n = int(data["d"]), int(data["n"])
+        d, n = int_from_json(data, "d", "state"), int_from_json(data, "n", "state")
         return cls(d=d, n=n, matrix=complex_from_json(data, d**n, "state"))
 
 

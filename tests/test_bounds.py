@@ -230,6 +230,13 @@ def test_ghz_qubit_asymptotic_reads_numpy_ints():
     assert ghz_qubit_asymptotic(np.int64(21)) == ghz_qubit_asymptotic(21) == 2.0 ** -9
 
 
+def test_ghz_qubit_asymptotic_past_float_range():
+    # 2^(-(n-3)/2) for n whose (n - 3) / 2.0 overflows a float underflows to 0
+    assert ghz_qubit_asymptotic(10**400) == 0.0
+    assert ghz_qubit_asymptotic(2) == math.sqrt(2.0)
+    assert all(ghz_qubit_asymptotic(n) == 2.0 ** (-(n - 3) / 2.0) for n in range(2, 3000))
+
+
 def test_specialization_chain():
     # the GHZ bound never exceeds the generic one
     for d in range(2, 7):

@@ -381,6 +381,17 @@ def test_bounds_overall_only_family_keeps_its_rows(capsys, family):
     assert all(table == tables[0] for table in tables)
 
 
+def test_state_json_with_non_integer_d_exits_2(tmp_path, capsys):
+    from belltol.states import ghz
+
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({**ghz(2, 2).to_json_dict(), "d": 2.9}), encoding="utf-8")
+    assert main(["tolerance", "--state", f"json:{path}", "--restarts", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(": state JSON field 'd' must be an integer, got 2.9\n")
+
+
 def test_functional_json_with_unknown_joint_setting_exits_2(tmp_path, capsys):
     from belltol.scenario import chsh
 

@@ -31,10 +31,25 @@ COMMANDS = {
 }
 
 
+def _without_timestamp(text: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True) if '"generated_at"' not in line)
+
+
+def _committed(name: str) -> str:
+    with open(os.path.join(STDOUT, f"{name}.txt"), encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
 @pytest.mark.parametrize("name", COMMANDS)
 def test_stdout_matches_committed_text(capsys, name):
     assert main(COMMANDS[name]) == 0
-    out = capsys.readouterr().out
-    got = "".join(line for line in out.splitlines(keepends=True) if '"generated_at"' not in line)
-    with open(os.path.join(STDOUT, f"{name}.txt"), encoding="utf-8", newline="") as fh:
-        assert got == fh.read()
+    assert _without_timestamp(capsys.readouterr().out) == _committed(name)
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_out_file_holds_what_stdout_prints(capsys, tmp_path, name):
+    path = tmp_path / "report"
+    assert main([*COMMANDS[name], "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert _without_timestamp(fh.read()) == _committed(name)

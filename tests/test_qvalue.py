@@ -982,6 +982,15 @@ def test_assignment_json_roundtrip(tmp_path):
                 assert np.allclose(e_new, e_old)
 
 
+@pytest.mark.parametrize("value", [2.7, 2.0, "2"])
+def test_assignment_json_rejects_non_integer_d(value):
+    # int() would read 2.7 as 2 and load the qubit effects as they are
+    data = {**chsh_optimal_assignment().to_json_dict(), "d": value}
+    with pytest.raises(ValidationError,
+                       match=f"assignment JSON field 'd' must be an integer, got {value!r}"):
+        MeasurementAssignment.from_json_dict(data)
+
+
 def test_assignment_json_rejects_bad_effects():
     data = chsh_optimal_assignment().to_json_dict()
     effect = data["parties"][0][0]["effects"][0]

@@ -155,6 +155,15 @@ def test_json_rejects_bad_shape():
         DensityMatrix.from_json_dict({"d": 2, "n": 1, "re": [1.0], "im": [0.0]})
 
 
+@pytest.mark.parametrize("field, value", [("d", 2.9), ("d", 2.0), ("d", "2"), ("n", 2.5)])
+def test_json_rejects_non_integer_d_and_n(field, value):
+    # int() would read 2.9 as 2 and load a state of another dimension
+    data = {**ghz(2, 2).to_json_dict(), field: value}
+    with pytest.raises(ValidationError,
+                       match=f"state JSON field '{field}' must be an integer, got {value!r}"):
+        DensityMatrix.from_json_dict(data)
+
+
 def test_noise_spec():
     ns = NoiseSpec.white()
     assert np.allclose(ns.resolve(2, 2).matrix, white_noise(2, 2).matrix)
