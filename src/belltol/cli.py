@@ -77,26 +77,32 @@ def _sig9(x):
     return x
 
 
-def _zero_round_off(values: list[float]) -> list[float]:
-    """Entries below 1e-12 in magnitude, -0.0 included, printed as 0.0, so
-    round-off in entries that are 0 does not change stdout."""
-    return [0.0 if abs(x) < 1e-12 else x for x in values]
+def _zero_round_off(x):
+    """``x`` with every float below 1e-12 in magnitude, -0.0 included, in it
+    or in the dicts and lists that it nests printed as 0.0, so round-off in
+    entries that are 0 does not change stdout. Files that ``save`` writes
+    keep full precision."""
+    if isinstance(x, float):
+        return 0.0 if abs(x) < 1e-12 else x
+    if isinstance(x, dict):
+        return {k: _zero_round_off(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_zero_round_off(v) for v in x]
+    return x
 
 
-def _printed_assignment(assignment: MeasurementAssignment) -> dict:
-    """Assignment JSON with round-off zeroed in every effect entry.
-    ``MeasurementAssignment.save`` keeps full precision."""
-    data = assignment.to_json_dict()
-    for party in data["parties"]:
-        for m in party:
-            for e in m["effects"]:
-                for part in ("re", "im"):
-                    e[part] = _zero_round_off(e[part])
-    return data
+def _parse_int(text: str, source: str) -> int:
+    """``int(text)``; a text that is not an integer raises DomainError
+    naming ``source``, the spec or list that ``text`` came from."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise DomainError(f"cannot parse {source}: {exc}") from None
 
 
 def _parse_int_list(text: str, allow_inf: bool = False) -> list:
     """'2', '2..4' or '2,3,inf' -> list of ints (and inf when allowed)."""
+    source = f"integer list {text!r}"
     out: list = []
     for piece in text.split(","):
         piece = piece.strip()
@@ -106,12 +112,12 @@ def _parse_int_list(text: str, allow_inf: bool = False) -> list:
             out.append(S_INF)
         elif ".." in piece:
             lo_s, hi_s = piece.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = _parse_int(lo_s, source), _parse_int(hi_s, source)
             if hi < lo:
                 raise DomainError(f"empty range {piece!r}")
             out.extend(range(lo, hi + 1))
         else:
-            out.append(int(piece))
+            out.append(_parse_int(piece, source))
     if not out:
         raise DomainError(f"empty list {text!r}")
     return out
@@ -119,38 +125,34 @@ def _parse_int_list(text: str, allow_inf: bool = False) -> list:
 
 def _parse_state(spec: str) -> tuple[DensityMatrix, str, int | None]:
     """'ghz:d,n' | 'dicke:n,k' | 'w:n' | 'product:d,n' | 'json:path' -> the
-    state, its family and its excitation count k (Dicke and W states)."""
+    state, its family and its excitation count k (Dicke and W states). Only
+    the spec's integers are reported as unparsable; the builder's and the
+    file's own errors pass through as they are."""
     kind, _, arg = spec.partition(":")
-    try:
-        if kind == "ghz":
-            d, n = (int(x) for x in arg.split(","))
-            return ghz(d, n), "ghz", None
-        if kind == "dicke":
-            n, k = (int(x) for x in arg.split(","))
-            return dicke(n, k), "dicke", k
-        if kind == "w":
-            return w_state(int(arg)), "w", 1
-        if kind == "product":
-            d, n = (int(x) for x in arg.split(","))
-            return product_zero(d, n), "product", None
-        if kind == "json":
-            return DensityMatrix.load(arg), "custom", None
-    except ValueError as exc:
-        raise DomainError(f"cannot parse state spec {spec!r}: {exc}") from exc
-    raise DomainError(f"unknown state spec {spec!r}")
+    if kind == "json":
+        return DensityMatrix.load(arg), "custom", None
+    builders = {"ghz": (ghz, 2), "dicke": (dicke, 2), "w": (w_state, 1),
+                "product": (product_zero, 2)}
+    if kind not in builders:
+        raise DomainError(f"unknown state spec {spec!r}")
+    build, count = builders[kind]
+    ints = [_parse_int(x, f"state spec {spec!r}") for x in arg.split(",")]
+    if len(ints) != count:
+        raise DomainError(f"cannot parse state spec {spec!r}: expected {count} integers")
+    return build(*ints), kind, {"dicke": ints[-1], "w": 1}.get(kind)
 
 
 def _parse_functional(spec: str, parties: int) -> BellFunctional:
     """'chsh' | 'mermin:n' | 'json:path'; chsh on > 2 parties is padded with
     passive single-setting sites, and mermin:n needs n = ``parties``."""
-    kind, _, arg = spec.partition(":")
-    if kind == "chsh":
+    if spec == "chsh":
         f = chsh()
         if parties > 2:
             f = extend_with_passive_parties(f, parties - 2)
         return f
+    kind, _, arg = spec.partition(":")
     if kind == "mermin":
-        n = int(arg) if arg else parties
+        n = _parse_int(arg, f"functional spec {spec!r}") if arg else parties
         if n != parties:
             # checked before mermin(n) builds its 2^n tables of 2^n entries
             raise DomainError(f"functional {spec!r} has {n} parties, state has {parties}")
@@ -161,9 +163,9 @@ def _parse_functional(spec: str, parties: int) -> BellFunctional:
 
 
 def _parse_noise(spec: str) -> NoiseSpec:
-    kind, _, arg = spec.partition(":")
-    if kind == "white":
+    if spec == "white":
         return NoiseSpec.white()
+    kind, _, arg = spec.partition(":")
     if kind == "json":
         return NoiseSpec.explicit(DensityMatrix.load(arg))
     raise DomainError(f"unknown noise spec {spec!r}")
@@ -228,7 +230,7 @@ def cmd_violation(args: argparse.Namespace) -> int:
             {"functional": name, "value": val} for name, val in found.per_functional
         ],
         "sweeps": len(found.result.trace),
-        "assignment": _printed_assignment(found.result.assignment),
+        "assignment": _zero_round_off(found.result.assignment.to_json_dict()),
     }
     _emit(args, result, state=args.state, functional=specs, seed=args.seed,
           restarts=args.restarts, sweep_tol=SWEEP_TOL, trace=args.trace)
@@ -252,16 +254,12 @@ def cmd_visibility(args: argparse.Namespace) -> int:
     caveats = [FIXED_MEAS_CAVEAT]
     if noise.kind == "explicit":
         caveats.append(EXPLICIT_NOISE_CAVEAT)
-    report = vis.to_json_dict()
-    for key in ("weights", "dual"):
-        if key in report:
-            report[key] = _zero_round_off(report[key])
     result = {
         "beta_star": vis.beta_star,
         "certificate_kind": vis.certificate_kind,
         "caveats": caveats,
         "measurements": meas_origin,
-        "report": report,
+        "report": _zero_round_off(vis.to_json_dict()),
     }
     _emit(args, result, state=args.state, noise=args.noise, measurements=args.measurements,
           functional=args.functional, seed=args.seed, restarts=args.restarts)

@@ -87,9 +87,11 @@ def complex_from_json(data: dict, dim: int, what: str) -> np.ndarray:
 
 class JsonFile:
     """``save``/``load`` of a class's ``to_json_dict``/``from_json_dict`` as a
-    UTF-8 JSON file. ``load`` reports a document of the wrong shape (a missing
-    key, or a list or number where ``from_json_dict`` reads another type) as
-    a ValidationError."""
+    UTF-8 JSON file. ``load`` reports a file that is not UTF-8 JSON, or a
+    document of the wrong shape (a missing key, or a list or number where
+    ``from_json_dict`` reads another type), as a ValidationError naming the
+    class; ``from_json_dict``'s own ValidationErrors pass through as they
+    are."""
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -98,7 +100,10 @@ class JsonFile:
     @classmethod
     def load(cls, path: str):
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+                raise ValidationError(f"malformed {cls.__name__} JSON: {exc}") from exc
         try:
             return cls.from_json_dict(data)
         except (KeyError, TypeError, AttributeError) as exc:

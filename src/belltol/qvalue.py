@@ -10,7 +10,7 @@ projector onto the nonnegative eigenspace of each local operator.
 
 ``behavior`` closes the state once for all its tables: each site's stack
 holds the effects of all its settings, setting-major, M_p of them, and the
-sites are closed in order by the seesaw's kernel below (``_closed``). Site p
+sites are closed in order by the seesaw's kernel below (``_advance``). Site p
 costs about d^(2(n-p)) M_0 ... M_p multiply-adds, and the (M_0, ..., M_(n-1))
 result is the behavior's slot grid (``scenario.setting_views``).
 
@@ -194,10 +194,12 @@ def behavior(rho: DensityMatrix, meas: MeasurementAssignment) -> Behavior:
         raise ValidationError(
             f"assignment site dimension {meas.site_dim} != state dimension {rho.d}"
         )
-    stacks = [np.stack([e for m in party for e in m.effects])[None]
-              for party in meas.measurements]
-    t = _closed(_site_pairs(rho), [_site(stack) for stack in stacks]).real
-    t = t.reshape([stack.shape[1] for stack in stacks])
+    sites = [_site(np.stack([e for m in party for e in m.effects])[None])
+             for party in meas.measurements]
+    t = _site_pairs(rho)  # rebound site by site: functools.reduce would hold L_0 to the end
+    for site in sites:
+        t = _advance(t, site)
+    t = t.real.reshape([site.shape[2] for site in sites])
     # clip roundoff-negative entries down to Behavior's negativity bound
     t[(t < 0) & (t > -NEG_PROB_TOL)] = 0.0
     return Behavior(meas.scenario(), t)
@@ -291,8 +293,8 @@ def _site_map(m: int) -> np.ndarray:
 
 
 def _effect_tensor(f: BellFunctional) -> np.ndarray:
-    """C with objective sum(C * T), T = _closed over the stacks
-    [I, E_0, ..., E_(S-1)], E_s the effect of setting s's first outcome:
+    """C with objective sum(C * T), T the state closed (``_advance``) at the
+    stacks [I, E_0, ..., E_(S-1)], E_s the effect of setting s's first outcome:
     index 0 at a site means the identity, index s + 1 the effect E_s (the
     per-site basis of Collins & Gisin, J. Phys. A 37, 1775 (2004)).
 
@@ -334,22 +336,14 @@ def _stacks(site: np.ndarray, d: int) -> np.ndarray:
 
 
 def _advance(left: np.ndarray, site: np.ndarray) -> np.ndarray:
-    """L_(p+1) from L_p and site p. A left environment has shape (R, d^2 D, M):
-    the axes of the open sites p..n-1 by the m axes of the closed sites
-    0..p-1, and closing its leading site is one product per restart."""
-    k = site.shape[1]
-    paired = left.reshape(len(left), k, -1).swapaxes(1, 2)
+    """L_(p+1) from L_p, (..., d^2 D, M), and site p, (..., d^2, m), whose
+    leading axes broadcast: the axes of the open sites p..n-1 by the m axes
+    of the closed sites 0..p-1. From L_0 (``_site_pairs``, one row), closed
+    at every site in turn, it gives L_n, (R, 1, m_0 ... m_(n-1))."""
+    k = site.shape[-2]
+    paired = left.reshape(left.shape[:-2] + (k, -1)).swapaxes(-1, -2)
     out = np.matmul(paired, site)
-    return out.reshape(len(out), left.shape[1] // k, -1)
-
-
-def _closed(left: np.ndarray, sites: list[np.ndarray]) -> np.ndarray:
-    """The state laid out as L_0 (``_site_pairs``) closed at every site, each
-    given as ``_site`` of its stacks (R, m_p, d, d), site 0 first: L_n, of
-    shape (R, 1, m_0 ... m_(n-1)), the m axes in site order."""
-    for site in sites:
-        left = _advance(left, site)
-    return left
+    return out.reshape(out.shape[:-2] + (left.shape[-2] // k, -1))
 
 
 def _party_coefficients(c: np.ndarray) -> list[np.ndarray]:
@@ -366,16 +360,15 @@ def _local_operators(
     """K of shape (R, m_p - 1, d^2) with objective sum_s tr[K[:, s] E_s] plus
     a term free of party p's effects E_0, ..., E_(m_p - 2), K[:, s] read as
     [ket, bra]: its left environment L_p, given as ``env``, closed at the
-    sites p+1..n-1, one product per restart and entry of site p each, then
-    contracted with p's coefficient matrix ``coeffs`` (``_party_coefficients``)
-    without the identity's row, which weighs no effect. ``env`` is rebound as
-    it shrinks, so a caller that holds no reference to L_p does not keep it
-    alive."""
+    sites p+1..n-1 by ``_advance`` with site p's d^2 axis as a batch axis,
+    then contracted with p's coefficient matrix ``coeffs``
+    (``_party_coefficients``) without the identity's row, which weighs no
+    effect. ``env`` is rebound as it shrinks, so a caller that holds no
+    reference to L_p does not keep it alive."""
+    env = env.reshape(len(env), sites[party].shape[1], -1, env.shape[2])
     for site in sites[party + 1:]:
-        k = site.shape[1]
-        env = np.matmul(env.reshape(len(env), k, k, -1).swapaxes(2, 3), site[:, None])
-        env = env.reshape(len(env), k, -1)
-    return np.matmul(coeffs, env.swapaxes(1, 2))
+        env = _advance(env, site[:, None])
+    return np.matmul(coeffs, env[:, :, 0].swapaxes(1, 2))
 
 
 def _objective(left: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -399,8 +392,9 @@ def _run_batch(
 ) -> list[_Restart]:
     """Seesaw restarts ``restarts`` advanced together, each from its own
     ``_initial_stacks``; a restart leaves the batch when a sweep gains less
-    than SWEEP_TOL, and one whose objective falls raises SolverError. The
-    coefficient tensor ``c`` is in the seesaw's units.
+    than SWEEP_TOL (converged) or at sweep MAX_SWEEPS (not converged), and
+    one whose objective falls raises SolverError. The coefficient tensor
+    ``c`` is in the seesaw's units.
 
     What does not change from sweep to sweep is made once per batch: the
     initial stacks of all restarts, each party's coefficient matrix without
@@ -415,14 +409,15 @@ def _run_batch(
     sites = [_site(stack) for stack in stacks]
     coeffs = [w[1:] for w in _party_coefficients(c)]
     state = _site_pairs(rho)
-    value = _objective(_closed(state, sites), c)
+    value = _objective(functools.reduce(_advance, sites, state), c)
 
     active = list(restarts)
-    traces: list[list[float]] = [[] for _ in active]
+    traces: dict[int, list[float]] = {r: [] for r in restarts}
     done: dict[int, _Restart] = {}
-    for _ in range(MAX_SWEEPS):
+    for sweep in range(1, MAX_SWEEPS + 1):
+        left = state
         for party in range(n):
-            k = _local_operators(left if party else state, sites, coeffs[party], party)
+            k = _local_operators(left, sites, coeffs[party], party)
             k = k.reshape(len(k), -1, d, d)
             # the best effect projects onto the nonnegative eigenspace of K; a
             # vanishing K carries no update direction (every effect is
@@ -435,7 +430,7 @@ def _run_batch(
                 best += eye
                 best /= 2
                 np.copyto(_stacks(sites[party], d)[:, 1:], best, where=moves[..., None, None])
-            left = _advance(left if party else state, sites[party])
+            left = _advance(left, sites[party])
         new_value = _objective(left, c)
         fell = new_value < value - 1e-12 * np.maximum(1.0, np.abs(value))
         if fell.any():
@@ -444,24 +439,21 @@ def _run_batch(
                 f"seesaw objective decreased from {float(value[i])!r} to {float(new_value[i])!r} "
                 "(at an LHV half-range of 2)"
             )
-        for trace, v in zip(traces, new_value.tolist()):
-            trace.append(v)
-        stop = new_value - value < SWEEP_TOL
+        for r, v in zip(active, new_value.tolist()):
+            traces[r].append(v)
+        converged = new_value - value < SWEEP_TOL
+        stop = converged | (sweep == MAX_SWEEPS)
         value = new_value
         if stop.any():
             for i in np.flatnonzero(stop):
-                done[active[i]] = _Restart(tuple(traces[i]), True,
+                done[active[i]] = _Restart(tuple(traces[active[i]]), bool(converged[i]),
                                            [_stacks(site, d)[i, 1:] for site in sites])
             keep = ~stop
             value = value[keep]
             sites = [site[keep] for site in sites]
             active = [r for r, s in zip(active, keep) if s]
-            traces = [t for t, s in zip(traces, keep) if s]
             if not active:
                 break
-    for i, restart in enumerate(active):
-        done[restart] = _Restart(tuple(traces[i]), False,
-                                 [_stacks(site, d)[i, 1:] for site in sites])
     return [done[r] for r in restarts]
 
 

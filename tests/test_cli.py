@@ -594,3 +594,60 @@ def test_file_errors_exit_2(capsys, tmp_path, argv, document):
     assert err.count("\n") == 1
     if document is not None:
         assert err.startswith("error: malformed ")
+
+
+@pytest.mark.parametrize("argv, document, message", [
+    (["tolerance", "--state", "dicke:3,3", "--restarts", "1"], None,
+     "k must be in 1..2, got 3"),
+    (["tolerance", "--state", "json:{doc}", "--restarts", "1"], "d-2.9",
+     "state JSON field 'd' must be an integer, got 2.9"),
+    (["visibility", "--state", "ghz:2,2", "--noise", "json:{doc}", "--restarts", "1"],
+     "not json", "malformed DensityMatrix JSON: Expecting value: line 1 column 1 (char 0)"),
+    (["violation", "--state", "ghz:2,2", "--functional", "json:{doc}"], "not json",
+     "malformed BellFunctional JSON: Expecting value: line 1 column 1 (char 0)"),
+], ids=["dicke-k", "state-file-d", "noise-file-not-json", "functional-file-not-json"])
+def test_input_errors_print_their_own_message(capsys, tmp_path, argv, document, message):
+    # the spec parser reports only the spec's integers as unparsable: a
+    # builder's or a file's own error prints as it is
+    from belltol.states import ghz
+
+    if document is not None:
+        doc = tmp_path / "doc.json"
+        if document == "d-2.9":
+            document = json.dumps({**ghz(2, 2).to_json_dict(), "d": 2.9})
+        doc.write_text(document, encoding="utf-8")
+        argv = [a.format(doc=doc) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["violation", "--state", "ghz:2,x"],
+     "cannot parse state spec 'ghz:2,x': invalid literal for int() with base 10: 'x'"),
+    (["violation", "--state", "ghz:2"], "cannot parse state spec 'ghz:2': expected 2 integers"),
+    (["violation", "--state", "ghz:2,3", "--functional", "mermin:x"],
+     "cannot parse functional spec 'mermin:x': invalid literal for int() with base 10: 'x'"),
+    (["bounds", "--family", "ghz", "--n", "2.5"],
+     "cannot parse integer list '2.5': invalid literal for int() with base 10: '2.5'"),
+    (["bounds", "--family", "ghz", "--n", "3", "--d", "2..x"],
+     "cannot parse integer list '2..x': invalid literal for int() with base 10: 'x'"),
+    (["violation", "--state", "ghz:2,2", "--functional", "chsh:zzz"],
+     "unknown functional spec 'chsh:zzz'"),
+    (["visibility", "--state", "ghz:2,2", "--noise", "white:zz"], "unknown noise spec 'white:zz'"),
+], ids=["state-int", "state-count", "mermin-int", "n-list", "d-range", "chsh-arg", "white-arg"])
+def test_text_inputs_name_themselves(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_zero_round_off_maps_every_nested_float():
+    from belltol.cli import _zero_round_off
+
+    got = _zero_round_off({"d": 0, "a": [1e-13, -0.0, 0.5, "x", {"b": [-2e-12, 3]}], "c": 1e-15})
+    assert got == {"d": 0, "a": [0.0, 0.0, 0.5, "x", {"b": [-2e-12, 3]}], "c": 0.0}
+    assert math.copysign(1.0, got["a"][1]) == 1.0
+    assert type(got["a"][4]["b"][1]) is int

@@ -381,7 +381,8 @@ def assert_effect_tensor_matches_evaluate(f, rng):
     rho = random_density(2, sc.parties, rng)
     effects = effect_stacks(2, sc.settings, rng)
     stacks = [np.stack([np.eye(2), *row])[None] for row in effects]
-    left = qvalue._closed(qvalue._site_pairs(rho), [qvalue._site(stack) for stack in stacks])
+    left = functools.reduce(qvalue._advance, [qvalue._site(stack) for stack in stacks],
+                            qvalue._site_pairs(rho))
     got = qvalue._objective(left, qvalue._effect_tensor(f))
     meas = MeasurementAssignment(tuple(
         tuple(Measurement((e, np.eye(2) - e), v) for e, v in zip(row, sc.outcomes[p]))
@@ -692,6 +693,27 @@ def test_initial_stacks_match_per_restart_draws(d):
             assert np.array_equal(got[p][i], want)
 
 
+def test_advance_over_leading_batch_axes():
+    # closing a site under leading axes (2, 3), the site broadcast along the
+    # second, gives what closing each leading index on its own gives; so
+    # does L_0's one row against a site of two
+    rng = np.random.default_rng(41)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    left, site = draw(2, 3, 4 * 4 * 4, 5), draw(2, 1, 4, 6)
+    got = qvalue._advance(left, site)
+    assert got.shape == (2, 3, 16, 30)
+    for i, j in itertools.product(range(2), range(3)):
+        assert np.array_equal(got[i, j], qvalue._advance(left[i, j][None], site[i])[0])
+    left, site = draw(1, 16, 1), draw(2, 4, 3)
+    got = qvalue._advance(left, site)
+    assert got.shape == (2, 4, 3)
+    for r in range(2):
+        assert np.array_equal(got[r], qvalue._advance(left, site[r][None])[0])
+
+
 def test_seesaw_keeps_effects_whose_operator_vanishes():
     # <A_0 B_0> alone: setting 1's operator is 0 at both sites, so its effect
     # stays the initial draw while setting 0's is updated in the same stack
@@ -735,6 +757,23 @@ def test_one_sweep_updates_a_mixed_stack(monkeypatch):
                 else:
                     assert np.array_equal(got, stacks[party][r, s + 1])
         assert moved == {(0, 1, 0)[party]}
+
+
+def test_restarts_stopped_at_max_sweeps(monkeypatch):
+    # with MAX_SWEEPS cut to the sweep at which the first restart converges,
+    # that restart still reports converged and every later one does not;
+    # each keeps the first MAX_SWEEPS values of its uncut trace
+    rho, f = w_state(3), mermin(3)
+    c = qvalue._effect_tensor(f)
+    full = qvalue._run_batch(rho, c, 1, range(4))
+    assert all(run.converged for run in full)
+    first = min(len(run.trace) for run in full)
+    assert any(len(run.trace) > first for run in full)
+    monkeypatch.setattr(qvalue, "MAX_SWEEPS", first)
+    cut = qvalue._run_batch(rho, c, 1, range(4))
+    for whole, run in zip(full, cut):
+        assert run.converged == (len(whole.trace) == first)
+        assert run.trace == whole.trace[:first]
 
 
 @pytest.mark.parametrize("strided", [False, True])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,25 @@ def test_json_rejects_non_integer_d_and_n(field, value):
     with pytest.raises(ValidationError,
                        match=f"state JSON field '{field}' must be an integer, got {value!r}"):
         DensityMatrix.from_json_dict(data)
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+    (b"\xff{", "'utf-8' codec can't decode byte 0xff in position 0"),
+], ids=["not-json", "not-utf8"])
+def test_load_names_the_class_of_a_file_that_is_not_json(tmp_path, content, reason):
+    path = tmp_path / "state.json"
+    path.write_bytes(content)
+    with pytest.raises(ValidationError, match=re.escape(f"malformed DensityMatrix JSON: {reason}")):
+        DensityMatrix.load(str(path))
+
+
+def test_load_keeps_the_messages_of_from_json_dict(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({**ghz(2, 2).to_json_dict(), "d": 2.9}), encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        DensityMatrix.load(str(path))
+    assert str(info.value) == "state JSON field 'd' must be an integer, got 2.9"
 
 
 def test_noise_spec():
