@@ -46,7 +46,6 @@ from .qvalue import (
     MeasurementAssignment,
     seesaw,
     upsilon_lower_bound,
-    write_sweep_trace,
 )
 from .scenario import BellFunctional, chsh, extend_with_passive_parties, mermin
 from .states import DensityMatrix, NoiseSpec, dicke, ghz, product_zero, w_state
@@ -197,6 +196,15 @@ def _emit(args: argparse.Namespace, results, csv_rows: list[dict] | None = None,
             print(text, file=fh)
     else:
         print(text)
+
+
+def write_sweep_trace(path: str, trace: tuple[float, ...]) -> None:
+    """Per-sweep objective values as a two-column CSV."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sweep", "objective"])
+        for i, v in enumerate(trace):
+            writer.writerow([i + 1, repr(v)])
 
 
 # --- subcommands ---------------------------------------------------------------

@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import BelltolError, ValidationError
 
 DEFAULT_MAX_DIM = 4096
 MAX_DIM_ENV = "BELLTOL_MAX_DIM"
@@ -88,10 +88,12 @@ def complex_from_json(data: dict, dim: int, what: str) -> np.ndarray:
 class JsonFile:
     """``save``/``load`` of a class's ``to_json_dict``/``from_json_dict`` as a
     UTF-8 JSON file. ``load`` reports a file that is not UTF-8 JSON, or a
-    document of the wrong shape (a missing key, or a list or number where
-    ``from_json_dict`` reads another type), as a ValidationError naming the
-    class; ``from_json_dict``'s own ValidationErrors pass through as they
-    are."""
+    document of the wrong shape (a missing key, a list or number where
+    ``from_json_dict`` reads another type, or a value that it cannot
+    convert, such as a string where it reads numbers), as a ValidationError
+    naming the class; the package's own errors from ``from_json_dict`` pass
+    through as they are, and so does numpy's LinAlgError, a ValueError that
+    is a numerical failure and not a malformed file."""
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -106,7 +108,9 @@ class JsonFile:
                 raise ValidationError(f"malformed {cls.__name__} JSON: {exc}") from exc
         try:
             return cls.from_json_dict(data)
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (BelltolError, np.linalg.LinAlgError):
+            raise
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValidationError(f"malformed {cls.__name__} JSON: {exc!r}") from exc
 
 

@@ -10,11 +10,12 @@ beta at beta = 1 (Lemke's dual method, Naval Res. Logist. Q. 1, 36 (1954));
 ``simplex_max`` states its pivoting rules.
 
 The LP's frame, what it reads of a scenario and not of the behavior, is built
-once per scenario: the vertex matrix D, its ``basis_rows``, the start basis
-(the ``_staircase`` strategies and beta) and the uniform behavior's vector,
-all read-only. One frame is held, the last scenario's, keyed by the
-``Scenario`` value; it is released before a different scenario's frame is
-built, so at most one dense D is held between calls.
+once per scenario: the vertex matrix D, the rows of D that the LP keeps and
+its start basis, the staircase strategies and beta (both from
+``_lp_start``), and the uniform behavior's vector, all read-only. One frame
+is held, the last scenario's, keyed by the ``Scenario`` value; it is
+released before a different scenario's frame is built, so at most one dense
+D is held between calls.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .scenario import (
     BellFunctional,
     Scenario,
     _site_sum,
-    basis_rows,
     canonical_rows,
     strategy_count,
     uniform_behavior,
@@ -260,27 +260,35 @@ def _check_farkas(d: np.ndarray, farkas: np.ndarray, target: np.ndarray) -> None
         )
 
 
-def _staircase(sc: Scenario) -> np.ndarray:
-    """Columns of ``vertex_matrix`` (strategy indices) of the Kronecker product
-    of per-site staircases: all outcomes 0, then setting 0 stepping through
-    its other outcomes, then setting 1, and so on, with every other setting at
-    outcome 0. That is 1 + sum_s (m_s - 1) strategies per site, as many as its
-    ``basis_rows``, and D[keep] on these columns is triangular per site up to
-    a row order, so |det| = 1."""
-    cols = np.zeros(1, dtype=np.intp)
+def _lp_start(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The visibility LP's start, as Kronecker products of per-site parts
+    built in one pass: the mask of canonical rows it keeps, and the columns
+    of ``vertex_matrix`` (strategy indices) of its start basis.
+
+    Each site keeps every outcome of setting 0 and all but the last of its
+    other settings, as row(s, last) = sum_a row(0, a) - sum_{a < last} row(s,
+    a): a basis of the vertex matrix's row space, prod_p (1 + sum_s (m_ps -
+    1)) rows, whose rows of joint setting (0, ..., 0) sum to the weight. Its
+    staircase strategies are all outcomes 0, then setting 0 stepping through
+    its other outcomes, then setting 1, and so on, with every other setting
+    at outcome 0: as many as its kept rows, and D[keep] on these columns is
+    triangular per site up to a row order, so |det| = 1."""
+    keep, cols = np.ones((), dtype=bool), np.zeros(1, dtype=np.intp)
     for party in sc.outcomes:
         sizes = [len(values) for values in party]
+        site = [np.arange(m) < m - (s > 0) for s, m in enumerate(sizes)]
+        keep = np.multiply.outer(keep, np.concatenate(site))
         stair = [0] + [a * math.prod(sizes[s + 1:])
                        for s, m in enumerate(sizes) for a in range(1, m)]
         cols = (cols[:, None] * math.prod(sizes) + np.array(stair)).ravel()
-    return cols
+    return canonical_rows(sc, keep), cols
 
 
 @dataclass(frozen=True)
 class _LpFrame:
     """What the visibility LP reads of a scenario, all read-only: the vertex
-    matrix, its ``basis_rows`` mask, the start basis (the ``_staircase``
-    strategies, then beta) and the uniform behavior's vector."""
+    matrix, its kept rows and the start basis (``_lp_start``'s staircase
+    strategies, then beta), and the uniform behavior's vector."""
 
     d: np.ndarray
     keep: np.ndarray
@@ -295,13 +303,14 @@ _FRAME: dict[Scenario, _LpFrame] = {}
 def _lp_frame(sc: Scenario) -> _LpFrame:
     """The scenario's LP frame. For a scenario other than the last one's, the
     last frame is released first, then the new one is built through
-    ``vertex_matrix``, ``basis_rows`` and ``uniform_behavior``, so their
+    ``vertex_matrix``, ``_lp_start`` and ``uniform_behavior``, so their
     checks run once per frame."""
     frame = _FRAME.get(sc)
     if frame is None:
         _FRAME.clear()
         d = vertex_matrix(sc)
-        frame = _LpFrame(d=d, keep=basis_rows(sc), start=np.append(_staircase(sc), d.shape[1]),
+        keep, cols = _lp_start(sc)
+        frame = _LpFrame(d=d, keep=keep, start=np.append(cols, d.shape[1]),
                          uniform=uniform_behavior(sc).vector())
         for arr in vars(frame).values():
             arr.setflags(write=False)
@@ -313,8 +322,8 @@ def _membership(
     sc: Scenario, base: np.ndarray, delta: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """The visibility LP: max beta s.t. D @ w - beta * delta = base on the
-    ``basis_rows`` of D, which also fix sum(w) = 1, w >= 0, 0 <= beta <= 1, for
-    a local base. Returns beta, the weights and, when beta < 1 - DEFAULT_LP_TOL,
+    kept rows of D (``_lp_start``), which also fix sum(w) = 1, w >= 0, 0 <=
+    beta <= 1, for a local base. Returns beta, the weights and, when beta < 1 - DEFAULT_LP_TOL,
     the Farkas vector F of the dual y in canonical rows, F[:-1][keep] = -y[:k] and
     F[-1] = 0: F[:-1] @ v <= 0 on every vertex, F[:-1] @ delta >= 1 and
     F[:-1] @ base = -beta, so F[:-1] separates base + b * delta from the local

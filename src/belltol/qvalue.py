@@ -32,7 +32,6 @@ multiply-adds per restart.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -176,6 +175,8 @@ class MeasurementAssignment(JsonFile):
     @classmethod
     def from_json_dict(cls, data: dict) -> "MeasurementAssignment":
         d = int_from_json(data, "d", "assignment")
+        if d < 1:
+            raise ValidationError(f"assignment JSON field 'd' must be >= 1, got {d}")
         built = []
         for party in data["parties"]:
             row = []
@@ -273,16 +274,6 @@ def sign_operator(h: np.ndarray) -> np.ndarray:
     return (v * signs[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _check_two_outcomes(sc: Scenario) -> None:
-    """Raise UnsupportedFunctionalError unless every setting has two outcomes."""
-    for p, party in enumerate(sc.outcomes):
-        for s, vals in enumerate(party):
-            if len(vals) != 2:
-                raise UnsupportedFunctionalError(
-                    f"party {p}, setting {s} has {len(vals)} outcomes, the seesaw needs 2"
-                )
-
-
 @functools.lru_cache(maxsize=None)
 def _site_map(m: int) -> np.ndarray:
     """The (m + 1, 2m) matrix that writes each of m settings' f(0) E + f(1)
@@ -300,7 +291,7 @@ def _effect_tensor(f: BellFunctional) -> np.ndarray:
 
     Each site axis of the functional's slot grid is contracted with its
     ``_site_map``, made once per settings count. Every setting must have two
-    outcomes (``_check_two_outcomes``)."""
+    outcomes (``_check_args``)."""
     c = f.slots
     for p, m in enumerate(f.scenario.settings):
         c = np.moveaxis(np.tensordot(_site_map(m), c, axes=(1, p)), 0, p)
@@ -467,7 +458,12 @@ def _check_args(f: BellFunctional, rho: DensityMatrix, restarts: int, seed: int)
         raise DomainError(f"restarts must be >= 1, got {restarts}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    _check_two_outcomes(f.scenario)
+    for p, party in enumerate(f.scenario.outcomes):
+        for s, vals in enumerate(party):
+            if len(vals) != 2:
+                raise UnsupportedFunctionalError(
+                    f"party {p}, setting {s} has {len(vals)} outcomes, the seesaw needs 2"
+                )
 
 
 def seesaw(
@@ -542,31 +538,33 @@ def seesaw(
     )
 
 
-def _algebraic_bound(f: BellFunctional, bounds: LhvBounds) -> float:
-    """Largest violation ratio of ``f`` on any behavior, quantum or not: each
-    table's value lies between its least and its largest entry, so the value
-    lies in [A_inf, A_sup], the sums of those entries, and its ratio is at
-    most max(A_sup - mid, mid - A_inf) / half. DegenerateFunctionalError when
-    ``f`` is constant on the local polytope, as from ``bounds.violation``."""
-    tables = f.coeffs.values()
-    return max(bounds.violation(sum(float(t.max()) for t in tables)),
-               bounds.violation(sum(float(t.min()) for t in tables)))
-
-
-def _quantum_bound(f: BellFunctional, bounds: LhvBounds) -> float:
+def _violation_cap(f: BellFunctional, bounds: LhvBounds) -> float:
     """An upper bound on the violation ratio of ``f`` over every quantum
-    behavior, in any local dimension and with any two-outcome POVMs. Each site's coefficients over
-    [I, E_0, ..., E_(S-1)] (``_effect_tensor``) are rewritten over [I, O_0,
-    ..., O_(S-1)], O_s = 2 E_s - I, with ||O_s|| <= 1, and the all-identity
-    coefficient k0 is set aside. For each site p, W_p is the rest as the
-    unfolding of site p against the others (``_party_coefficients``),
-    restricted to its r_p nonzero rows and c_p nonzero columns; with the
-    state purified to |psi>, f - k0 = sum_ij W_p[i, j] <psi|A_i (x) B_j|psi>,
-    the vectors A_i|psi> and B_j|psi> of norm at most 1, so Cauchy-Schwarz
-    gives |f - k0| <= ||W_p||_2 sqrt(r_p c_p) for every p. ||W_p||_2 comes
-    from the eigenvalues of the Gram matrix W_p W_p^T. Tight for CHSH with
-    any number of passive parties (sqrt 2, Tsirelson's bound: Lett. Math.
-    Phys. 4, 93 (1980)) and for Mermin-Klyshko functionals (2^((n-1)/2))."""
+    behavior, in any local dimension and with any two-outcome POVMs: the
+    lesser of two caps. DegenerateFunctionalError when ``f`` is constant on
+    the local polytope, as from ``bounds.violation``.
+
+    The algebraic cap holds on every behavior, quantum or not: each table's
+    value lies between its least and its largest entry, so the value lies in
+    [A_inf, A_sup], the sums of those entries.
+
+    The quantum cap rewrites each site's coefficients over [I, E_0, ...,
+    E_(S-1)] (``_effect_tensor``) over [I, O_0, ..., O_(S-1)], O_s = 2 E_s -
+    I, with ||O_s|| <= 1, and sets the all-identity coefficient k0 aside.
+    For each site p, W_p is the rest as the unfolding of site p against the
+    others (``_party_coefficients``), restricted to its r_p nonzero rows and
+    c_p nonzero columns; with the state purified to |psi>, f - k0 = sum_ij
+    W_p[i, j] <psi|A_i (x) B_j|psi>, the vectors A_i|psi> and B_j|psi> of
+    norm at most 1, so Cauchy-Schwarz gives |f - k0| <= ||W_p||_2 sqrt(r_p
+    c_p) for every p. ||W_p||_2 comes from the eigenvalues of the Gram
+    matrix W_p W_p^T. Tight for CHSH with any number of passive parties
+    (sqrt 2, Tsirelson's bound: Lett. Math. Phys. 4, 93 (1980)) and for
+    Mermin-Klyshko functionals (2^((n-1)/2)). Either cap can be the lesser:
+    padded CHSH's algebraic cap is 2, and dense random tables often have an
+    algebraic cap below their quantum cap."""
+    tables = f.coeffs.values()
+    algebraic = max(bounds.violation(sum(float(t.max()) for t in tables)),
+                    bounds.violation(sum(float(t.min()) for t in tables)))
     k = _effect_tensor(f)
     for p, m in enumerate(k.shape):
         # E_s = (I + O_s)/2: E_s's coefficient moves half to O_s, half to I
@@ -582,14 +580,7 @@ def _quantum_bound(f: BellFunctional, bounds: LhvBounds) -> float:
         w = w[nonzero.any(axis=1)][:, nonzero.any(axis=0)]
         top = float(np.linalg.eigvalsh(w @ w.T)[-1]) if w.size else 0.0
         q = min(q, math.sqrt(top * w.size))
-    return max(bounds.violation(k0 + q), bounds.violation(k0 - q))
-
-
-def _out_of_reach(best: float, cap: float) -> bool:
-    """Whether ``best`` exceeds the violation cap ``cap`` by more than
-    RESTART_GAIN_TOL * max(1, cap), so that no value within the cap can be
-    picked over it."""
-    return best > cap + RESTART_GAIN_TOL * max(1.0, cap)
+    return min(algebraic, max(bounds.violation(k0 + q), bounds.violation(k0 - q)))
 
 
 @dataclass(frozen=True)
@@ -617,17 +608,13 @@ def upsilon_lower_bound(
 
     With ``best_only``, for a caller that needs only the best value, a
     functional runs only if it could beat the best value found so far: it
-    is skipped when that value exceeds a cap on the functional's violation
-    by more than RESTART_GAIN_TOL * max(1, cap). The cheap algebraic cap
-    (``_algebraic_bound``, over all behaviors) is tried first, and only if
-    it does not skip the certified quantum cap (``_quantum_bound``, over
-    all quantum behaviors, which builds the coefficient tensor); every
-    seesaw value is that of a quantum behavior, so it lies within both.
-    The pick needs a strictly higher value, so a skipped functional could
-    never have been picked: ``value``, ``best_label`` and ``result`` are
-    those of the full run, and ``per_functional`` lists the functionals that
-    ran. A functional the seesaw rejects raises as it would have, skipped or
-    not."""
+    is skipped when that value exceeds the functional's certified cap
+    (``_violation_cap``, over all quantum behaviors, within which every
+    seesaw value lies) by more than RESTART_GAIN_TOL * max(1, cap). The
+    pick needs a strictly higher value, so a skipped functional could never
+    have been picked: ``value``, ``best_label`` and ``result`` are those of
+    the full run, and ``per_functional`` lists the functionals that ran. A
+    functional the seesaw rejects raises as it would have, skipped or not."""
     if not functional_library:
         raise DomainError("functional library must be nonempty")
     best: SeesawResult | None = None
@@ -636,9 +623,8 @@ def upsilon_lower_bound(
     for i, f in enumerate(functional_library):
         if best_only and best is not None:
             _check_args(f, rho, restarts, seed)
-            bounds = lhv_bounds(f)
-            if (_out_of_reach(best.value, _algebraic_bound(f, bounds))
-                    or _out_of_reach(best.value, _quantum_bound(f, bounds))):
+            cap = _violation_cap(f, lhv_bounds(f))
+            if best.value > cap + RESTART_GAIN_TOL * max(1.0, cap):
                 continue
         res = seesaw(f, rho, restarts=restarts, seed=seed)
         per.append((f.label or f"functional{i}", res.value))
@@ -647,12 +633,3 @@ def upsilon_lower_bound(
     assert best is not None
     label = functional_library[best_i].label or f"functional{best_i}"
     return UpsilonLowerBound(best_label=label, result=best, per_functional=tuple(per))
-
-
-def write_sweep_trace(path: str, trace: tuple[float, ...]) -> None:
-    """Per-sweep objective values as a two-column CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sweep", "objective"])
-        for i, v in enumerate(trace):
-            writer.writerow([i + 1, repr(v)])

@@ -192,10 +192,9 @@ class BellFunctional(_SlotGrid, JsonFile):
     def coeffs(self) -> dict[tuple[int, ...], np.ndarray]:
         return setting_views(self.scenario, self.slots)
 
-    def scaled(self, c: float, label: str | None = None) -> "BellFunctional":
-        """The functional times c: the slot grid multiplied once."""
-        return BellFunctional(self.scenario, c * self.slots,
-                              self.label if label is None else label)
+    def scaled(self, c: float) -> "BellFunctional":
+        """The functional times c, with its label: the slot grid multiplied once."""
+        return BellFunctional(self.scenario, c * self.slots, self.label)
 
     def to_json_dict(self) -> dict:
         return {
@@ -210,8 +209,14 @@ class BellFunctional(_SlotGrid, JsonFile):
     @classmethod
     def from_json_dict(cls, data: dict) -> "BellFunctional":
         sc = Scenario(tuple(tuple(tuple(v) for v in party) for party in data["outcomes"]))
-        coeffs = {tuple(int(tok) - 1 for tok in key.split(",")): table
-                  for key, table in data["coeffs"].items()}
+        coeffs = {}
+        for key, table in data["coeffs"].items():
+            try:
+                s = tuple(int(tok) - 1 for tok in key.split(","))
+            except ValueError:
+                raise ValidationError(f"functional JSON key {key!r} is not a list of "
+                                      "1-based settings such as '1,2'") from None
+            coeffs[s] = table
         return cls.from_tables(sc, coeffs, label=str(data.get("label", "")))
 
 
@@ -453,19 +458,6 @@ class Behavior(_SlotGrid):
     def vector(self) -> np.ndarray:
         """Flatten in the canonical row order shared with the LP vertex matrix."""
         return canonical_rows(self.scenario, self.slots)
-
-
-def basis_rows(sc: Scenario) -> np.ndarray:
-    """Mask of canonical rows that are a basis of the vertex matrix's row space,
-    the Kronecker product of per-site bases: each site keeps every outcome of
-    setting 0 and all but the last of its other settings, as row(s, last) =
-    sum_a row(0, a) - sum_{a < last} row(s, a). That is prod_p (1 + sum_s
-    (m_ps - 1)) rows; those of joint setting (0, ..., 0) sum to the weight."""
-    keep = np.ones((), dtype=bool)
-    for party in sc.outcomes:
-        site = [np.arange(len(values)) < len(values) - (s > 0) for s, values in enumerate(party)]
-        keep = np.multiply.outer(keep, np.concatenate(site))
-    return canonical_rows(sc, keep)
 
 
 def uniform_behavior(sc: Scenario) -> Behavior:

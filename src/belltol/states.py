@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _index
 from .errors import DomainError, ResourceCapError, ValidationError
 from .linalg import (
     JsonFile,
@@ -28,11 +29,15 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 
 
-def _check_sites(d: int, n: int) -> None:
+def _check_sites(d: int, n: int) -> tuple[int, int]:
+    """d and n as Python ints (``bounds._index``: a numpy integer would wrap
+    in d**n), d >= 2 and n >= 1."""
+    d, n = _index(d, "d"), _index(n, "n")
     if d < 2:
         raise DomainError(f"site dimension must be >= 2, got {d}")
     if n < 1:
         raise DomainError(f"number of sites must be >= 1, got {n}")
+    return d, n
 
 
 def _check_trace(tr: float) -> None:
@@ -67,7 +72,9 @@ class DensityMatrix(JsonFile):
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_sites(self.d, self.n)
+        d, n = _check_sites(self.d, self.n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n", n)
         m = as_cmatrix(self.matrix, "density matrix")
         _check_matrix(self.d, self.n, m)
         low = min_eigenvalue(m, tol=HERM_TOL)
@@ -100,16 +107,20 @@ class DensityMatrix(JsonFile):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DensityMatrix":
-        d, n = int_from_json(data, "d", "state"), int_from_json(data, "n", "state")
-        return cls(d=d, n=n, matrix=complex_from_json(data, d**n, "state"))
+        """The state of a file's d, n and entries, refused as the builders
+        refuse it (d and n first, then the cap) before d**n is formed."""
+        d, n = _check_sites(int_from_json(data, "d", "state"), int_from_json(data, "n", "state"))
+        return cls(d=d, n=n, matrix=complex_from_json(data, _check_cap(d, n), "state"))
 
 
 def _check_cap(d: int, n: int) -> int:
-    dim = d**n
+    """d**n, for d >= 2 and n >= 1 as ints; ResourceCapError when it exceeds
+    the cap. Since d >= 2, an n past the cap's bit length exceeds it alone,
+    and d**n is not formed: at n = 10**9 that would not finish."""
     cap = resolve_max_dim()
-    if dim > cap:
-        raise ResourceCapError(f"total dimension {d}^{n} = {dim} exceeds cap {cap}")
-    return dim
+    if n > cap.bit_length() or d**n > cap:
+        raise ResourceCapError(f"total dimension {d}^{n} exceeds cap {cap}")
+    return d**n
 
 
 def from_vector(psi: np.ndarray, d: int, n: int) -> DensityMatrix:
@@ -127,10 +138,10 @@ def from_vector(psi: np.ndarray, d: int, n: int) -> DensityMatrix:
     nonnegative real amplitudes the bytes do too; elsewhere a zero row of the
     outer product may hold -0.0 where this one holds +0.0.
     """
+    d, n = _check_sites(d, n)
     v = np.asarray(psi, dtype=np.complex128).ravel()
     if v.size != d**n:
         raise ValidationError(f"vector length {v.size} does not match d={d}, n={n}")
-    _check_sites(d, n)
     if not np.isfinite(v).all():
         raise ValidationError("density matrix contains non-finite entries")
     _check_trace(float(np.vdot(v, v).real))
@@ -142,6 +153,7 @@ def from_vector(psi: np.ndarray, d: int, n: int) -> DensityMatrix:
 
 def ghz(d: int, n: int) -> DensityMatrix:
     """Maximally correlated n-qudit state (1/sqrt(d)) sum_j |j...j>."""
+    d, n = _index(d, "d"), _index(n, "n")
     if d < 2:
         raise DomainError(f"d must be >= 2, got {d}")
     if n < 2:
@@ -156,6 +168,7 @@ def ghz(d: int, n: int) -> DensityMatrix:
 
 def dicke(n: int, k: int) -> DensityMatrix:
     """Symmetrized n-qubit state with k excitations; k=1 is the W state."""
+    n, k = _index(n, "n"), _index(k, "k")
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     if not 1 <= k <= n - 1:
@@ -176,7 +189,7 @@ def w_state(n: int) -> DensityMatrix:
 def white_noise(d: int, n: int) -> DensityMatrix:
     """Maximally mixed state I/d^n, diagonal with positive entries: finite,
     Hermitian and PSD by construction. Only the diagonal is written."""
-    _check_sites(d, n)
+    d, n = _check_sites(d, n)
     dim = _check_cap(d, n)
     m = np.zeros((dim, dim), dtype=np.complex128)
     np.fill_diagonal(m, 1.0 / dim)
@@ -185,7 +198,7 @@ def white_noise(d: int, n: int) -> DensityMatrix:
 
 def product_zero(d: int, n: int) -> DensityMatrix:
     """|0...0><0...0|, a fully product (hence Bell-local) reference state."""
-    _check_sites(d, n)
+    d, n = _check_sites(d, n)
     dim = _check_cap(d, n)
     psi = np.zeros(dim, dtype=np.complex128)
     psi[0] = 1.0

@@ -623,6 +623,60 @@ def test_input_errors_print_their_own_message(capsys, tmp_path, argv, document, 
     assert captured.err == f"error: {message}\n"
 
 
+def functional_with_key(key: str) -> dict:
+    from belltol.scenario import chsh
+
+    data = chsh().to_json_dict()
+    data["coeffs"][key] = data["coeffs"].pop("1,1")
+    return data
+
+
+def state_with(**fields) -> dict:
+    from belltol.states import ghz
+
+    return {**ghz(2, 2).to_json_dict(), **fields}
+
+
+def assignment_with(**first_measurement) -> dict:
+    """The CHSH-optimal assignment's JSON with fields of its first
+    measurement replaced."""
+    from helpers import chsh_optimal_assignment
+
+    data = chsh_optimal_assignment().to_json_dict()
+    data["parties"][0][0].update(first_measurement)
+    return data
+
+
+@pytest.mark.parametrize("argv, document, code, message", [
+    (["violation", "--state", "ghz:2,2", "--functional", "json:{doc}"], functional_with_key("a,b"),
+     2, "error: functional JSON key 'a,b' is not a list of 1-based settings such as '1,2'"),
+    (["tolerance", "--state", "json:{doc}"], state_with(n=-1),
+     2, "error: number of sites must be >= 1, got -1"),
+    (["tolerance", "--state", "json:{doc}"], state_with(n=2000),
+     4, "error: resource cap: total dimension 2^2000 exceeds cap 4096"),
+    (["tolerance", "--state", "json:{doc}"], state_with(d=3, n=100000),
+     4, "error: resource cap: total dimension 3^100000 exceeds cap 4096"),
+    (["tolerance", "--state", "json:{doc}"], state_with(d=3, n=10**9),
+     4, "error: resource cap: total dimension 3^1000000000 exceeds cap 4096"),
+    (["visibility", "--state", "ghz:2,2", "--measurements", "json:{doc}"], {**assignment_with(), "d": -2},
+     2, "error: assignment JSON field 'd' must be >= 1, got -2"),
+    (["visibility", "--state", "ghz:2,2", "--measurements", "json:{doc}"],
+     assignment_with(outcome_values="ab"), 2,
+     "error: malformed MeasurementAssignment JSON: "
+     "ValueError(\"could not convert string to float: 'a'\")"),
+], ids=["functional-key", "state-n-negative", "state-n-2000", "state-n-100000", "state-n-1e9",
+        "assignment-d-negative", "assignment-outcome-string"])
+def test_json_file_faults_print_what_is_wrong(monkeypatch, capsys, tmp_path, argv, document,
+                                              code, message):
+    monkeypatch.delenv("BELLTOL_MAX_DIM", raising=False)
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(document), encoding="utf-8")
+    assert main([a.format(doc=doc) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["violation", "--state", "ghz:2,x"],
      "cannot parse state spec 'ghz:2,x': invalid literal for int() with base 10: 'x'"),

@@ -38,7 +38,6 @@ from belltol.qvalue import Measurement, MeasurementAssignment, behavior, evaluat
 from belltol.scenario import (
     BellFunctional,
     Scenario,
-    basis_rows,
     canonical_rows,
     chsh,
     grid_shape,
@@ -608,7 +607,8 @@ SITE_COUNTS = [((2, 2), (2, 2)), ((3, 3), (3, 3)), ((2, 3, 4), (3,), (2, 2)),
 def test_start_basis_is_unimodular(sites):
     # the staircase strategies on the basis rows: square, |det| = 1
     sc = scenario_of(*sites)
-    block = vertex_matrix(sc)[basis_rows(sc)][:, polytope._staircase(sc)]
+    keep, cols = polytope._lp_start(sc)
+    block = vertex_matrix(sc)[keep][:, cols]
     assert block.shape[0] == block.shape[1]
     assert abs(np.linalg.det(block)) == pytest.approx(1.0, abs=1e-9)
 
@@ -617,7 +617,7 @@ def test_start_basis_is_unimodular(sites):
 def test_slot_grid_rows_equal_per_table_reference(sites):
     sc = scenario_of(*sites)
     assert np.array_equal(vertex_matrix(sc), reference_vertex_matrix(sc))
-    assert np.array_equal(basis_rows(sc), reference_basis_rows(sc))
+    assert np.array_equal(polytope._lp_start(sc)[0], reference_basis_rows(sc))
 
 
 @pytest.mark.parametrize("sc", [MIXED_SCENARIO, Scenario.uniform(3, 2)], ids=["mixed", "uniform"])
@@ -775,7 +775,7 @@ def test_visibility_ghz5_mermin(monkeypatch):
 @pytest.mark.parametrize("sc", [chsh().scenario, mermin(3).scenario, MIXED_SCENARIO,
                                 Scenario.uniform(2, 2, 3)], ids=["chsh", "mk3", "mixed", "2x2x3"])
 def test_basis_rows_span_the_vertex_rows(sc):
-    d, keep = vertex_matrix(sc), basis_rows(sc)
+    d, keep = vertex_matrix(sc), polytope._lp_start(sc)[0]
     per_site = [1 + sum(len(values) - 1 for values in party) for party in sc.outcomes]
     rank = np.linalg.matrix_rank(d)
     assert keep.sum() == rank == np.linalg.matrix_rank(d[keep]) == math.prod(per_site)
@@ -848,8 +848,9 @@ def test_lp_frame_is_built_once_per_scenario_and_changes_no_bit(monkeypatch):
     sc = builds[-1]
     assert list(polytope._FRAME) == [sc]
     frame = polytope._FRAME[sc]
-    start = np.append(polytope._staircase(sc), frame.d.shape[1])
-    for got, want in ((frame.d, vertex_matrix(sc)), (frame.keep, basis_rows(sc)),
+    keep, cols = polytope._lp_start(sc)
+    start = np.append(cols, frame.d.shape[1])
+    for got, want in ((frame.d, vertex_matrix(sc)), (frame.keep, keep),
                       (frame.start, start), (frame.uniform, uniform_behavior(sc).vector())):
         assert np.array_equal(got, want) and got.dtype == want.dtype
         assert not got.flags.writeable

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 import re
 
@@ -835,10 +836,10 @@ def test_algebraic_bound_bounds_every_behavior():
     for f in functionals:
         sc = f.scenario
         bounds = lhv_bounds(f)
-        cap = qvalue._algebraic_bound(f, bounds)
+        cap = qvalue._violation_cap(f, bounds)
         # Y is symmetric about the LHV range, so -f has the same bound
         flipped = f.scaled(-1)
-        assert qvalue._algebraic_bound(flipped, lhv_bounds(flipped)) == pytest.approx(cap, rel=1e-12)
+        assert qvalue._violation_cap(flipped, lhv_bounds(flipped)) == pytest.approx(cap, rel=1e-12)
         behaviors = []
         for _ in range(3):
             meas = MeasurementAssignment(tuple(
@@ -849,11 +850,12 @@ def test_algebraic_bound_bounds_every_behavior():
             behaviors.append(deterministic_behavior(sc, strategy))
         for b in behaviors:
             assert bounds.violation(evaluate(f, b)) <= cap + 1e-12
-    # padded CHSH cannot pass 2 on any behavior, and the PR box reaches it
+    # padded CHSH's quantum cap, Tsirelson's sqrt 2, lies below its
+    # algebraic cap 2, which the PR box reaches
     for k in (1, 2, 3):
         padded = extend_with_passive_parties(chsh(), k)
-        assert qvalue._algebraic_bound(padded, lhv_bounds(padded)) == 2.0
-    assert qvalue._algebraic_bound(chsh(), lhv_bounds(chsh())) == 2.0
+        assert qvalue._violation_cap(padded, lhv_bounds(padded)) == pytest.approx(SQRT2, abs=1e-12)
+    assert qvalue._violation_cap(chsh(), lhv_bounds(chsh())) == pytest.approx(SQRT2, abs=1e-12)
     assert lhv_bounds(chsh()).violation(evaluate(chsh(), pr_box())) == 2.0
 
 
@@ -866,7 +868,7 @@ def test_quantum_bound_bounds_every_quantum_behavior(d):
     for f in functionals:
         sc = f.scenario
         bounds = lhv_bounds(f)
-        cap = qvalue._quantum_bound(f, bounds)
+        cap = qvalue._violation_cap(f, bounds)
         for _ in range(4):
             meas = MeasurementAssignment(tuple(
                 tuple(Measurement(random_povm(d, 2, rng).effects, values) for values in party)
@@ -885,7 +887,7 @@ def test_quantum_bound_of_one_correlator_is_one():
     sc = Scenario.uniform(3, 2, values=(1.0, -1.0))
     for subset in ([1], [0, 2], [0, 1, 2]):
         f = product_expectation_functional(sc, (0, 1, 0), subset)
-        assert qvalue._quantum_bound(f, lhv_bounds(f)) == 1.0
+        assert qvalue._violation_cap(f, lhv_bounds(f)) == 1.0
 
 
 def ghz_reaches(f, angles: list[tuple[float, ...]]) -> float:
@@ -900,11 +902,11 @@ def ghz_reaches(f, angles: list[tuple[float, ...]]) -> float:
 @pytest.mark.parametrize("passive", [0, 1, 2, 3])
 def test_quantum_bound_is_tsirelson_for_padded_chsh(passive):
     f = chsh() if passive == 0 else extend_with_passive_parties(chsh(), passive)
-    cap = qvalue._quantum_bound(f, lhv_bounds(f))
+    cap = qvalue._violation_cap(f, lhv_bounds(f))
     assert cap == pytest.approx(SQRT2, abs=1e-12)
     # a constant added to every entry shifts k0 alone
     shifted = BellFunctional(f.scenario, f.slots + 0.25)
-    assert qvalue._quantum_bound(shifted, lhv_bounds(shifted)) == pytest.approx(cap, abs=1e-12)
+    assert qvalue._violation_cap(shifted, lhv_bounds(shifted)) == pytest.approx(cap, abs=1e-12)
     # <sigma(a) sigma(b) X ... X> = cos(a + b) on the GHZ state
     angles = [(0.0, math.pi / 2), (-math.pi / 4, math.pi / 4)] + [(0.0,)] * passive
     assert ghz_reaches(f, angles) == pytest.approx(cap, abs=1e-9)
@@ -913,7 +915,7 @@ def test_quantum_bound_is_tsirelson_for_padded_chsh(passive):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_quantum_bound_is_tight_for_mermin_klyshko(n):
     f = mermin(n)
-    cap = qvalue._quantum_bound(f, lhv_bounds(f))
+    cap = qvalue._violation_cap(f, lhv_bounds(f))
     assert cap == pytest.approx(2.0 ** ((n - 1) / 2), rel=1e-12)
     # settings x and x + pi/2 at every site, n x = -(n - 1) pi/4, reach the maximum
     x = -(n - 1) * math.pi / (4 * n)
@@ -923,7 +925,7 @@ def test_quantum_bound_is_tight_for_mermin_klyshko(n):
 def test_quantum_bound_holds_for_quantum_behaviors_only():
     # the PR box reaches CHSH's algebraic bound 2, above Tsirelson's sqrt 2
     bounds = lhv_bounds(chsh())
-    assert bounds.violation(evaluate(chsh(), pr_box())) == 2.0 > qvalue._quantum_bound(chsh(), bounds)
+    assert bounds.violation(evaluate(chsh(), pr_box())) == 2.0 > qvalue._violation_cap(chsh(), bounds)
 
 
 def counted_seesaw(monkeypatch) -> list[str]:
@@ -968,6 +970,37 @@ def test_best_only_skips_only_what_cannot_be_picked(monkeypatch, rho, skipped):
     assert (full.value > SQRT2) == skipped
 
 
+def algebraic_cap(f: BellFunctional) -> float:
+    """Largest violation ratio of ``f`` on any behavior, quantum or not: each
+    table's value lies between its least and its largest entry."""
+    bounds, tables = lhv_bounds(f), f.coeffs.values()
+    return max(bounds.violation(sum(float(t.max()) for t in tables)),
+               bounds.violation(sum(float(t.min()) for t in tables)))
+
+
+def test_best_only_skips_on_the_lesser_cap(monkeypatch):
+    # on dense random tables the algebraic cap is often below the quantum
+    # one, and then it alone decides the skip; CHSH sets the best at sqrt 2
+    rng = np.random.default_rng(3)
+    library = [chsh()] + [BellFunctional(f.scenario, f.slots, f"r{i}")
+                          for i, f in enumerate(random_pm_functional(2, rng) for _ in range(12))]
+    caps = [qvalue._violation_cap(f, lhv_bounds(f)) for f in library]
+    assert all(cap <= algebraic_cap(f) for cap, f in zip(caps, library))
+    calls = counted_seesaw(monkeypatch)
+    full = upsilon_lower_bound(ghz(2, 2), library, restarts=3, seed=1)
+    calls.clear()
+    fast = upsilon_lower_bound(ghz(2, 2), library, restarts=3, seed=1, best_only=True)
+    assert_same_search(fast, full)
+    assert fast.per_functional == tuple(p for p in full.per_functional if p[0] in calls)
+    # each skipped functional is out of reach of the best value before it
+    values = dict(full.per_functional)
+    for i, (f, cap) in enumerate(zip(library, caps)):
+        best = max(values[g.label] for g in library[:i]) if i else -math.inf
+        assert (f.label in calls) == (best <= cap + qvalue.RESTART_GAIN_TOL * max(1.0, cap))
+    assert any(f.label not in calls and cap == algebraic_cap(f) < SQRT2
+               for f, cap in zip(library, caps))
+
+
 def test_best_only_raises_as_the_seesaw_would(monkeypatch):
     # a skipped functional is checked as the seesaw checks it
     three = Scenario.uniform(4, 2, 3)
@@ -978,15 +1011,6 @@ def test_best_only_raises_as_the_seesaw_would(monkeypatch):
                             best_only=True)
     with pytest.raises(ValidationError, match="functional has 2 parties, state has 4"):
         upsilon_lower_bound(ghz(2, 4), [mermin(4), chsh()], restarts=2, seed=1, best_only=True)
-
-
-def test_best_only_builds_no_tensor_for_a_skipped_functional(monkeypatch):
-    built = []
-    effect_tensor = qvalue._effect_tensor
-    monkeypatch.setattr(qvalue, "_effect_tensor", lambda f: built.append(f.label) or effect_tensor(f))
-    library = [mermin(4), extend_with_passive_parties(chsh(), 2)]
-    found = upsilon_lower_bound(ghz(2, 4), library, restarts=2, seed=1, best_only=True)
-    assert [label for label, _ in found.per_functional] == built == ["mermin4"]
 
 
 def test_upsilon_lower_bound_library():
@@ -1028,6 +1052,25 @@ def test_assignment_json_rejects_non_integer_d(value):
     with pytest.raises(ValidationError,
                        match=f"assignment JSON field 'd' must be an integer, got {value!r}"):
         MeasurementAssignment.from_json_dict(data)
+
+
+def test_assignment_json_rejects_d_below_one():
+    # numpy would read d = -2 as a reshape to (-2, -2) of four entries
+    data = {**chsh_optimal_assignment().to_json_dict(), "d": -2}
+    with pytest.raises(ValidationError) as info:
+        MeasurementAssignment.from_json_dict(data)
+    assert str(info.value) == "assignment JSON field 'd' must be >= 1, got -2"
+
+
+def test_assignment_load_wraps_outcome_values_it_cannot_convert(tmp_path):
+    data = chsh_optimal_assignment().to_json_dict()
+    data["parties"][0][0]["outcome_values"] = "ab"
+    path = tmp_path / "assign.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        MeasurementAssignment.load(str(path))
+    assert str(info.value) == ("malformed MeasurementAssignment JSON: "
+                               "ValueError(\"could not convert string to float: 'a'\")")
 
 
 def test_assignment_json_rejects_bad_effects():

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 import re
 import types
@@ -324,6 +325,26 @@ def test_functional_json_roundtrip(tmp_path):
     for s in f.coeffs:
         assert np.allclose(back.coeffs[s], f.coeffs[s])
     assert back.label == "mermin3"
+
+
+@pytest.mark.parametrize("key", ["a,b", "1,", "1.5,1"])
+def test_functional_json_names_a_key_that_is_no_joint_setting(key):
+    data = chsh().to_json_dict()
+    data["coeffs"][key] = data["coeffs"].pop("1,1")
+    with pytest.raises(ValidationError) as info:
+        BellFunctional.from_json_dict(data)
+    assert str(info.value) == (f"functional JSON key {key!r} is not a list of 1-based "
+                               "settings such as '1,2'")
+
+
+def test_functional_load_wraps_a_value_it_cannot_convert(tmp_path):
+    data = chsh().to_json_dict()
+    data["coeffs"]["1,1"] = [["x", 1.0], [1.0, 1.0]]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValidationError, match=re.escape(
+            "malformed BellFunctional JSON: ValueError(\"could not convert string to float: 'x'\")")):
+        BellFunctional.load(str(path))
 
 
 def test_scenario_validation():

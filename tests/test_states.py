@@ -165,6 +165,23 @@ def test_json_rejects_non_integer_d_and_n(field, value):
         DensityMatrix.from_json_dict(data)
 
 
+@pytest.mark.parametrize("d, n, error, message", [
+    (2, -1, DomainError, "number of sites must be >= 1, got -1"),
+    (1, 2, DomainError, "site dimension must be >= 2, got 1"),
+    (3, 8, ResourceCapError, "total dimension 3^8 exceeds cap 4096"),
+    (2, 2000, ResourceCapError, "total dimension 2^2000 exceeds cap 4096"),
+    (3, 100000, ResourceCapError, "total dimension 3^100000 exceeds cap 4096"),
+    (3, 10**9, ResourceCapError, "total dimension 3^1000000000 exceeds cap 4096"),
+])
+def test_json_checks_d_n_and_the_cap_before_d_to_the_n(monkeypatch, d, n, error, message):
+    # d**n is formed only once d and n are checked and n alone does not
+    # exceed the cap: 3**(10**9) would not finish, and no message prints it
+    monkeypatch.delenv("BELLTOL_MAX_DIM", raising=False)
+    with pytest.raises(error) as info:
+        DensityMatrix.from_json_dict({**ghz(2, 2).to_json_dict(), "d": d, "n": n})
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("content, reason", [
     (b"not json", "Expecting value: line 1 column 1 (char 0)"),
     (b"\xff{", "'utf-8' codec can't decode byte 0xff in position 0"),
@@ -206,6 +223,41 @@ def test_noise_spec():
 def test_builders_obey_max_dim_env(monkeypatch, build):
     monkeypatch.setenv("BELLTOL_MAX_DIM", "4")
     with pytest.raises(ResourceCapError, match="exceeds cap 4"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ghz(np.int64(2), 64),
+    lambda: ghz(np.int64(3), 41),
+    lambda: dicke(np.int64(64), 1),
+    lambda: white_noise(np.int64(2), 64),
+    lambda: product_zero(2, np.int64(64)),
+], ids=["ghz-2-64", "ghz-3-41", "dicke", "white_noise", "product_zero"])
+def test_builders_read_numpy_ints_as_python_ints(monkeypatch, build):
+    # d**n in int64 wraps, to 0 at 2^64: the cap must see the true dimension
+    monkeypatch.delenv("BELLTOL_MAX_DIM", raising=False)
+    with pytest.raises(ResourceCapError, match="exceeds cap 4096"):
+        build()
+
+
+def test_builders_store_numpy_ints_as_python_ints():
+    for state in (ghz(np.int64(2), np.int64(3)), white_noise(np.int16(2), np.uint8(3)),
+                  dicke(np.int64(3), np.int64(1))):
+        assert (type(state.d), type(state.n)) == (int, int)
+    assert np.array_equal(ghz(np.int64(2), np.int64(3)).matrix, ghz(2, 3).matrix)
+
+
+@pytest.mark.parametrize("build, name, value", [
+    (lambda: ghz(2.0, 3), "d", 2.0),
+    (lambda: ghz(2, 3.0), "n", 3.0),
+    (lambda: dicke(4, 2.0), "k", 2.0),
+    (lambda: w_state("3"), "n", "3"),
+    (lambda: white_noise(2, 2.0), "n", 2.0),
+    (lambda: product_zero(np.float64(2.0), 2), "d", np.float64(2.0)),
+    (lambda: from_vector(np.ones(4) / 2, 2.0, 2), "d", 2.0),
+], ids=["ghz-d", "ghz-n", "dicke-k", "w-n", "white-n", "product-d", "from_vector-d"])
+def test_builders_refuse_non_integers_by_name(build, name, value):
+    with pytest.raises(DomainError, match=re.escape(f"{name} must be an integer, got {value!r}")):
         build()
 
 
