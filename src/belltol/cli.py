@@ -6,8 +6,9 @@ Exit codes: 0 success, 2 domain error, an unreadable or malformed input file
 or an unwritable output file, 3 unsupported functional (a seesaw functional
 with a setting that does not have exactly two outcomes), 4 resource cap
 exceeded, 1 internal error (a SolverError from an LP solve or its certificate
-check, from the seesaw's self-check or from a seesaw objective that falls, or
-a numerical failure such as numpy's LinAlgError).
+check, from the seesaw's self-check, from a seesaw objective that falls or
+from a self-checked seesaw violation above its formula's upper bound, or a
+numerical failure such as numpy's LinAlgError).
 """
 
 from __future__ import annotations
@@ -37,11 +38,13 @@ from .errors import (
     BelltolError,
     DomainError,
     ResourceCapError,
+    SolverError,
     UnsupportedFunctionalError,
     ValidationError,
 )
 from .polytope import critical_visibility
 from .qvalue import (
+    SELF_CHECK_TOL,
     SWEEP_TOL,
     MeasurementAssignment,
     seesaw,
@@ -57,8 +60,8 @@ EXIT_UNSUPPORTED = 3
 EXIT_CAP = 4
 
 FIXED_MEAS_CAVEAT = (
-    "fixed-measurement result: a lower bound on the scenario-level critical "
-    "visibility, which would further optimize over measurements"
+    "fixed-measurement result: an upper bound on the scenario-level critical "
+    "visibility, which is the infimum over measurements"
 )
 EXPLICIT_NOISE_CAVEAT = "conditional on locality of the supplied noise state"
 
@@ -286,40 +289,39 @@ def cmd_tolerance(args: argparse.Namespace) -> int:
     )
     seesaw_tol_upper = tolerance_from_violation(max(found.value, 1.0))
 
-    if family in ("ghz", "dicke", "w"):
-        formula = family_report(family, state.d, state.n, S_INF, GENERALIZED, k=k)
-        tol = formula.tolerance
-        source = f"formula family {formula.family!r}"
-        if abs(seesaw_tol_upper - tol.upper) <= 1e-6:
-            upper_src = f"{source}, witnessed by seesaw via {found.best_label}"
-        elif seesaw_tol_upper < tol.upper:
-            upper_src = f"seesaw via {found.best_label}"
-        else:
-            upper_src = source
-        tol_lo, tol_hi = tol.lower, min(tol.upper, seesaw_tol_upper)
-        provenance = {
+    # the paper's family (i), "an arbitrary nonlocal N-qudit state", bounds
+    # every state, so a state of no named family reads the generic row
+    formula = family_report(family if family in ("ghz", "dicke", "w") else "generic",
+                            state.d, state.n, S_INF, GENERALIZED, k=k)
+    if found.value > formula.upsilon.upper * (1.0 + SELF_CHECK_TOL):
+        # a self-checked Y above the formula's upper Y means a wrong formula or
+        # wrong code, and the interval would print inverted
+        raise SolverError(
+            f"seesaw violation {found.value!r} via {found.best_label} exceeds the upper "
+            f"bound {formula.upsilon.upper!r} of formula family {formula.family!r}"
+        )
+    tol = formula.tolerance
+    source = f"formula family {formula.family!r}"
+    if abs(seesaw_tol_upper - tol.upper) <= 1e-6:
+        upper_src = f"{source}, witnessed by seesaw via {found.best_label}"
+    elif seesaw_tol_upper < tol.upper:
+        upper_src = f"seesaw via {found.best_label}"
+    else:
+        upper_src = source
+    tol_lo, tol_hi = tol.lower, min(tol.upper, seesaw_tol_upper)
+    result = {
+        "tolerance_interval": [tol_lo, tol_hi],
+        "max_noise_interval": [1.0 - tol_hi, 1.0 - tol_lo],
+        "upsilon_seesaw": found.value,
+        "best_functional": found.best_label,
+        "provenance": {
             "lower": f"{source}, active term {tol.active_term}",
             "upper": upper_src,
             "formula_upper": tol.upper,
             "seesaw_upper": seesaw_tol_upper,
-        }
-        notes, warning = list(formula.notes), None
-    else:
-        tol_lo, tol_hi = None, seesaw_tol_upper
-        provenance = {"upper": f"seesaw via {found.best_label}"}
-        notes, warning = [], (f"state family {family!r} has no closed-form bound family; "
-                              "formula side omitted")
-
-    result = {
-        "tolerance_interval": [tol_lo, tol_hi],
-        "max_noise_interval": [1.0 - tol_hi, None if tol_lo is None else 1.0 - tol_lo],
-        "upsilon_seesaw": found.value,
-        "best_functional": found.best_label,
-        "provenance": provenance,
-        "notes": notes,
+        },
+        "notes": list(formula.notes),
     }
-    if warning:
-        result["warning"] = warning
     _emit(args, result, state=args.state, functional=specs, seed=args.seed,
           restarts=args.restarts)
     return EXIT_OK

@@ -437,9 +437,9 @@ def critical_visibility(
 
     The behavior is affine in beta, so a single LP with beta as an extra
     variable decides the threshold for this fixed measurement assignment, and
-    its dual is the certificate of nonlocality above it. This is a lower
-    bound on the scenario-level critical visibility, which would further
-    optimize over measurements.
+    its dual is the certificate of nonlocality above it. This is an upper
+    bound on the scenario-level critical visibility, the infimum over
+    measurements: the mixture is nonlocal once any measurements show it.
     """
     zeta = noise.resolve(rho.d, rho.n)
     b_noise = behavior(zeta, meas).vector()

@@ -29,15 +29,21 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 
 
-def _check_sites(d: int, n: int) -> tuple[int, int]:
-    """d and n as Python ints (``bounds._index``: a numpy integer would wrap
-    in d**n), d >= 2 and n >= 1."""
+def _check_sites(d: int, n: int) -> tuple[int, int, int]:
+    """d, n and d**n of a state on (C^d)^{⊗n}, the one size rule of every
+    state: d and n as Python ints (``bounds._index``: a numpy integer would
+    wrap in d**n), d >= 2, n >= 1, and ResourceCapError when d**n exceeds the
+    cap. Since d >= 2, an n past the cap's bit length exceeds it alone, and
+    d**n is not formed: at n = 10**9 that would not finish."""
     d, n = _index(d, "d"), _index(n, "n")
     if d < 2:
         raise DomainError(f"site dimension must be >= 2, got {d}")
     if n < 1:
         raise DomainError(f"number of sites must be >= 1, got {n}")
-    return d, n
+    cap = resolve_max_dim()
+    if n > cap.bit_length() or d**n > cap:
+        raise ResourceCapError(f"total dimension {d}^{n} exceeds cap {cap}")
+    return d, n, d**n
 
 
 def _check_trace(tr: float) -> None:
@@ -47,7 +53,7 @@ def _check_trace(tr: float) -> None:
 
 def _check_matrix(d: int, n: int, m: np.ndarray) -> None:
     """Shape (d^n, d^n) and unit trace within TRACE_TOL, the checks every
-    state passes after d >= 2 and n >= 1, proved or not."""
+    state passes after ``_check_sites``, proved or not."""
     dim = d**n
     if m.shape != (dim, dim):
         raise ValidationError(f"density matrix shape {m.shape} does not match d={d}, n={n}")
@@ -56,7 +62,7 @@ def _check_matrix(d: int, n: int, m: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class DensityMatrix(JsonFile):
-    """Trace-one positive operator on (C^d)^{⊗n}.
+    """Trace-one positive operator on (C^d)^{⊗n}, with d^n within the cap.
 
     Hermitian within 1e-10 (max entry), unit trace within 1e-10 and positive
     semidefinite within 1e-9. A matrix given to the constructor or read by
@@ -72,7 +78,7 @@ class DensityMatrix(JsonFile):
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        d, n = _check_sites(self.d, self.n)
+        d, n, _ = _check_sites(self.d, self.n)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", n)
         m = as_cmatrix(self.matrix, "density matrix")
@@ -87,7 +93,7 @@ class DensityMatrix(JsonFile):
     @classmethod
     def _proved(cls, d: int, n: int, matrix: np.ndarray) -> "DensityMatrix":
         """A state whose builder has proved it finite, Hermitian and PSD, with
-        d >= 2 and n >= 1 established: only shape and trace are checked, in
+        d and n passed by ``_check_sites``: only shape and trace are checked, in
         O(d^n), and no entry is scanned. ``matrix`` must be a fresh complex128
         array that no caller holds, since it is frozen in place, not copied."""
         _check_matrix(d, n, matrix)
@@ -107,20 +113,11 @@ class DensityMatrix(JsonFile):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DensityMatrix":
-        """The state of a file's d, n and entries, refused as the builders
-        refuse it (d and n first, then the cap) before d**n is formed."""
-        d, n = _check_sites(int_from_json(data, "d", "state"), int_from_json(data, "n", "state"))
-        return cls(d=d, n=n, matrix=complex_from_json(data, _check_cap(d, n), "state"))
-
-
-def _check_cap(d: int, n: int) -> int:
-    """d**n, for d >= 2 and n >= 1 as ints; ResourceCapError when it exceeds
-    the cap. Since d >= 2, an n past the cap's bit length exceeds it alone,
-    and d**n is not formed: at n = 10**9 that would not finish."""
-    cap = resolve_max_dim()
-    if n > cap.bit_length() or d**n > cap:
-        raise ResourceCapError(f"total dimension {d}^{n} exceeds cap {cap}")
-    return d**n
+        """The state of a file's d, n and entries, refused as every state is
+        refused, before d**n is formed or an entry is read."""
+        d, n, dim = _check_sites(int_from_json(data, "d", "state"),
+                                 int_from_json(data, "n", "state"))
+        return cls(d=d, n=n, matrix=complex_from_json(data, dim, "state"))
 
 
 def from_vector(psi: np.ndarray, d: int, n: int) -> DensityMatrix:
@@ -138,9 +135,9 @@ def from_vector(psi: np.ndarray, d: int, n: int) -> DensityMatrix:
     nonnegative real amplitudes the bytes do too; elsewhere a zero row of the
     outer product may hold -0.0 where this one holds +0.0.
     """
-    d, n = _check_sites(d, n)
+    d, n, dim = _check_sites(d, n)
     v = np.asarray(psi, dtype=np.complex128).ravel()
-    if v.size != d**n:
+    if v.size != dim:
         raise ValidationError(f"vector length {v.size} does not match d={d}, n={n}")
     if not np.isfinite(v).all():
         raise ValidationError("density matrix contains non-finite entries")
@@ -153,12 +150,9 @@ def from_vector(psi: np.ndarray, d: int, n: int) -> DensityMatrix:
 
 def ghz(d: int, n: int) -> DensityMatrix:
     """Maximally correlated n-qudit state (1/sqrt(d)) sum_j |j...j>."""
-    d, n = _index(d, "d"), _index(n, "n")
-    if d < 2:
-        raise DomainError(f"d must be >= 2, got {d}")
+    d, n, dim = _check_sites(d, n)
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
-    dim = _check_cap(d, n)
     psi = np.zeros(dim, dtype=np.complex128)
     # |j...j> has index j * (d^{n-1} + ... + 1)
     stride = (dim - 1) // (d - 1)
@@ -168,12 +162,12 @@ def ghz(d: int, n: int) -> DensityMatrix:
 
 def dicke(n: int, k: int) -> DensityMatrix:
     """Symmetrized n-qubit state with k excitations; k=1 is the W state."""
-    n, k = _index(n, "n"), _index(k, "k")
+    _, n, dim = _check_sites(2, n)
+    k = _index(k, "k")
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     if not 1 <= k <= n - 1:
         raise DomainError(f"k must be in 1..{n - 1}, got {k}")
-    dim = _check_cap(2, n)
     psi = np.zeros(dim, dtype=np.complex128)
     amp = 1.0 / math.sqrt(math.comb(n, k))
     for idx in range(dim):
@@ -189,8 +183,7 @@ def w_state(n: int) -> DensityMatrix:
 def white_noise(d: int, n: int) -> DensityMatrix:
     """Maximally mixed state I/d^n, diagonal with positive entries: finite,
     Hermitian and PSD by construction. Only the diagonal is written."""
-    d, n = _check_sites(d, n)
-    dim = _check_cap(d, n)
+    d, n, dim = _check_sites(d, n)
     m = np.zeros((dim, dim), dtype=np.complex128)
     np.fill_diagonal(m, 1.0 / dim)
     return DensityMatrix._proved(d, n, m)
@@ -198,8 +191,7 @@ def white_noise(d: int, n: int) -> DensityMatrix:
 
 def product_zero(d: int, n: int) -> DensityMatrix:
     """|0...0><0...0|, a fully product (hence Bell-local) reference state."""
-    d, n = _check_sites(d, n)
-    dim = _check_cap(d, n)
+    d, n, dim = _check_sites(d, n)
     psi = np.zeros(dim, dtype=np.complex128)
     psi[0] = 1.0
     return from_vector(psi, d, n)

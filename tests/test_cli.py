@@ -276,17 +276,76 @@ def test_tolerance_dicke42(capsys):
     assert hi <= 0.7836116248912243 + 1e-9
 
 
-def test_tolerance_custom_state_warns(tmp_path, capsys):
+def test_tolerance_custom_state_reads_the_generic_row(tmp_path, capsys):
+    # the paper's family (i) bounds every N-qudit state: Y <= (2d-1)^(n-1)
     from belltol.states import ghz
 
     path = tmp_path / "state.json"
-    ghz(2, 2).save(str(path))
+    ghz(2, 3).save(str(path))
     code, data = run_json(capsys, [
         "tolerance", "--state", f"json:{path}", "--seed", "1", "--restarts", "3",
     ])
     assert code == 0
-    assert "warning" in data["results"]
-    assert data["results"]["tolerance_interval"][0] is None
+    results = data["results"]
+    assert results["tolerance_interval"] == [0.2, 0.666666667]
+    assert results["provenance"]["lower"] == "formula family 'generic', active term (2d-1)^(n-1)"
+    assert "warning" not in results
+
+
+@pytest.mark.parametrize("upper, code", [(1.5, 1), (2.0 * (1.0 - 1e-10), 0)],
+                         ids=["below-seesaw", "within-self-check-tol"])
+def test_tolerance_refuses_an_inverted_interval(monkeypatch, capsys, upper, code):
+    # the seesaw's Y = 2 on ghz(2,3) is self-checked, so a formula whose upper
+    # Y lies below it by more than that check's tolerance is wrong
+    import dataclasses
+
+    from belltol import cli
+    from belltol.bounds import BoundInterval
+
+    family_report = cli.family_report
+
+    def planted(*args, **kwargs):
+        report = family_report(*args, **kwargs)
+        return dataclasses.replace(report, upsilon=BoundInterval(1.0, upper, "planted"))
+
+    monkeypatch.setattr(cli, "family_report", planted)
+    assert main(["tolerance", "--state", "ghz:2,3", "--restarts", "3"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: seesaw violation 1.99999999")
+        assert captured.err.endswith(" via mermin3 exceeds the upper bound 1.5 of formula family "
+                                     "'ghz'\n")
+    else:
+        tol_lo, tol_hi = json.loads(captured.out)["results"]["tolerance_interval"]
+        assert tol_lo == tol_hi == 0.666666667
+
+
+def test_fixed_measurement_visibility_is_an_upper_bound(capsys):
+    # the scenario-level critical visibility is the infimum of beta* over
+    # measurements (Brunner et al., Rev. Mod. Phys. 86, 419 (2014)): on
+    # ghz(2,3) the MK3 seesaw measurements show nonlocality above 0.5, and Z
+    # and X at every site show none below 1, so each fixed beta* bounds it
+    # from above
+    from belltol.cli import FIXED_MEAS_CAVEAT
+    from belltol.polytope import critical_visibility
+    from belltol.qvalue import Measurement, MeasurementAssignment, seesaw
+    from belltol.scenario import mermin
+    from belltol.states import NoiseSpec, ghz
+    from helpers import SX, SZ
+
+    mk3 = seesaw(mermin(3), ghz(2, 3), restarts=2, seed=1).assignment
+    zx = (Measurement.dichotomic_from_observable(SZ), Measurement.dichotomic_from_observable(SX))
+    betas = [critical_visibility(ghz(2, 3), NoiseSpec.white(), a).beta_star
+             for a in (mk3, MeasurementAssignment((zx,) * 3))]
+    assert betas == [pytest.approx(0.5, abs=1e-12), 1.0]
+    assert "an upper bound" in FIXED_MEAS_CAVEAT
+    assert "the infimum over measurements" in FIXED_MEAS_CAVEAT
+    code, data = run_json(capsys, ["visibility", "--state", "ghz:2,3", "--functional", "mermin",
+                                   "--restarts", "2"])
+    assert code == 0
+    assert data["results"]["caveats"] == [FIXED_MEAS_CAVEAT]
+    assert data["results"]["beta_star"] == 0.5
 
 
 def test_exit_code_domain_error(capsys):

@@ -219,11 +219,27 @@ def test_noise_spec():
     lambda: white_noise(2, 3),
     lambda: product_zero(2, 3),
     lambda: NoiseSpec.white().resolve(2, 3),
-], ids=["ghz", "dicke", "w_state", "white_noise", "product_zero", "noise_resolve"])
+    lambda: from_vector(np.ones(8) / math.sqrt(8), 2, 3),
+    lambda: DensityMatrix(d=2, n=3, matrix=np.eye(8) / 8),
+], ids=["ghz", "dicke", "w_state", "white_noise", "product_zero", "noise_resolve", "from_vector",
+        "constructor"])
 def test_builders_obey_max_dim_env(monkeypatch, build):
     monkeypatch.setenv("BELLTOL_MAX_DIM", "4")
     with pytest.raises(ResourceCapError, match="exceeds cap 4"):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DensityMatrix(d=3, n=10**6, matrix=np.eye(2)),
+    lambda: from_vector(np.ones(2), 3, 10**6),
+], ids=["constructor", "from_vector"])
+def test_every_state_is_capped_before_d_to_the_n(monkeypatch, build):
+    # a shape check that forms d**n first refuses the shape at n = 10**6 and
+    # does not finish at n = 10**9
+    monkeypatch.delenv("BELLTOL_MAX_DIM", raising=False)
+    with pytest.raises(ResourceCapError) as info:
+        build()
+    assert str(info.value) == "total dimension 3^1000000 exceeds cap 4096"
 
 
 @pytest.mark.parametrize("build", [
